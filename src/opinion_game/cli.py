@@ -15,12 +15,7 @@ from .dynamics import ConvergenceError, iter_phases
 from .game import GameSolverError
 from .model import BAD, GOOD, Budgets, InvestmentPlan, Network, load_edge_list, validate
 from .centrality import compute_profile
-from .strategy_dependent import (
-    DependencyCoefficients,
-    profile_utility,
-    single_camp_optimal,
-    two_camp_equilibrium,
-)
+from .strategy_dependent import single_camp_optimal, two_camp_equilibrium
 from .strategy_fixed import bounded_greedy, evaluate_two_phase, farsighted_unbounded, myopic_loss
 
 #: node count of the synthetic fallback graph used when --graph is omitted
@@ -149,10 +144,7 @@ def _cmd_strategy_dep(args) -> None:
         rows = [[profile.alpha, profile.beta, profile.k1, profile.k2, value]]
         _emit(rows, ["alpha", "beta", "kg1", "kg2", "value"], args.out)
         return
-    coef = DependencyCoefficients(net)
-    solution = two_camp_equilibrium(
-        net, args.kg, args.kb, max_nodes=args.max_nodes, coefficients=coef
-    )
+    solution = two_camp_equilibrium(net, args.kg, args.kb, max_nodes=args.max_nodes)
     rows = []
     for i, p in enumerate(solution.row_mix):
         if p <= 1e-9:
@@ -162,7 +154,7 @@ def _cmd_strategy_dep(args) -> None:
                 continue
             good = solution.profiles[i]
             bad = solution.profiles[j]
-            _, kg1, kb1 = profile_utility(net, good, bad, args.kg, args.kb, coefficients=coef)
+            kg1, kb1 = float(solution.kg1[i, j]), float(solution.kb1[i, j])
             rows.append([
                 solution.value,
                 good[0] if good else None, good[1] if good else None, float(p),
@@ -176,6 +168,9 @@ def _cmd_strategy_dep(args) -> None:
 
 def _cmd_sweep(args) -> None:
     mode = args.mode or "bounded"
+    if args.v0 != 0.0:
+        print("note: sweep ignores --v0; every grid point starts from zero initial opinions",
+              file=sys.stderr)
     scheme = _scheme(args)
     topology = _load_topology(args)
     rows = harness.sweep_w0(
@@ -207,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-camp reference weight at w0=0")
     common.add_argument("--w0-grid", type=_parse_grid, default=None, dest="w0_grid",
                         help="comma-separated bias weights; non-sweep commands use the first value")
-    common.add_argument("--v0", type=float, default=0.0, help="constant initial opinion override")
+    common.add_argument("--v0", type=float, default=0.0,
+                        help="constant initial opinion override; sweep ignores it and "
+                             "starts every grid point from zero opinions")
     common.add_argument("--cap", type=float, default=1.0, help="per-node per-phase investment cap")
     common.add_argument("--out", help="CSV output path (stdout if omitted)")
     common.add_argument("--seed", type=int, default=0, help="seed for synthetic graph generation")

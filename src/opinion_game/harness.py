@@ -14,14 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .centrality import compute_profile
 from .model import BAD, GOOD, Budgets, Network, Topology
-from .strategy_dependent import (
-    DependencyCoefficients,
-    profile_utility,
-    single_camp_optimal,
-    two_camp_equilibrium,
-)
+from .strategy_dependent import single_camp_optimal, two_camp_equilibrium
 from .strategy_fixed import bounded_greedy, evaluate_two_phase, myopic_loss
 
 DEFAULT_W0_GRID = tuple(i * 0.05 for i in range(20))
@@ -102,22 +99,14 @@ def ba_graph(n: int, attach: int = 2, seed: int = 0) -> Topology:
     return Topology(n=n, edges=tuple(edges))
 
 
-def _expected_splits(net, solution, kg, kb, coefficients, cutoff=1e-12):
+def _expected_splits(solution, cutoff=1e-12):
     """Mixed-strategy expectation of the phase-1 budgets over support pairs."""
-    eg1 = eb1 = 0.0
-    for i, p in enumerate(solution.row_mix):
-        if p <= cutoff:
-            continue
-        for j, q in enumerate(solution.col_mix):
-            if q <= cutoff:
-                continue
-            _, a, b = profile_utility(
-                net, solution.profiles[i], solution.profiles[j], kg, kb,
-                coefficients=coefficients,
-            )
-            eg1 += p * q * a
-            eb1 += p * q * b
-    return eg1, eb1
+    rows = solution.row_mix > cutoff
+    cols = solution.col_mix > cutoff
+    p, q = solution.row_mix[rows], solution.col_mix[cols]
+    return tuple(
+        float(p @ split[np.ix_(rows, cols)] @ q) for split in (solution.kg1, solution.kb1)
+    )
 
 
 def sweep_point(
@@ -161,11 +150,8 @@ def sweep_point(
             "objective": value,
             "myopic_loss": None,
         }
-    coef = DependencyCoefficients(net)
-    solution = two_camp_equilibrium(
-        net, budgets.kg, budgets.kb, max_nodes=max_nodes, coefficients=coef
-    )
-    eg1, eb1 = _expected_splits(net, solution, budgets.kg, budgets.kb, coef)
+    solution = two_camp_equilibrium(net, budgets.kg, budgets.kb, max_nodes=max_nodes)
+    eg1, eb1 = _expected_splits(solution)
     return {
         "w0": w0,
         "k1_good": eg1,

@@ -229,9 +229,9 @@ def validate(net: Network, mode: str = "fixed") -> list[Violation]:
 
     if mode == "dependency":
         coo = net.weights.tocoo()
-        for i, j, w in zip(coo.row, coo.col, coo.data):
-            if w < -TOLERANCE:
-                out.append(Violation(int(i), f"negative weight {w:.6g} on edge ({i}, {j}) in dependency mode"))
+        for k in np.nonzero(coo.data < -TOLERANCE)[0]:
+            i, j, w = coo.row[k], coo.col[k], coo.data[k]
+            out.append(Violation(int(i), f"negative weight {w:.6g} on edge ({i}, {j}) in dependency mode"))
         for i in np.nonzero(net.w0 < -TOLERANCE)[0]:
             out.append(Violation(int(i), f"negative bias weight {net.w0[i]:.6g} in dependency mode"))
         for i in np.nonzero(net.theta < -TOLERANCE)[0]:

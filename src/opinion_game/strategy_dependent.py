@@ -16,7 +16,11 @@ facts keep the problem tractable:
 
 The single-camp optimum scans all n^2 node pairs, settling each pair's split
 in closed form. With two camps the (n^2+1) x (n^2+1) payoff matrix of saddle
-values feeds the zero-sum solver in :mod:`opinion_game.game`.
+values feeds the zero-sum solver in :mod:`opinion_game.game`. It is
+assembled in n x (n^2+1) row blocks, one per phase-1 node of the good camp,
+by a vectorized kernel that finds each box saddle exactly: the optimum of
+each camp's outer problem is a box endpoint, a piece breakpoint or a piece
+stationary point, so only those candidates are scored.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ from .game import MatrixGame, solve_zero_sum
 from .model import Network
 
 Pair = tuple[int, int]
-
-#: bracket tolerance of the saddle bisection, scaled by the budget
-SADDLE_TOL = 1e-10
 
 #: default node-count guard for the two-camp game assembly
 MAX_GAME_NODES = 40
@@ -62,13 +63,16 @@ class PureProfile:
 @dataclass(frozen=True, eq=False)
 class GameSolution:
     """Solved two-camp game: payoff over pure profiles (good camp maximizes),
-    mixed strategies of both camps, and the game value."""
+    mixed strategies of both camps, the game value, and the phase-1 budgets
+    kg1[i, j] and kb1[i, j] of each payoff entry's saddle."""
 
     payoff: np.ndarray
     row_mix: np.ndarray
     col_mix: np.ndarray
     value: float
     profiles: tuple[Optional[Pair], ...]
+    kg1: np.ndarray
+    kb1: np.ndarray
 
 
 def camp_weights(net: Network, v_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -159,146 +163,106 @@ def _quad_coefficients(
     return u00, qa, qb, qaa, qbb, qab
 
 
-def _best_split(q1: float, q2: float, hi: float, maximize: bool = True) -> float:
-    """Extremum of q1 t + q2 t^2 on [0, hi]; candidates are the endpoints and
-    the interior stationary point, with the first strict winner kept (0
-    first, then hi). Degenerate quadratics therefore land on an endpoint."""
-    candidates = [0.0, hi]
-    if q2 != 0.0:
-        t = -q1 / (2.0 * q2)
-        if 0.0 < t < hi:
-            candidates.append(t)
-    best = candidates[0]
-    best_val = 0.0
-    for t in candidates[1:]:
-        val = q1 * t + q2 * t * t
-        if (val > best_val) if maximize else (val < best_val):
-            best, best_val = t, val
-    return best
+def _outer_split(px, py, pxx, pyy, pxy, kx, ky):
+    """First maximizer over [0, kx] of g(x) = min over y in [0, ky] of
 
+        p(x, y) = px x + py y + pxx x^2 + pyy y^2 + pxy x y,
 
-def _saddle_numeric(
-    u, qa: float, qb: float, qaa: float, qbb: float, qab: float, kg: float, kb: float
-) -> tuple[float, float]:
-    """Box saddle point via derivative-sign bisection of the two outer problems.
-
-    g(a) = min_b u(a, b) is concave (a minimum of concave quadratics) and
-    h(b) = max_a u(a, b) convex, so each outer problem is settled by
-    bisecting on the sign of a central-difference slope estimate. Both g and
-    h are piecewise quadratic (the inner extremum is a clamped stationary
-    point or an endpoint), so after the bisection localizes the optimum the
-    result is polished against the exact piece breakpoints and stationary
-    points inside the method's error window. The returned pair is then an
-    exact box saddle: neither camp can improve by changing its own split.
+    elementwise over broadcast arrays. g is piecewise quadratic: the inner
+    minimizer is the clamped stationary point when pyy > 0, otherwise an
+    endpoint. Its maximum therefore lies at a box endpoint, at a
+    piece breakpoint (where the inner minimizer leaves 0 or reaches ky) or at
+    a piece stationary point, the interior closed form among them. Only
+    those candidates are scored, in the order 0, kx, breakpoints, stationary
+    points; undefined or out-of-box candidates drop out and the first
+    maximizer is kept.
     """
-
-    def inner_b(a: float) -> float:
-        if qbb > 0.0:
-            return min(max(-(qb + qab * a) / (2.0 * qbb), 0.0), kb)
-        return 0.0 if u(a, 0.0) <= u(a, kb) else kb
-
-    def inner_a(b: float) -> float:
-        if qaa < 0.0:
-            return min(max(-(qa + qab * b) / (2.0 * qaa), 0.0), kg)
-        return 0.0 if u(0.0, b) >= u(kg, b) else kg
-
-    def g(a: float) -> float:
-        return u(a, inner_b(a))
-
-    def h(b: float) -> float:
-        return u(inner_a(b), b)
-
-    def bisect(fun, hi: float, step: float, maximize: bool) -> float:
-        sign = 1.0 if maximize else -1.0
-
-        def slope(t: float) -> float:
-            return sign * (fun(t + step) - fun(t - step))
-
-        if slope(0.0) <= 0.0:
-            return 0.0
-        if slope(hi) >= 0.0:
-            return hi
-        lo_t, hi_t = 0.0, hi
-        tol = SADDLE_TOL * max(1.0, hi)
-        while hi_t - lo_t > tol:
-            mid = 0.5 * (lo_t + hi_t)
-            if slope(mid) > 0.0:
-                lo_t = mid
-            else:
-                hi_t = mid
-        return 0.5 * (lo_t + hi_t)
-
-    def polish(fun, t_hat: float, hi: float, step: float, maximize: bool, special) -> float:
-        # the central-difference bisection localizes the optimum to within
-        # its step near a kink; the true optimum is a breakpoint, a piece
-        # stationary point, or a box endpoint, all inside this window
-        lo_w = max(0.0, t_hat - 4.0 * step)
-        hi_w = min(hi, t_hat + 4.0 * step)
-        best, best_val = t_hat, fun(t_hat)
-        for t in (lo_w, hi_w, *special):
-            if lo_w <= t <= hi_w:
-                val = fun(t)
-                if (val > best_val) if maximize else (val < best_val):
-                    best, best_val = t, val
-        return best
-
-    def g_special() -> list[float]:
-        pts: list[float] = []
-        if qab != 0.0:
-            if qbb > 0.0:
-                pts += [-qb / qab, -(qb + 2.0 * qbb * kb) / qab]
-            else:
-                pts.append(-(qb + qbb * kb) / qab)
-        if qaa != 0.0:
-            for edge in (0.0, kb):
-                pts.append(-(qa + qab * edge) / (2.0 * qaa))
-        if qbb > 0.0:
-            curv = qaa - qab * qab / (4.0 * qbb)
-            if curv != 0.0:
-                pts.append(-(qa - qab * qb / (2.0 * qbb)) / (2.0 * curv))
-        return pts
-
-    def h_special() -> list[float]:
-        pts: list[float] = []
-        if qab != 0.0:
-            if qaa < 0.0:
-                pts += [-qa / qab, -(qa + 2.0 * qaa * kg) / qab]
-            else:
-                pts.append(-(qa + qaa * kg) / qab)
-        if qbb != 0.0:
-            for edge in (0.0, kg):
-                pts.append(-(qb + qab * edge) / (2.0 * qbb))
-        if qaa < 0.0:
-            curv = qbb - qab * qab / (4.0 * qaa)
-            if curv != 0.0:
-                pts.append(-(qb - qab * qa / (2.0 * qaa)) / (2.0 * curv))
-        return pts
-
-    if kg <= 0.0:
-        a_star = 0.0
-    else:
-        step_a = max(1e-6, 1e-6 * kg)
-        a_star = polish(g, bisect(g, kg, step_a, True), kg, step_a, True, g_special())
-    if kb <= 0.0:
-        b_star = 0.0
-    else:
-        step_b = max(1e-6, 1e-6 * kb)
-        b_star = polish(h, bisect(h, kb, step_b, False), kb, step_b, False, h_special())
-    return a_star, b_star
+    with np.errstate(all="ignore"):
+        convex = pyy > 0.0
+        cands = np.stack(np.broadcast_arrays(
+            0.0,
+            kx,
+            -np.where(convex, py, py + pyy * ky) / pxy,
+            np.where(convex, -(py + 2.0 * pyy * ky) / pxy, np.nan),
+            -px / (2.0 * pxx),
+            -(px + pxy * ky) / (2.0 * pxx),
+            np.where(
+                convex,
+                -(px - pxy * py / (2.0 * pyy)) / (2.0 * (pxx - pxy * pxy / (4.0 * pyy))),
+                np.nan,
+            ),
+        ))
+        slope = py + pxy * cands
+        y = np.where(
+            convex,
+            np.clip(-slope / (2.0 * pyy), 0.0, ky),
+            np.where(slope * ky + pyy * ky * ky >= 0.0, 0.0, ky),
+        )
+        score = px * cands + pxx * cands * cands + slope * y + pyy * y * y
+        score = np.where((cands >= 0.0) & (cands <= kx), score, -np.inf)
+    best = np.expand_dims(np.argmax(score, axis=0), 0)
+    return np.take_along_axis(cands, best, axis=0)[0]
 
 
-def _saddle_closed_form(
-    qa: float, qb: float, qaa: float, qbb: float, qab: float
-) -> tuple[float, float] | None:
-    """Interior stationary point of the saddle system, or None when the
-    quadratic is not strictly concave-convex. Solves the pair of first-order
-    conditions 2 qaa a + qab b = -qa and qab a + 2 qbb b = -qb."""
-    if not (qaa < 0.0 and qbb > 0.0):
-        return None
-    den = qab * qab - 4.0 * qaa * qbb
-    a = (2.0 * qbb * qa - qab * qb) / den
-    b = (2.0 * qaa * qb - qab * qa) / den
-    return a, b
+def _box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb):
+    """Exact saddle of the concave-convex quadratic
+
+        u(a, b) = u00 + qa a + qb b + qaa a^2 + qbb b^2 + qab a b
+
+    over the box [0, kg] x [0, kb], elementwise over broadcast arrays.
+    Returns (value, a, b): a maximizes min_b u and b minimizes max_a u, so
+    neither camp gains by changing its own split. A camp whose budget is 0
+    keeps a split of 0, which is how stay-out profiles are solved.
+    """
+    u00, qa, qb, qaa, qbb, qab, kg, kb = (
+        np.asarray(x, dtype=float) for x in (u00, qa, qb, qaa, qbb, qab, kg, kb)
+    )
+    a = _outer_split(qa, qb, qaa, qbb, qab, kg, kb)
+    b = _outer_split(-qb, -qa, -qbb, -qaa, -qab, kb, kg)
+    value = u00 + qa * a + qb * b + qaa * a * a + qbb * b * b + qab * a * b
+    return value, a, b
+
+
+def _camp_terms(coef, node1, node2, rows, cb, budget: float, sign: float):
+    """Per-profile terms of one camp for the profiles (node1[k], node2[k]),
+    followed by the stay-out profile: phase-1 weight, phase-2 weight,
+    phase-2 gain, budget, phase-1 node, and the row of the phase-2 node in
+    the coupling rows (``cb`` holds those rows' c-weighted sums). ``sign`` is
+    +1 for the good camp and -1 for the bad one. Stay-out has zero weights
+    and zero budget, so every term it enters vanishes; its node and row are
+    placeholders."""
+    node1 = np.asarray(node1, dtype=int)
+    node2 = np.asarray(node2, dtype=int)
+    rows = np.asarray(rows, dtype=int)
+    w1 = 0.5 * coef.theta[node1] * (1.0 + sign * coef.c[node1])
+    w2 = 0.5 * coef.theta[node2]
+    gain = cb[rows] + sign * coef.r[node2]
+    spend = np.full(len(node1), float(budget))
+    return (
+        *(np.append(x, 0.0) for x in (w1, w2, gain, spend)),
+        np.append(node1, 0),
+        np.append(rows, 0),
+    )
+
+
+def _coefficient_block(coef, b_rows: np.ndarray, good, bad):
+    """Quadratic coefficients and budgets of every good profile in ``good``
+    (rows) against every bad profile in ``bad`` (columns), both given as
+    :func:`_camp_terms`; ``b_rows`` holds the coupling rows b[j, :] of the
+    phase-2 nodes. Entry by entry this is :func:`_quad_coefficients`."""
+    g1, g2, gain_beta, kg, alpha, beta = (x[:, None] for x in good)
+    h1, h2, gain_delta, kb, gamma, delta = bad
+    b_ba = b_rows[beta, alpha]
+    b_dg = b_rows[delta, gamma]
+    b_da = b_rows[delta, alpha]
+    b_bg = b_rows[beta, gamma]
+    u00 = coef.s_total + kg * g2 * gain_beta + kb * h2 * gain_delta
+    qa = g1 * (coef.s[alpha] + kg * g2 * b_ba) - g2 * gain_beta + g1 * kb * h2 * b_da
+    qb = -h1 * (coef.s[gamma] + kb * h2 * b_dg) - h2 * gain_delta - h1 * kg * g2 * b_bg
+    qaa = -g1 * g2 * b_ba
+    qbb = h1 * h2 * b_dg
+    qab = -g1 * h2 * b_da + h1 * g2 * b_bg
+    return u00, qa, qb, qaa, qbb, qab, kg, kb
 
 
 def profile_utility(
@@ -314,34 +278,30 @@ def profile_utility(
     ``good`` and ``bad`` are (phase-1 node, phase-2 node) pairs, or None for
     a camp that stays out. Returns (value, kg1, kb1); the remaining budgets
     kg - kg1 and kb - kb1 go to phase 2. The good camp's split maximizes and
-    the bad camp's minimizes the quadratic objective over the budget box:
-    when the closed-form stationary point is interior it is the saddle,
-    otherwise the saddle is located numerically on the box boundary.
+    the bad camp's minimizes the quadratic objective over the budget box.
+    This is one entry of the payoff that :func:`two_camp_equilibrium`
+    assembles in blocks, solved by the same exact saddle kernel, which
+    scores only the box endpoints, piece breakpoints and piece stationary
+    points of the two outer problems.
     """
     if kg < 0 or kb < 0:
         raise ValueError("budgets must be nonnegative")
     coef = coefficients if coefficients is not None else DependencyCoefficients(net)
-    u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
+    present = [p for p in (good, bad) if p is not None]
+    b_rows = np.array([coef.b_row(p[1]) for p in present] or [np.zeros(net.n)])
+    cb = b_rows @ coef.c
 
-    def u(a: float, b: float) -> float:
-        return u00 + qa * a + qb * b + qaa * a * a + qbb * b * b + qab * a * b
+    def side(profile, row, budget, sign):
+        # the profile's terms, or the stay-out terms when it is None
+        node1, node2 = ([profile[0]], [profile[1]]) if profile is not None else ([], [])
+        terms = _camp_terms(coef, node1, node2, [row] * len(node1), cb, budget, sign)
+        return [x[:1] for x in terms]
 
-    if good is None and bad is None:
-        return u00, 0.0, 0.0
-    if bad is None:
-        a = _best_split(qa, qaa, kg, maximize=True)
-        return u(a, 0.0), a, 0.0
-    if good is None:
-        b = _best_split(qb, qbb, kb, maximize=False)
-        return u(0.0, b), 0.0, b
-
-    interior = _saddle_closed_form(qa, qb, qaa, qbb, qab)
-    if interior is not None:
-        a, b = interior
-        if 0.0 <= a <= kg and 0.0 <= b <= kb:
-            return u(a, b), a, b
-    a, b = _saddle_numeric(u, qa, qb, qaa, qbb, qab, kg, kb)
-    return u(a, b), a, b
+    block = _coefficient_block(
+        coef, b_rows, side(good, 0, kg, 1.0), side(bad, len(present) - 1, kb, -1.0)
+    )
+    value, a, b = _box_saddle(*block)
+    return float(value[0, 0]), float(a[0, 0]), float(b[0, 0])
 
 
 def _split_values(
@@ -422,9 +382,8 @@ def single_camp_optimal(
                 best_val = float(vals[b_best])
                 alpha, beta = a_node, b_best
 
-    u00, qa, _, qaa, _, _ = _quad_coefficients(coef, (alpha, beta), None, kg, 0.0)
-    k1 = _best_split(qa, qaa, kg, maximize=True)
-    value = u00 + qa * k1 + qaa * k1 * k1
+    value, k1, _ = _box_saddle(*_quad_coefficients(coef, (alpha, beta), None, kg, 0.0), kg, 0.0)
+    value, k1 = float(value), float(k1)
     if value <= coef.s_total:
         return stay_out
     return PureProfile(alpha, beta, k1, kg - k1), value
@@ -446,30 +405,39 @@ def two_camp_equilibrium(
     """Assemble the (n^2+1)-strategy zero-sum game over pure profiles and
     solve it by linear programming.
 
-    Every payoff entry is a saddle solve, so the assembly is quadratic in
-    n^2; networks above ``max_nodes`` are refused outright rather than left
-    to run for hours.
+    The payoff is built in blocks of rows, one per phase-1 node of the good
+    camp (n x (n^2+1) entries) plus the stay-out row, each block's
+    coefficients gathered from the dense coupling matrix and solved by one
+    call of the exact saddle kernel. The (n^2+1)^2 entries grow as
+    n^4, so networks above ``max_nodes`` are refused outright.
     """
     n = net.n
+    m = n * n + 1
     if n > max_nodes:
         raise ValueError(
-            f"two-camp equilibrium needs ({n}^2+1)^2 = {(n * n + 1) ** 2} saddle solves; "
+            f"two-camp equilibrium needs a ({n}^2+1)^2 = {m * m}-entry payoff; "
             f"refusing n={n} > max_nodes={max_nodes}"
         )
     if kg < 0 or kb < 0:
         raise ValueError("budgets must be nonnegative")
     coef = coefficients if coefficients is not None else DependencyCoefficients(net)
-    profiles = game_profiles(n)
-    m = len(profiles)
-    payoff = np.empty((m, m))
-    for i, good in enumerate(profiles):
-        for j, bad in enumerate(profiles):
-            payoff[i, j] = profile_utility(net, good, bad, kg, kb, coefficients=coef)[0]
+    b_mat = (coef.r * net.w0)[:, None] * delta_matrix(net)
+    cb = b_mat @ coef.c
+    node1, node2 = np.divmod(np.arange(n * n), n)
+    good = _camp_terms(coef, node1, node2, node2, cb, kg, 1.0)
+    bad = _camp_terms(coef, node1, node2, node2, cb, kb, -1.0)
+    payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
+    for start in range(0, m, n):
+        rows = slice(start, start + n)
+        block = _coefficient_block(coef, b_mat, [x[rows] for x in good], bad)
+        payoff[rows], kg1[rows], kb1[rows] = _box_saddle(*block)
     row_mix, col_mix, value = solve_zero_sum(MatrixGame(payoff))
     return GameSolution(
         payoff=payoff,
         row_mix=row_mix,
         col_mix=col_mix,
         value=float(value),
-        profiles=profiles,
+        profiles=game_profiles(n),
+        kg1=kg1,
+        kb1=kb1,
     )

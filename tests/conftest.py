@@ -85,6 +85,16 @@ def dependency_two_phase_sum(net: Network, x1, x2, y1, y2) -> float:
     return float(v2.sum())
 
 
+def interior_saddle(qa, qb, qaa, qbb, qab):
+    """Stationary point of u(a, b) = qa a + qb b + qaa a^2 + qbb b^2 + qab a b
+    from its first-order conditions, or None unless u is strictly concave
+    in a and strictly convex in b."""
+    if not (qaa < 0.0 and qbb > 0.0):
+        return None
+    a, b = np.linalg.solve([[2.0 * qaa, qab], [qab, 2.0 * qbb]], [-qa, -qb])
+    return float(a), float(b)
+
+
 def compositions(total_units: int, bins: int):
     """All nonnegative integer tuples of length ``bins`` summing to at most
     ``total_units`` (grid enumeration for brute-force allocation oracles)."""

@@ -35,15 +35,12 @@ from opinion_game import (
     sweep_point,
     two_camp_equilibrium,
 )
-from opinion_game.strategy_dependent import (
-    _quad_coefficients,
-    _saddle_closed_form,
-    _saddle_numeric,
-)
+from opinion_game.strategy_dependent import _box_saddle, _quad_coefficients
 
 from conftest import (
     compositions,
     dependency_two_phase_sum,
+    interior_saddle,
     neumann_transpose_apply,
     random_network,
 )
@@ -238,17 +235,13 @@ def test_criterion_7_dependency_two_camps():
                 if good is None or bad is None:
                     continue
                 u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
-                interior = _saddle_closed_form(qa, qb, qaa, qbb, qab)
+                interior = interior_saddle(qa, qb, qaa, qbb, qab)
                 if interior is None:
                     continue
                 a, b = interior
                 if not (0 <= a <= kg and 0 <= b <= kb):
                     continue
-
-                def u(t, s):
-                    return u00 + qa * t + qb * s + qaa * t * t + qbb * s * s + qab * t * s
-
-                an, bn = _saddle_numeric(u, qa, qb, qaa, qbb, qab, kg, kb)
+                _, an, bn = _box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb)
                 worst_closed = max(worst_closed, abs(a - an), abs(b - bn))
                 interior_count += 1
     if interior_count == 0:
@@ -256,7 +249,7 @@ def test_criterion_7_dependency_two_camps():
         details.append("no interior saddle cases were exercised")
     if worst_closed >= 1e-7:
         ok = False
-        details.append(f"closed form vs bisection dev {worst_closed:.2e}")
+        details.append(f"closed form vs saddle kernel dev {worst_closed:.2e}")
     report(7, "two-camp equilibrium properties", ok,
            "; ".join(details) or f"{interior_count} interior agreements, max dev {worst_closed:.2e}",
            started, 120.0)

@@ -163,6 +163,19 @@ class TestSweepCommand:
         assert all(row[-1] == "" for row in rows)
         assert float(rows[0][1]) == 0.0
 
+    def test_v0_is_ignored_with_a_note(self, capsys, graph_file, tmp_path):
+        outputs = {}
+        for v0 in ("0", "0.6"):
+            out_path = tmp_path / f"sweep-{v0}.csv"
+            code, _, err = run_cli(
+                capsys, "sweep", "--graph", graph_file, "--symmetrize", "--mode", "dependency2",
+                "--w0-grid", "0.2,0.6", "--kg", "3", "--kb", "2", "--v0", v0, "--out", str(out_path),
+            )
+            assert code == 0
+            assert ("ignores --v0" in err) == (v0 != "0")
+            outputs[v0] = out_path.read_bytes()
+        assert outputs["0"] == outputs["0.6"]
+
     def test_bad_grid_rejected(self, capsys, graph_file):
         with pytest.raises(SystemExit):
             main(["sweep", "--graph", graph_file, "--w0-grid", "a,b"])

@@ -116,6 +116,13 @@ class TestValidate:
         dep = validate(net, "dependency")
         assert any("negative weight" in v.message and v.node == 0 for v in dep)
 
+    def test_dependency_negative_edges_reported_in_row_order(self):
+        net = Network.build(3, [(2, 0, -0.25), (1, 2, 0.3), (0, 1, -0.1)], w0=0.1)
+        assert [str(v) for v in validate(net, "dependency")] == [
+            "node 0: negative weight -0.1 on edge (0, 1) in dependency mode",
+            "node 2: negative weight -0.25 on edge (2, 0) in dependency mode",
+        ]
+
     def test_dependency_extra_checks(self):
         net = Network.build(2, [(0, 1, 0.2)], w0=[-0.1, 0.0], v0=[0.0, 1.5], theta=[0.1, -0.2])
         messages = [v.message for v in validate(net, "dependency")]

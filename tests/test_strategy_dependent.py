@@ -15,13 +15,9 @@ from opinion_game import (
     single_camp_optimal,
     two_camp_equilibrium,
 )
-from opinion_game.strategy_dependent import (
-    _quad_coefficients,
-    _saddle_closed_form,
-    _saddle_numeric,
-)
+from opinion_game.strategy_dependent import _box_saddle, _quad_coefficients
 
-from conftest import dependency_two_phase_sum, random_network, two_node_net
+from conftest import dependency_two_phase_sum, interior_saddle, random_network, two_node_net
 
 
 def dep_pair(theta=0.2, w0=0.3, v0=0.0):
@@ -216,7 +212,7 @@ class TestProfileUtility:
         # the bad camp minimizes: staying in can only lower the objective
         assert value_bad <= profile_utility(net, None, None, 4.0, 9.0, coef)[0] + 1e-12
 
-    def test_closed_form_agrees_with_bisection_when_interior(self):
+    def test_closed_form_agrees_with_kernel_when_interior(self):
         rng = np.random.default_rng(137)
         checked = 0
         for _ in range(400):
@@ -227,21 +223,27 @@ class TestProfileUtility:
             bad = tuple(int(v) for v in rng.integers(0, n, 2))
             coef = DependencyCoefficients(net)
             u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
-            interior = _saddle_closed_form(qa, qb, qaa, qbb, qab)
+            interior = interior_saddle(qa, qb, qaa, qbb, qab)
             if interior is None:
                 continue
             a, b = interior
             if not (0 <= a <= kg and 0 <= b <= kb):
                 continue
-
-            def u(t, s):
-                return u00 + qa * t + qb * s + qaa * t * t + qbb * s * s + qab * t * s
-
-            an, bn = _saddle_numeric(u, qa, qb, qaa, qbb, qab, kg, kb)
-            assert a == pytest.approx(an, abs=1e-7)
-            assert b == pytest.approx(bn, abs=1e-7)
+            _, an, bn = _box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb)
+            assert a == pytest.approx(float(an), abs=1e-9)
+            assert b == pytest.approx(float(bn), abs=1e-9)
             checked += 1
         assert checked >= 10
+
+    def test_flat_split_resolves_to_zero(self):
+        # zero slope and zero curvature in both budgets: every split is
+        # optimal, and the first candidate, 0, is kept
+        assert _box_saddle(2.5, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 3.0) == (2.5, 0.0, 0.0)
+        # a flat good camp facing a bad camp that gains from spending early
+        value, a, b = _box_saddle(2.5, 0.0, -1.0, 0.0, 0.0, 0.0, 4.0, 3.0)
+        assert (value, a, b) == (-0.5, 0.0, 3.0)
+        net = Network.build(2, [(0, 1, 0.5), (1, 0, 0.5)], w0=0.3, v0=[0.5, -0.5], theta=0.0)
+        assert profile_utility(net, (0, 1), (1, 0), 10.0, 5.0)[1:] == (0.0, 0.0)
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -353,6 +355,47 @@ class TestTwoCampEquilibrium:
             assert value == pytest.approx(solution.value, abs=1e-9)
             reproduced += 1
         assert reproduced >= 1
+
+    def test_blocked_payoff_matches_scalar_oracle(self):
+        # every entry of the blocked payoff against the scalar coefficients
+        # and the saddle property of its splits on a 201-point budget grid;
+        # node 0 has no camp weight and node n-1 no bias weight, so many
+        # quadratics degenerate (zero curvature or no coupling)
+        rng = np.random.default_rng(167)
+        grid = np.linspace(0.0, 1.0, 201)
+        degenerate = 0
+        for n in range(2, 6):
+            base = random_network(rng, n, dependency=True)
+            theta = base.theta.copy()
+            w0 = base.w0.copy()
+            theta[0] = 0.0
+            w0[n - 1] = 0.0
+            net = Network.build(
+                n, base.topology().edges, w0=w0, v0=base.v0, wg=base.wg, wb=base.wb, theta=theta
+            )
+            kg, kb = float(rng.uniform(1, 40)), float(rng.uniform(1, 40))
+            coef = DependencyCoefficients(net)
+            solution = two_camp_equilibrium(net, kg, kb, coefficients=coef)
+            for i, good in enumerate(solution.profiles):
+                for j, bad in enumerate(solution.profiles):
+                    u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
+                    if good is not None and bad is not None:
+                        degenerate += qaa == 0.0 or qbb == 0.0
+
+                    def u(t, s):
+                        return u00 + qa * t + qb * s + qaa * t * t + qbb * s * s + qab * t * s
+
+                    value = solution.payoff[i, j]
+                    a, b = solution.kg1[i, j], solution.kb1[i, j]
+                    ka = kg if good is not None else 0.0
+                    kd = kb if bad is not None else 0.0
+                    assert 0.0 <= a <= ka and 0.0 <= b <= kd
+                    assert u(a, b) == pytest.approx(value, abs=1e-9)
+                    assert np.max(u(grid * ka, b)) <= value + 1e-8
+                    assert np.min(u(a, grid * kd)) >= value - 1e-8
+                    single = profile_utility(net, good, bad, kg, kb, coef)
+                    assert single == pytest.approx((value, a, b), abs=1e-9)
+        assert degenerate > 0
 
     def test_node_guard_refuses_large_networks(self):
         rng = np.random.default_rng(163)
