@@ -4,19 +4,19 @@
 influence on node i produces within a single phase. ``s`` reweights that by
 how much of the produced opinion survives into a following phase through the
 bias weights, s = (I - w^T)^{-1} (r o w0), and higher orders extend the
-look-ahead one phase at a time. Rows of the resolvent (I - w)^{-1} are
-computed on demand and memoized per network.
+look-ahead one phase at a time. Rows and columns of the resolvent
+(I - w)^{-1} come from the inverse the network caches when its solves are
+dense, and otherwise from one transposed solve per row or one block solve
+per set of columns.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DENSE_MAX_N, solve_linear
+from .dynamics import dense_resolvent, solve_linear
 from .model import Network
 
 
@@ -41,108 +41,73 @@ class CentralityProfile:
         raise ValueError(f"profile only holds orders up to {2 + len(self.higher)}")
 
 
-def katz_r(net: Network, *, method: str = "auto") -> np.ndarray:
+def katz_r(net: Network) -> np.ndarray:
     """One-phase influence vector: solves (I - w^T) r = 1."""
-    return solve_linear(net, np.ones(net.n), transpose=True, method=method)
+    return solve_linear(net, np.ones(net.n), transpose=True)
 
 
-def katz_s(net: Network, r: np.ndarray | None = None, *, method: str = "auto") -> np.ndarray:
+def katz_s(net: Network, r: np.ndarray | None = None) -> np.ndarray:
     """Two-phase influence vector: solves (I - w^T) s = r o w0."""
     if r is None:
-        r = katz_r(net, method=method)
-    return solve_linear(net, r * net.w0, transpose=True, method=method)
+        r = katz_r(net)
+    return solve_linear(net, r * net.w0, transpose=True)
 
 
-def katz_multiphase(net: Network, q: int, *, method: str = "auto") -> np.ndarray:
+def katz_multiphase(net: Network, q: int) -> np.ndarray:
     """q-phase influence vector; order 1 is r, each further order solves
     (I - w^T) r_q = r_{q-1} o w0."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    vec = katz_r(net, method=method)
+    vec = katz_r(net)
     for _ in range(q - 1):
-        vec = solve_linear(net, vec * net.w0, transpose=True, method=method)
+        vec = solve_linear(net, vec * net.w0, transpose=True)
     return vec
 
 
-def compute_profile(net: Network, orders: int = 2, *, method: str = "auto") -> CentralityProfile:
+def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:
     """r, s and any further look-ahead orders in one pass."""
     if orders < 2:
         raise ValueError("orders must be at least 2")
-    r = katz_r(net, method=method)
-    s = katz_s(net, r, method=method)
-    higher = []
-    vec = s
-    for _ in range(orders - 2):
-        vec = solve_linear(net, vec * net.w0, transpose=True, method=method)
-        higher.append(vec)
-    return CentralityProfile(r=r, s=s, higher=tuple(higher))
+    vecs = [katz_r(net)]
+    for _ in range(orders - 1):
+        vecs.append(solve_linear(net, vecs[-1] * net.w0, transpose=True))
+    return CentralityProfile(r=vecs[0], s=vecs[1], higher=tuple(vecs[2:]))
 
 
-class _ResolventCache:
-    """Memoized resolvent rows for one network: lock-free reads, locked writes."""
-
-    __slots__ = ("rows", "matrix", "lock")
-
-    def __init__(self):
-        self.rows: dict[int, np.ndarray] = {}
-        self.matrix: np.ndarray | None = None
-        self.lock = threading.Lock()
-
-
-_caches: "weakref.WeakKeyDictionary[Network, _ResolventCache]" = weakref.WeakKeyDictionary()
-_caches_lock = threading.Lock()
-
-
-def _cache_for(net: Network) -> _ResolventCache:
-    cache = _caches.get(net)
-    if cache is None:
-        with _caches_lock:
-            cache = _caches.get(net)
-            if cache is None:
-                cache = _ResolventCache()
-                _caches[net] = cache
-    return cache
-
-
-def delta_row(net: Network, j: int, *, method: str = "auto") -> np.ndarray:
-    """Row j of (I - w)^{-1}: entry i tells how much of node j's converged
-    opinion is sourced from the static input at node i. Solved via the
-    transposed system (I - w)^T z = e_j and memoized per network."""
+def delta_row(net: Network, j: int) -> np.ndarray:
+    """Row j of (I - w)^{-1}, read-only: entry i tells how much of node j's
+    converged opinion is sourced from the static input at node i. A row of
+    the cached inverse on the dense path, otherwise the transposed solve
+    (I - w)^T z = e_j."""
     if not 0 <= j < net.n:
         raise ValueError(f"node {j} out of range")
-    cache = _cache_for(net)
-    row = cache.rows.get(j)
-    if row is not None:
-        return row
-    with cache.lock:
-        row = cache.rows.get(j)
-        if row is None:
-            if cache.matrix is not None:
-                row = np.array(cache.matrix[j])
-            else:
-                unit = np.zeros(net.n)
-                unit[j] = 1.0
-                row = solve_linear(net, unit, transpose=True, method=method)
-            row.setflags(write=False)
-            cache.rows[j] = row
+    delta = dense_resolvent(net)
+    if delta is not None:
+        return delta[j]
+    row = solve_linear(net, np.eye(1, net.n, j)[0], transpose=True)
+    row.setflags(write=False)
     return row
 
 
+def delta_columns(net: Network, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of (I - w)^{-1}: a view of the cached inverse on
+    the dense path, otherwise one solve against the block of unit vectors."""
+    delta = dense_resolvent(net)
+    if delta is not None:
+        return delta[:, start:stop]
+    return solve_linear(net, np.eye(net.n, stop - start, -start))
+
+
 def delta_matrix(net: Network) -> np.ndarray:
-    """Dense (I - w)^{-1}; refused above the dense solver cutoff to keep the
-    resolvent from being materialized for large graphs."""
-    if net.n > DENSE_MAX_N:
-        raise ValueError(f"dense resolvent refused for n={net.n} > {DENSE_MAX_N}")
-    cache = _cache_for(net)
-    if cache.matrix is None:
-        with cache.lock:
-            if cache.matrix is None:
-                inv = np.linalg.inv(np.eye(net.n) - net.weights_dense)
-                inv.setflags(write=False)
-                cache.matrix = inv
-    return cache.matrix
+    """Dense (I - w)^{-1}, cached read-only on the network; refused for
+    networks whose solves do not take the dense path, so the inverse is only
+    ever formed for networks of at most ``DENSE_LIMIT_N`` nodes."""
+    delta = dense_resolvent(net)
+    if delta is None:
+        raise ValueError(f"dense resolvent refused for n={net.n}: its solves are iterative")
+    return delta
 
 
-def apply_delta(net: Network, vec, *, method: str = "auto") -> np.ndarray:
-    """(I - w)^{-1} @ vec without forming the inverse."""
-    return solve_linear(net, vec, transpose=False, method=method)
+def apply_delta(net: Network, vec) -> np.ndarray:
+    """(I - w)^{-1} @ vec through the shared solver."""
+    return solve_linear(net, vec)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 import numpy as np
@@ -13,7 +14,9 @@ import numpy as np
 from . import harness
 from .dynamics import ConvergenceError, iter_phases
 from .game import GameSolverError
-from .model import BAD, GOOD, Budgets, InvestmentPlan, Network, load_edge_list, validate
+from .model import (
+    BAD, GOOD, Budgets, InvestmentPlan, Network, _as_vector, load_edge_list, validate,
+)
 from .centrality import compute_profile
 from .strategy_dependent import single_camp_optimal, two_camp_equilibrium
 from .strategy_fixed import bounded_greedy, evaluate_two_phase, farsighted_unbounded, myopic_loss
@@ -66,10 +69,7 @@ def _network(args, mode: str) -> Network:
     topology = _load_topology(args)
     net = harness.generate_weights(topology, scheme.w0_grid[0], scheme)
     if args.v0 != 0.0:
-        net = Network.build(
-            net.n, net.topology().edges,
-            w0=net.w0, v0=args.v0, wg=net.wg, wb=net.wb, theta=net.theta,
-        )
+        net = dataclasses.replace(net, v0=_as_vector(args.v0, net.n, "v0"))
     problems = validate(net, mode)
     for violation in problems:
         print(f"invalid network: {violation}", file=sys.stderr)

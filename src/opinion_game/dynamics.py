@@ -10,33 +10,43 @@ update is a convergent affine map and the phase settles at
 
     v* = (I - w)^{-1} (w0 o v_prev + wg o x - wb o y).
 
-Two solvers are provided: a dense LU solve (used automatically up to
-``DENSE_MAX_N`` nodes and as the test oracle) and the fixed-point recursion
-itself (which scales to sparse graphs). Phases chain by feeding each phase's
-converged opinions in as the next phase's bias.
+Every linear solve goes through :func:`solve_linear`, which takes no options:
+it applies the inverse the network caches or runs the recursion, choosing
+from n, nnz and rho = max_i sum_j |w_ij| (see :func:`_solves_dense`).
+Phases chain by feeding each phase's converged opinions in as the next
+phase's bias.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .model import Network
 
-#: above this node count the automatic solver switches to fixed-point iteration
+#: networks up to this node count are always solved with the dense inverse
 DENSE_MAX_N = 512
+#: and none above this one: its inverse holds 128 MiB and takes about 2.7 s
+DENSE_LIMIT_N = 4096
+#: cost of a sweep per unit of nnz + n over the inverse's per unit of n^3:
+#: 1.7-3.5 ns against 0.04-0.06 ns (numpy 2.4, 2-core Xeon, 1k-200k nodes)
+SWEEP_COST_RATIO = 40
+#: iterative solves give up after this many sweeps
+MAX_SWEEPS = 100_000
+#: error bound of every iterative solve, in exact arithmetic
 DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100_000
+#: a step that stalls within this many ulps of the iterate is rounding
+STALL_ULPS = 8
+EPS = float(np.finfo(float).eps)
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach tolerance within its iteration cap.
-
-    On a network that passed validation this should not happen; seeing it
-    usually means an invalid network slipped through.
-    """
+    """A solve could not be certified: the dense inverse failed its residual
+    check, the recursion is no contraction (rho >= 1), or it did not meet
+    its error bound within its sweep budget."""
 
 
 def _vec(value, n: int, name: str) -> np.ndarray:
@@ -48,97 +58,133 @@ def _vec(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _iterate(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    rhs: np.ndarray,
-    start: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, int]:
-    """Run v <- matvec(v) + rhs until successive iterates differ by < tol.
+def _sweeps(rho: float, bound: float, tol: float) -> float:
+    """Sweeps until rho^k * bound < tol; infinite when rho >= 1."""
+    if bound < tol:
+        return 0
+    if not rho < 1.0:
+        return math.inf
+    return math.ceil(math.log(tol / bound) / math.log(rho))
 
-    Convergence is measured one step ahead (the distance between the current
-    iterate and its successor), so a fixed point reached exactly is detected
-    at the iteration that produced it.
+
+def _solves_dense(net: Network) -> bool:
+    """Dense up to ``DENSE_MAX_N`` nodes; iterative above ``DENSE_LIMIT_N``;
+    in between dense when the k(rho) = log(tol (1 - rho) / rho) / log(rho)
+    sweeps of a certified iterative solve exceed ``MAX_SWEEPS`` or cost more
+    than the inverse."""
+    n = net.n
+    if n <= DENSE_MAX_N or n > DENSE_LIMIT_N:
+        return n <= DENSE_MAX_N
+    rho = float(net.row_abs_sums.max())
+    sweeps = _sweeps(rho, rho / (1.0 - rho) if rho < 1.0 else math.inf, DEFAULT_TOL)
+    return sweeps > MAX_SWEEPS or SWEEP_COST_RATIO * sweeps * (net.weights.nnz + n) > n ** 3
+
+
+def dense_resolvent(net: Network) -> np.ndarray | None:
+    """The network's cached (I - w)^{-1} if its solves take the dense path,
+    otherwise None (the inverse is never formed for such networks)."""
+    if not _solves_dense(net):
+        return None
+    try:
+        return net.resolvent
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense inverse failed: {exc}") from exc
+
+
+def _norm(a: np.ndarray, column_sums: bool) -> float:
+    """Max-norm of a vector or block, or the largest column 1-norm."""
+    a = np.abs(a)
+    return float((a.sum(axis=0) if column_sums else a).max(initial=0.0))
+
+
+def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: bool,
+             tol: float, max_iter: int | None = None) -> tuple[np.ndarray, int]:
+    """Run v <- mat @ v + rhs from ``start``; returns (v, iterations).
+
+    ``mat`` contracts by ``rho`` in the max-norm, or in each column's 1-norm
+    with ``column_sums``, so a step of size d leaves v within
+    rho / (1 - rho) * d of the fixed point: the loop stops once that is
+    below ``tol``, or once a step fails to shrink by rho (only rounding does
+    that) within ``STALL_ULPS`` ulps of v. The default budget is where the
+    first step, shrunk by rho per sweep, meets ``tol``, plus two, at most
+    ``MAX_SWEEPS``.
     """
-    v = np.array(start, dtype=float)
-    wv = matvec(v)
-    step = np.inf
-    for it in range(1, max_iter + 1):
-        v = wv + rhs
-        wv = matvec(v)
-        step = float(np.max(np.abs(wv + rhs - v))) if v.size else 0.0
-        if step < tol:
+    if not rho < 1.0:
+        raise ConvergenceError(
+            f"row sums of |w| reach {rho:.6g}; the recursion is not a contraction"
+        )
+    gain = rho / (1.0 - rho)
+    v = start
+    it = 0
+    prev = math.inf
+    while True:
+        nxt = mat @ v + rhs
+        it += 1
+        step = _norm(nxt - v, column_sums)
+        v = nxt
+        if gain * step < tol:
             return v, it
-    raise ConvergenceError(
-        f"no convergence within {max_iter} iterations (last step {step:.3e}); "
-        "check the weight constraints"
-    )
+        if step > rho * prev and step < STALL_ULPS * EPS * _norm(v, column_sums):
+            return v, it
+        if not math.isfinite(step):
+            raise ConvergenceError(f"recursion diverged (step {step:.3e})")
+        if max_iter is None:
+            max_iter = min(MAX_SWEEPS, 2 + _sweeps(rho, gain * step, tol))
+        if it >= max_iter:
+            raise ConvergenceError(
+                f"error bound {gain * step:.3e} still above {tol:.1e} after {it} iterations; "
+                "check the weight constraints"
+            )
+        prev = step
 
 
-def solve_linear(
-    net: Network,
-    rhs,
-    *,
-    transpose: bool = False,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Solve (I - w) z = rhs, or the transposed system, under the shared solver config.
+def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
+    """Solve (I - w) z = rhs, or (I - w^T) z = rhs, for a vector or an n x k block.
 
-    ``method`` is "auto" (dense below DENSE_MAX_N, iterative above), "direct",
-    or "iterate". All linear solves in the package funnel through here so the
-    tolerance story stays in one place.
+    Dense solves apply the cached inverse and must pass a residual check.
+    Iterative solves are within ``DEFAULT_TOL`` of z in exact arithmetic, in
+    the max-norm for plain systems and in each column's 1-norm for
+    transposed ones; rounding adds at most about
+    d eps (rho |z| + |rhs|) / (1 - rho) on rows of d entries. Raises
+    ConvergenceError when neither path can certify a solution.
     """
-    rhs = _vec(rhs, net.n, "rhs")
-    if method == "auto":
-        method = "direct" if net.n <= DENSE_MAX_N else "iterate"
-    if method == "direct":
-        w = net.weights_dense
-        a = np.eye(net.n) - (w.T if transpose else w)
-        try:
-            z = np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"direct solve failed: {exc}") from exc
-        resid = float(np.max(np.abs(a @ z - rhs)))
-        scale = max(1.0, float(np.max(np.abs(rhs))))
-        if not np.isfinite(resid) or resid > 1e-6 * scale:
-            raise ConvergenceError(f"direct solve residual {resid:.3e} too large")
-        return z
-    if method != "iterate":
-        raise ValueError(f"method must be 'auto', 'direct' or 'iterate', got {method!r}")
-    mat = net.weights.T.tocsr() if transpose else net.weights
-    z, _ = _iterate(lambda v: mat @ v, rhs, rhs, tol, max_iter)
+    n = net.n
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(f"rhs must be a length-{n} vector or an {n} x k block, got {rhs.shape}")
+    mat = net.weights_t if transpose else net.weights
+    delta = dense_resolvent(net)
+    if delta is None:
+        rho = float(net.row_abs_sums.max())
+        return _iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL)[0]
+    z = (delta.T if transpose else delta) @ rhs
+    resid = float(np.abs(z - mat @ z - rhs).max(initial=0.0))
+    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+    if not np.isfinite(resid) or resid > 1e-6 * scale:
+        raise ConvergenceError(f"direct solve residual {resid:.3e} too large")
     return z
 
 
-def steady_state(
-    net: Network,
-    v_prev,
-    x=None,
-    y=None,
-    wg_eff=None,
-    wb_eff=None,
-    *,
-    method: str = "auto",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
-    """Converged opinions for one phase.
-
-    ``wg_eff`` / ``wb_eff`` default to the network's fixed camp weights; pass
-    the bias-dependent values when camp influence tracks the entering bias.
-    Missing investment vectors mean no investment.
-    """
+def _phase_rhs(net: Network, v_prev, x, y, wg_eff, wb_eff) -> tuple[np.ndarray, np.ndarray]:
+    """(v_prev, w0 o v_prev + wg o x - wb o y) with the defaults filled in."""
     n = net.n
     v_prev = _vec(v_prev, n, "v_prev")
     x = _vec(x, n, "x")
     y = _vec(y, n, "y")
     wg = net.wg if wg_eff is None else _vec(wg_eff, n, "wg_eff")
     wb = net.wb if wb_eff is None else _vec(wb_eff, n, "wb_eff")
-    rhs = net.w0 * v_prev + wg * x - wb * y
-    return solve_linear(net, rhs, transpose=False, method=method, tol=tol, max_iter=max_iter)
+    return v_prev, net.w0 * v_prev + wg * x - wb * y
+
+
+def steady_state(net: Network, v_prev, x=None, y=None, wg_eff=None, wb_eff=None) -> np.ndarray:
+    """Converged opinions for one phase.
+
+    ``wg_eff`` / ``wb_eff`` default to the network's fixed camp weights; pass
+    the bias-dependent values when camp influence tracks the entering bias.
+    Missing investment vectors mean no investment.
+    """
+    _, rhs = _phase_rhs(net, v_prev, x, y, wg_eff, wb_eff)
+    return solve_linear(net, rhs)
 
 
 def fixed_point_iterate(
@@ -150,23 +196,19 @@ def fixed_point_iterate(
     wb_eff=None,
     *,
     tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    max_iter: int | None = None,
 ) -> tuple[np.ndarray, int]:
     """Run the phase recursion from v_prev; returns (opinions, iterations used).
 
-    Stops when the max-norm distance between successive iterates drops below
-    ``tol``; the result then agrees with :func:`steady_state` to about
-    10 * tol (geometric tail of the contraction).
+    This is :func:`solve_linear`'s iterative loop, so the result is within
+    ``tol`` of :func:`steady_state` in exact arithmetic, plus the same
+    rounding bound. ``max_iter`` defaults to a budget derived from rho and
+    the first step; ConvergenceError is raised when it runs out, or at once
+    when rho >= 1.
     """
-    n = net.n
-    v_prev = _vec(v_prev, n, "v_prev")
-    x = _vec(x, n, "x")
-    y = _vec(y, n, "y")
-    wg = net.wg if wg_eff is None else _vec(wg_eff, n, "wg_eff")
-    wb = net.wb if wb_eff is None else _vec(wb_eff, n, "wb_eff")
-    rhs = net.w0 * v_prev + wg * x - wb * y
-    w = net.weights
-    return _iterate(lambda v: w @ v, rhs, v_prev, tol, max_iter)
+    v_prev, rhs = _phase_rhs(net, v_prev, x, y, wg_eff, wb_eff)
+    rho = float(net.row_abs_sums.max())
+    return _iterate(net.weights, rhs, v_prev, rho, False, tol, max_iter)
 
 
 def dependency_camp_weights(theta, w0, v_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +234,6 @@ def iter_phases(
     net: Network,
     plans: Sequence[tuple],
     mode: str = "fixed",
-    *,
-    method: str = "auto",
 ) -> Iterator[OpinionState]:
     """Yield the OpinionState after each phase of a multi-phase schedule.
 
@@ -210,7 +250,7 @@ def iter_phases(
             wg_eff, wb_eff = dependency_camp_weights(net.theta, net.w0, v)
         else:
             wg_eff = wb_eff = None
-        v = steady_state(net, v, x, y, wg_eff, wb_eff, method=method)
+        v = steady_state(net, v, x, y, wg_eff, wb_eff)
         yield OpinionState(phase=phase, v=v)
 
 
@@ -219,8 +259,6 @@ def run_phases(
     plans: Sequence[tuple] | None = None,
     p: int | None = None,
     mode: str = "fixed",
-    *,
-    method: str = "auto",
 ) -> tuple[np.ndarray, list[float]]:
     """Chain phases and return (final opinions, per-phase opinion sums).
 
@@ -238,7 +276,7 @@ def run_phases(
         raise ValueError("need at least one phase")
     v = net.v0
     sums: list[float] = []
-    for state in iter_phases(net, plans, mode, method=method):
+    for state in iter_phases(net, plans, mode):
         v = state.v
         sums.append(float(state.v.sum()))
     return v, sums

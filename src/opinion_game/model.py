@@ -107,7 +107,8 @@ class Network:
 
     ``weights`` is a CSR matrix (row i lists the opinion weights node i puts
     on its out-neighbours). All parameter vectors are read-only, so instances
-    are safe to share across threads.
+    are safe to share across threads; the derived matrices below are cached
+    read-only on first use (a race only computes one twice).
     """
 
     n: int
@@ -166,10 +167,18 @@ class Network:
         return cls.build(topology.n, topology.edges, **params)
 
     @cached_property
-    def weights_dense(self) -> np.ndarray:
-        arr = self.weights.toarray()
-        arr.setflags(write=False)
-        return arr
+    def weights_t(self) -> sparse.csr_array:
+        """The transposed weights in CSR form, for solves with w^T."""
+        mat = self.weights.T.tocsr()
+        mat.data.setflags(write=False)
+        return mat
+
+    @cached_property
+    def resolvent(self) -> np.ndarray:
+        """Dense (I - w)^{-1}; raises numpy's LinAlgError when I - w is singular."""
+        inv = np.linalg.inv(np.eye(self.n) - self.weights.toarray())
+        inv.setflags(write=False)
+        return inv
 
     @cached_property
     def row_abs_sums(self) -> np.ndarray:

@@ -14,13 +14,14 @@ facts keep the problem tractable:
   bad camp's (under nonnegative weights), so the per-profile value is a
   saddle point over the budget box.
 
-The single-camp optimum scans all n^2 node pairs, settling each pair's split
-in closed form. With two camps the (n^2+1) x (n^2+1) payoff matrix of saddle
-values feeds the zero-sum solver in :mod:`opinion_game.game`. It is
-assembled in n x (n^2+1) row blocks, one per phase-1 node of the good camp,
-by a vectorized kernel that finds each box saddle exactly: the optimum of
-each camp's outer problem is a box endpoint, a piece breakpoint or a piece
-stationary point, so only those candidates are scored.
+The single-camp optimum scans all n^2 node pairs in blocks of phase-1 nodes,
+settling each pair's split in closed form. With two camps the
+(n^2+1) x (n^2+1) payoff matrix of saddle values feeds the zero-sum solver
+in :mod:`opinion_game.game`. It is assembled in n x (n^2+1) row blocks, one
+per phase-1 node of the good camp, by a vectorized kernel that finds each
+box saddle exactly: the optimum of each camp's outer problem is a box
+endpoint, a piece breakpoint or a piece stationary point, so only those
+candidates are scored.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .centrality import delta_matrix, delta_row, katz_r, katz_s
-from .dynamics import DENSE_MAX_N, dependency_camp_weights, solve_linear
+from .centrality import delta_columns, delta_matrix, delta_row, katz_r, katz_s
+from .dynamics import dependency_camp_weights, solve_linear
 from .game import MatrixGame, solve_zero_sum
 from .model import Network
 
@@ -39,6 +40,10 @@ Pair = tuple[int, int]
 
 #: default node-count guard for the two-camp game assembly
 MAX_GAME_NODES = 40
+#: entries of one block of the single-camp scan, (phase-1 nodes) x n; of
+#: 2^14..2^20 this gave the lowest peak memory, at a speed within noise of
+#: the best, on 400- and 2,000-node sweeps (2^18 added 16 MB at 2,000)
+SCAN_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,8 @@ class DependencyCoefficients:
     matrix, b[j, i] = r[j] * w0[j] * delta[j, i], measures how strongly a
     unit of phase-1 opinion at node i resurfaces in the final phase through
     node j's bias; its row sums over j reproduce s. s_total = sum_ij c_i b_ji
-    is the objective when nobody invests. Rows and the c-weighted row sums
-    are fetched lazily through the centrality row cache.
+    is the objective when nobody invests. Rows come from
+    :func:`~opinion_game.centrality.delta_row` on demand, cached per node.
     """
 
     def __init__(self, net: Network, r: np.ndarray | None = None, s: np.ndarray | None = None):
@@ -99,68 +104,16 @@ class DependencyCoefficients:
         self.c = net.w0 * net.v0
         self.theta = net.theta
         self.s_total = float(self.c @ self.s)
-        self._cb: dict[int, float] = {}
+        self._rows: dict[int, np.ndarray] = {}
 
     def b_row(self, j: int) -> np.ndarray:
-        return self.r[j] * self.net.w0[j] * delta_row(self.net, j)
-
-    def b_entry(self, j: int, i: int) -> float:
-        return float(self.b_row(j)[i])
-
-    def cb(self, j: int) -> float:
-        """sum_i b[j, i] * c[i], cached per node."""
-        val = self._cb.get(j)
-        if val is None:
-            val = float(self.b_row(j) @ self.c)
-            self._cb[j] = val
-        return val
-
-
-def _quad_coefficients(
-    coef: DependencyCoefficients,
-    good: Optional[Pair],
-    bad: Optional[Pair],
-    kg: float,
-    kb: float,
-) -> tuple[float, float, float, float, float, float]:
-    """Coefficients (u00, qa, qb, qaa, qbb, qab) of the final-phase objective
-
-        u(a, b) = u00 + qa a + qb b + qaa a^2 + qbb b^2 + qab a b
-
-    after fixing the node profiles and substituting the phase-2 budgets
-    kg - a and kb - b (a, b are the phase-1 budgets). A camp passed as None
-    stays out entirely: its variable disappears and its budget is forced to
-    zero. Under the dependency assumptions qaa <= 0 and qbb >= 0, making u
-    concave in a and convex in b.
-    """
-    u00 = coef.s_total
-    qa = qb = qaa = qbb = qab = 0.0
-    g1 = g2 = 0.0
-    if good is not None:
-        alpha, beta = good
-        g1 = 0.5 * coef.theta[alpha] * (1.0 + coef.c[alpha])
-        g2 = 0.5 * coef.theta[beta]
-        gain_beta = coef.cb(beta) + coef.r[beta]
-        b_ba = coef.b_entry(beta, alpha)
-        u00 += kg * g2 * gain_beta
-        qa = g1 * (coef.s[alpha] + kg * g2 * b_ba) - g2 * gain_beta
-        qaa = -g1 * g2 * b_ba
-    if bad is not None:
-        gamma, delta = bad
-        h1 = 0.5 * coef.theta[gamma] * (1.0 - coef.c[gamma])
-        h2 = 0.5 * coef.theta[delta]
-        gain_delta = coef.cb(delta) - coef.r[delta]
-        b_dg = coef.b_entry(delta, gamma)
-        u00 += kb * h2 * gain_delta
-        qb = -h1 * (coef.s[gamma] + kb * h2 * b_dg) - h2 * gain_delta
-        qbb = h1 * h2 * b_dg
-        if good is not None:
-            b_da = coef.b_entry(delta, alpha)
-            b_bg = coef.b_entry(beta, gamma)
-            qa += g1 * kb * h2 * b_da
-            qb -= h1 * kg * g2 * b_bg
-            qab = -g1 * h2 * b_da + h1 * g2 * b_bg
-    return u00, qa, qb, qaa, qbb, qab
+        """Row j of b, read-only, cached per node."""
+        row = self._rows.get(j)
+        if row is None:
+            row = self.r[j] * self.net.w0[j] * delta_row(self.net, j)
+            row.setflags(write=False)
+            self._rows[j] = row
+        return row
 
 
 def _outer_split(px, py, pxx, pyy, pxy, kx, ky):
@@ -249,7 +202,7 @@ def _coefficient_block(coef, b_rows: np.ndarray, good, bad):
     """Quadratic coefficients and budgets of every good profile in ``good``
     (rows) against every bad profile in ``bad`` (columns), both given as
     :func:`_camp_terms`; ``b_rows`` holds the coupling rows b[j, :] of the
-    phase-2 nodes. Entry by entry this is :func:`_quad_coefficients`."""
+    phase-2 nodes."""
     g1, g2, gain_beta, kg, alpha, beta = (x[:, None] for x in good)
     h1, h2, gain_delta, kb, gamma, delta = bad
     b_ba = b_rows[beta, alpha]
@@ -341,9 +294,13 @@ def single_camp_optimal(
 
     Scans every (phase-1 node, phase-2 node) pair; per pair the objective is
     quadratic in the phase-1 budget, so the split is settled in closed form
-    (endpoints when the quadratic degenerates). Returns the stay-out profile
-    with the idle objective when no pair strictly beats it. Ties between
-    pairs go to the first pair in (alpha, beta) scan order.
+    (endpoints when the quadratic degenerates). The scan runs over blocks of
+    phase-1 nodes of at most ``SCAN_BLOCK_ENTRIES`` pairs, each block's
+    resolvent columns coming from the cached inverse or from one
+    multi-right-hand-side solve; the best pair's split is then settled by
+    :func:`profile_utility`. Returns
+    the stay-out profile with the idle objective when no pair strictly beats
+    it. Ties between pairs go to the first pair in (alpha, beta) scan order.
     """
     if kg < 0:
         raise ValueError("budget must be nonnegative")
@@ -353,37 +310,26 @@ def single_camp_optimal(
         return stay_out
 
     n = net.n
-    first_gain = 0.5 * coef.theta * (1.0 + coef.c) * coef.s
-    if n <= DENSE_MAX_N:
-        b_mat = (coef.r * net.w0)[:, None] * delta_matrix(net)
-        cb_vec = b_mat @ coef.c
-        second_gain = 0.5 * coef.theta * (cb_vec + coef.r)
-        coupling = 0.25 * np.outer(coef.theta * (1.0 + coef.c), coef.theta) * b_mat.T
+    scale = coef.r * net.w0  # b[j, i] = scale[j] * delta[j, i]
+    second_gain = 0.5 * coef.theta * (scale * solve_linear(net, coef.c) + coef.r)
+    first_weight = coef.theta * (1.0 + coef.c)
+    first_gain = 0.5 * first_weight * coef.s
+    width = max(1, SCAN_BLOCK_ENTRIES // n)
+    best_val = -np.inf
+    alpha = beta = 0
+    for start in range(0, n, width):
+        stop = min(start + width, n)
+        b_cols = scale[:, None] * delta_columns(net, start, stop)  # columns b[:, start:stop]
+        coupling = 0.25 * np.outer(first_weight[start:stop], coef.theta) * b_cols.T
         values = _split_values(
-            coef.s_total, kg, first_gain[:, None], second_gain[None, :], coupling
+            coef.s_total, kg, first_gain[start:stop, None], second_gain[None, :], coupling
         )
         flat = int(np.argmax(values))
-        alpha, beta = flat // n, flat % n
-    else:
-        # streaming scan: one resolvent application per phase-1 node, nothing
-        # dense is materialized
-        cb_vec = coef.r * net.w0 * solve_linear(net, coef.c, transpose=False)
-        second_gain = 0.5 * coef.theta * (cb_vec + coef.r)
-        best_val = -np.inf
-        alpha = beta = 0
-        for a_node in range(n):
-            unit = np.zeros(n)
-            unit[a_node] = 1.0
-            b_col = coef.r * net.w0 * solve_linear(net, unit, transpose=False)
-            coupling = 0.25 * coef.theta[a_node] * (1.0 + coef.c[a_node]) * coef.theta * b_col
-            vals = _split_values(coef.s_total, kg, float(first_gain[a_node]), second_gain, coupling)
-            b_best = int(np.argmax(vals))
-            if vals[b_best] > best_val:
-                best_val = float(vals[b_best])
-                alpha, beta = a_node, b_best
+        if values.flat[flat] > best_val:
+            best_val = float(values.flat[flat])
+            alpha, beta = start + flat // n, flat % n
 
-    value, k1, _ = _box_saddle(*_quad_coefficients(coef, (alpha, beta), None, kg, 0.0), kg, 0.0)
-    value, k1 = float(value), float(k1)
+    value, k1, _ = profile_utility(net, (alpha, beta), None, kg, 0.0, coef)
     if value <= coef.s_total:
         return stay_out
     return PureProfile(alpha, beta, k1, kg - k1), value

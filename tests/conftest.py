@@ -71,6 +71,27 @@ def neumann_transpose_apply(net: Network, rhs: np.ndarray, terms: int = 200) -> 
     return acc
 
 
+def dense_steady_state(net: Network, v_prev, x=None, y=None) -> np.ndarray:
+    """One phase's converged opinions with the fixed camp weights, from a
+    dense solve of (I - w) v = w0 o v_prev + wg o x - wb o y."""
+    n = net.n
+    x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
+    y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
+    rhs = net.w0 * np.asarray(v_prev, dtype=float) + net.wg * x - net.wb * y
+    return np.linalg.solve(np.eye(n) - net.weights.toarray(), rhs)
+
+
+def refined_solve(a: np.ndarray, b: np.ndarray, rounds: int = 4) -> np.ndarray:
+    """Solution of a z = b to about float64 rounding, whatever the conditioning
+    of a: an LU solve refined with residuals computed in extended precision."""
+    a_ext = a.astype(np.longdouble)
+    z = np.linalg.solve(a, b).astype(np.longdouble)
+    for _ in range(rounds):
+        resid = b.astype(np.longdouble) - a_ext @ z
+        z = z + np.linalg.solve(a, resid.astype(float)).astype(np.longdouble)
+    return z.astype(float)
+
+
 def dependency_two_phase_sum(net: Network, x1, x2, y1, y2) -> float:
     """Final-phase opinion sum in the bias-dependency setting, computed from
     a dense inverse and the raw update formulas only."""
@@ -83,6 +104,53 @@ def dependency_two_phase_sum(net: Network, x1, x2, y1, y2) -> float:
     wb2 = net.theta * (1.0 - net.w0 * v1) / 2.0
     v2 = delta @ (net.w0 * v1 + wg2 * np.asarray(x2) - wb2 * np.asarray(y2))
     return float(v2.sum())
+
+
+def quad_coefficients(coef, good, bad, kg: float, kb: float):
+    """Coefficients (u00, qa, qb, qaa, qbb, qab) of the final-phase objective
+
+        u(a, b) = u00 + qa a + qb b + qaa a^2 + qbb b^2 + qab a b
+
+    after fixing the node profiles and substituting the phase-2 budgets
+    kg - a and kb - b (a, b are the phase-1 budgets). A camp passed as None
+    stays out entirely: its variable disappears and its budget is forced to
+    zero. Under the dependency assumptions qaa <= 0 and qbb >= 0, making u
+    concave in a and convex in b. Entry by entry this is what
+    ``strategy_dependent._coefficient_block`` assembles in blocks; here each
+    coefficient comes from the scalar formulas.
+    """
+
+    def cb(j):
+        return float(coef.b_row(j) @ coef.c)
+
+    u00 = coef.s_total
+    qa = qb = qaa = qbb = qab = 0.0
+    g1 = g2 = 0.0
+    if good is not None:
+        alpha, beta = good
+        g1 = 0.5 * coef.theta[alpha] * (1.0 + coef.c[alpha])
+        g2 = 0.5 * coef.theta[beta]
+        gain_beta = cb(beta) + coef.r[beta]
+        b_ba = coef.b_row(beta)[alpha]
+        u00 += kg * g2 * gain_beta
+        qa = g1 * (coef.s[alpha] + kg * g2 * b_ba) - g2 * gain_beta
+        qaa = -g1 * g2 * b_ba
+    if bad is not None:
+        gamma, delta = bad
+        h1 = 0.5 * coef.theta[gamma] * (1.0 - coef.c[gamma])
+        h2 = 0.5 * coef.theta[delta]
+        gain_delta = cb(delta) - coef.r[delta]
+        b_dg = coef.b_row(delta)[gamma]
+        u00 += kb * h2 * gain_delta
+        qb = -h1 * (coef.s[gamma] + kb * h2 * b_dg) - h2 * gain_delta
+        qbb = h1 * h2 * b_dg
+        if good is not None:
+            b_da = coef.b_row(delta)[alpha]
+            b_bg = coef.b_row(beta)[gamma]
+            qa += g1 * kb * h2 * b_da
+            qb -= h1 * kg * g2 * b_bg
+            qab = -g1 * h2 * b_da + h1 * g2 * b_bg
+    return u00, qa, qb, qaa, qbb, qab
 
 
 def interior_saddle(qa, qb, qaa, qbb, qab):

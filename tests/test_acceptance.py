@@ -35,13 +35,15 @@ from opinion_game import (
     sweep_point,
     two_camp_equilibrium,
 )
-from opinion_game.strategy_dependent import _box_saddle, _quad_coefficients
+from opinion_game.strategy_dependent import _box_saddle
 
 from conftest import (
     compositions,
+    dense_steady_state,
     dependency_two_phase_sum,
     interior_saddle,
     neumann_transpose_apply,
+    quad_coefficients,
     random_network,
 )
 
@@ -89,9 +91,11 @@ def test_criterion_2_dynamics_equivalence():
         n = int(rng.integers(2, 51))
         net = random_network(rng, n, nonneg=bool(rng.integers(0, 2)))
         x, y = rng.uniform(0.0, 1.0, size=(2, n))
-        direct = steady_state(net, net.v0, x, y, method="direct")
+        direct = dense_steady_state(net, net.v0, x, y)
         iterated, _ = fixed_point_iterate(net, net.v0, x, y, tol=1e-10)
-        worst_solver = max(worst_solver, float(np.max(np.abs(direct - iterated))))
+        solved = steady_state(net, net.v0, x, y)
+        worst_solver = max(worst_solver, float(np.max(np.abs(direct - iterated))),
+                           float(np.max(np.abs(direct - solved))))
         r = katz_r(net)
         total = float(r @ (net.w0 * net.v0) + r @ (net.wg * x - net.wb * y))
         worst_identity = max(worst_identity, abs(float(direct.sum()) - total))
@@ -234,7 +238,7 @@ def test_criterion_7_dependency_two_camps():
             for bad in solution.profiles:
                 if good is None or bad is None:
                     continue
-                u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
+                u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
                 interior = interior_saddle(qa, qb, qaa, qbb, qab)
                 if interior is None:
                     continue

@@ -1,10 +1,15 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
-from opinion_game import generate_weights, katz_r, katz_s, load_edge_list
-from opinion_game.cli import main
+import opinion_game
+from opinion_game import Network, generate_weights, katz_r, katz_s, load_edge_list
+from opinion_game.cli import _network, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -23,6 +28,36 @@ def graph_file(tmp_path):
     path = tmp_path / "triangle.txt"
     path.write_text("0 1\n1 2\n2 0\n")
     return str(path)
+
+
+class TestNetworkOptions:
+    def test_v0_override_keeps_generated_weights(self, graph_file, monkeypatch):
+        # the override replaces v0 only; it must not rebuild from the edge list
+        monkeypatch.setattr(Network, "topology", None)
+        args = build_parser().parse_args(
+            ["centrality", "--graph", graph_file, "--symmetrize", "--w0-grid", "0.3",
+             "--v0", "0.7"]
+        )
+        net = _network(args, "fixed")
+        generated = generate_weights(load_edge_list(graph_file, symmetrize=True), 0.3)
+        assert (net.weights != generated.weights).nnz == 0
+        for name in ("w0", "wg", "wb", "theta"):
+            np.testing.assert_array_equal(getattr(net, name), getattr(generated, name))
+        np.testing.assert_array_equal(net.v0, np.full(net.n, 0.7))
+        assert not net.v0.flags.writeable
+
+
+class TestImportChain:
+    def test_library_import_leaves_heavy_scipy_modules_unloaded(self):
+        src = os.path.dirname(os.path.dirname(opinion_game.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.optimize")
+        code = ("import sys, opinion_game; "
+                f"print(','.join(m for m in {heavy!r} if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == ""
 
 
 class TestCentralityCommand:

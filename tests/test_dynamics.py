@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from numpy.testing import assert_allclose
 from opinion_game import (
     ConvergenceError,
     Network,
+    compute_profile,
+    delta_matrix,
+    delta_row,
     dependency_camp_weights,
     fixed_point_iterate,
     iter_phases,
@@ -16,9 +21,12 @@ from opinion_game import (
     katz_r,
     run_phases,
     steady_state,
+    validate,
 )
+import opinion_game.dynamics as dynamics
+from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, dense_resolvent, solve_linear
 
-from conftest import random_network, two_node_net
+from conftest import dense_steady_state, random_network, refined_solve, two_node_net
 
 
 def scalar_net(w=0.5, w0=0.4):
@@ -43,9 +51,10 @@ class TestSteadyState:
         net = two_node_net(wg=[0.05, 0.1], wb=[0.02, 0.0])
         x = np.array([1.0, 0.0])
         y = np.array([0.0, 2.0])
-        direct = steady_state(net, net.v0, x, y, method="direct")
-        iterated = steady_state(net, net.v0, x, y, method="iterate", tol=1e-13)
-        assert_allclose(iterated, direct, atol=1e-11)
+        solved = steady_state(net, net.v0, x, y)
+        assert_allclose(solved, dense_steady_state(net, net.v0, x, y), atol=1e-14)
+        iterated, _ = fixed_point_iterate(net, net.v0, x, y, tol=1e-13)
+        assert_allclose(iterated, solved, atol=1e-13)
 
     def test_effective_weight_override(self):
         net = two_node_net()
@@ -83,6 +92,18 @@ class TestFixedPointIterate:
         expected = math.log(1e-10) / math.log(0.5)
         assert abs(iters - expected) < 8
 
+    def test_error_bound_holds_near_unit_contraction(self):
+        # rho = 0.999: a step below tol would leave the result ~1e-7 away
+        net = Network.build(1, [(0, 0, 0.999)], w0=0.0005, wg=0.0005)
+        v, _ = fixed_point_iterate(net, [0.0], [1.0], tol=1e-10)
+        assert np.max(np.abs(v - steady_state(net, [0.0], [1.0]))) <= 1e-10
+
+    def test_default_budget_suffices(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            net = random_network(rng, int(rng.integers(2, 30)), edge_mass=0.99)
+            fixed_point_iterate(net, net.v0, tol=1e-12)
+
     def test_iteration_cap_raises(self):
         net = two_node_net()
         with pytest.raises(ConvergenceError):
@@ -94,9 +115,130 @@ class TestFixedPointIterate:
             n = int(rng.integers(2, 50))
             net = random_network(rng, n, nonneg=bool(rng.integers(0, 2)))
             x, y = rng.uniform(0, 1, size=(2, n))
-            direct = steady_state(net, net.v0, x, y, method="direct")
+            direct = dense_steady_state(net, net.v0, x, y)
             iterated, _ = fixed_point_iterate(net, net.v0, x, y, tol=1e-10)
-            assert np.max(np.abs(direct - iterated)) < 1e-9
+            assert np.max(np.abs(direct - iterated)) <= 1e-10
+            assert np.max(np.abs(steady_state(net, net.v0, x, y) - direct)) < 1e-12
+
+
+def hub_network(n=600, seed=5, rho=0.9):
+    """Every node leans 8/9 of ``rho`` on three hubs and 1/9 on a random
+    node, so the hubs' columns of w sum far above 1 (||w^T||_inf > 1) while
+    every row sums to ``rho``."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(n):
+        other = int(rng.integers(3, n))
+        targets = {0: 0.3, 1: 0.3, 2: 0.2}
+        targets[other] = targets.get(other, 0.0) + 0.1
+        edges.extend((i, j, w * rho / 0.9) for j, w in targets.items())
+    return Network.build(n, edges, w0=0.05, v0=rng.uniform(-1, 1, n), wg=0.02, wb=0.03)
+
+
+def cycle_network(n, a, w0=1e-5):
+    """Node i puts weight a on node i + 1 (mod n): rho = a, r = 1 / (1 - a)."""
+    return Network.build(n, [(i, (i + 1) % n, a) for i in range(n)], w0=w0)
+
+
+class TestSolveLinear:
+    def test_validated_near_singular_cycle_solves(self):
+        n, a, w0 = 600, 0.99999, 1e-5
+        net = cycle_network(n, a, w0)
+        assert validate(net) == []
+        started = time.perf_counter()
+        prof = compute_profile(net)
+        assert time.perf_counter() - started < 1.0
+        assert_allclose(prof.r, np.full(n, 1.0 / (1.0 - a)), rtol=1e-9)
+        assert_allclose(prof.s, np.full(n, w0 / (1.0 - a) ** 2), rtol=1e-9)
+
+    def test_transposed_iterative_solve_is_certified(self):
+        net = hub_network()
+        assert dense_resolvent(net) is None  # above the cutoff: iterates
+        assert np.abs(net.weights.toarray()).sum(axis=0).max() > 1.0
+        rhs = np.random.default_rng(7).uniform(-1, 1, net.n)
+        z = solve_linear(net, rhs, transpose=True)
+        exact = np.linalg.solve(np.eye(net.n) - net.weights.toarray().T, rhs)
+        assert np.abs(z - exact).sum() <= DEFAULT_TOL
+
+    def test_resolvent_rows_on_the_iterative_path(self):
+        net = hub_network()
+        with pytest.raises(ValueError):
+            delta_matrix(net)
+        exact = np.linalg.inv(np.eye(net.n) - net.weights.toarray())
+        for j in (0, 1, 417):
+            row = delta_row(net, j)
+            assert not row.flags.writeable
+            assert np.abs(row - exact[j]).sum() <= DEFAULT_TOL
+
+    def test_plain_iterative_solve_is_certified(self):
+        net = hub_network()
+        rhs = np.random.default_rng(11).uniform(-1, 1, net.n)
+        z = solve_linear(net, rhs)
+        exact = np.linalg.solve(np.eye(net.n) - net.weights.toarray(), rhs)
+        assert np.max(np.abs(z - exact)) <= DEFAULT_TOL
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("n", [9, 600])
+    def test_block_matches_single_solves(self, n, transpose):
+        net = hub_network(n)
+        block = np.random.default_rng(13).uniform(-1, 1, (n, 4))
+        z = solve_linear(net, block, transpose=transpose)
+        assert z.shape == (n, 4)
+        for k in range(4):
+            single = solve_linear(net, block[:, k], transpose=transpose)
+            assert_allclose(z[:, k], single, rtol=0, atol=2 * DEFAULT_TOL)
+
+    def test_path_choice(self):
+        assert dynamics._solves_dense(hub_network(dynamics.DENSE_MAX_N, rho=0.99999))
+        assert not dynamics._solves_dense(hub_network())  # 240 sweeps beat the inverse
+        assert dynamics._solves_dense(hub_network(rho=0.999))  # 30,000 sweeps do not
+        assert dynamics._solves_dense(cycle_network(600, 1.0))  # no certified iteration
+        assert not dynamics._solves_dense(cycle_network(dynamics.DENSE_LIMIT_N + 1, 0.99999))
+
+    @pytest.mark.parametrize("a", [1.0, 1.0 - 1e-9])
+    def test_large_network_near_unit_rows_refused_without_dense(self, monkeypatch, a):
+        # above the dense limit: rho >= 1 is refused up front, a near-1 network
+        # runs out of its sweep budget; neither forms an n x n array
+        monkeypatch.setattr(dynamics, "MAX_SWEEPS", 1000)
+        net = cycle_network(dynamics.DENSE_LIMIT_N + 1, a)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConvergenceError):
+                solve_linear(net, np.ones(net.n), transpose=True)
+            with pytest.raises(ConvergenceError):
+                compute_profile(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < net.n ** 2
+        assert "resolvent" not in vars(net)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_near_unit_iterative_solve_within_rounding_bound(self, monkeypatch, transpose):
+        # rows of 0.999 with hubs: |z| reaches 1e5, so rounding alone keeps
+        # the step above tol * (1 - rho) / rho; the dense choice is overridden
+        # to run the recursion
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        rho = 0.999
+        gain = rho / (1.0 - rho)
+        norm = (lambda v: np.abs(v).sum()) if transpose else (lambda v: np.abs(v).max())
+        for seed in (5, 6):
+            net = hub_network(seed=seed, rho=rho)
+            mat = net.weights_t if transpose else net.weights
+            d = int(np.diff(mat.indptr).max()) + 1  # terms summed per entry of a sweep
+            a = np.eye(net.n) - net.weights.toarray()
+            for rhs in (np.ones(net.n), np.random.default_rng(7).uniform(-1, 1, net.n)):
+                exact = refined_solve(a.T if transpose else a, rhs)
+                z = solve_linear(net, rhs, transpose=transpose)
+                stop = max(DEFAULT_TOL, gain * STALL_ULPS * EPS * norm(exact))
+                rounding = d * EPS * (rho * norm(exact) + norm(rhs)) / (1.0 - rho)
+                assert norm(z - exact) <= stop + rounding
+
+    def test_rhs_shape_checked(self):
+        with pytest.raises(ValueError):
+            solve_linear(two_node_net(), np.ones(3))
+        with pytest.raises(ValueError):
+            solve_linear(two_node_net(), np.ones((3, 2)))
 
 
 class TestRunPhases:

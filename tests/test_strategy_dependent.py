@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import opinion_game.centrality as centrality
+import opinion_game.dynamics as dynamics
 import opinion_game.strategy_dependent as dep
 from opinion_game import (
     DependencyCoefficients,
@@ -15,9 +17,15 @@ from opinion_game import (
     single_camp_optimal,
     two_camp_equilibrium,
 )
-from opinion_game.strategy_dependent import _box_saddle, _quad_coefficients
+from opinion_game.strategy_dependent import _box_saddle
 
-from conftest import dependency_two_phase_sum, interior_saddle, random_network, two_node_net
+from conftest import (
+    dependency_two_phase_sum,
+    interior_saddle,
+    quad_coefficients,
+    random_network,
+    two_node_net,
+)
 
 
 def dep_pair(theta=0.2, w0=0.3, v0=0.0):
@@ -70,6 +78,23 @@ class TestDependencyCoefficients:
                     coef.b_row(j), coef.r[j] * net.w0[j] * delta_row(net, j), atol=0
                 )
             assert np.max(np.abs(stacked.sum(axis=0) - katz_s(net))) < 1e-8
+
+    def test_rows_solved_once_per_node(self, monkeypatch):
+        # on the iterative path each row is one transposed solve
+        net = random_network(np.random.default_rng(131), 6, dependency=True)
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        coef = DependencyCoefficients(net)
+        solved = []
+        solve = centrality.solve_linear
+        monkeypatch.setattr(
+            centrality, "solve_linear", lambda *a, **k: solved.append(a[1]) or solve(*a, **k)
+        )
+        profile_utility(net, (0, 1), (2, 3), 2.0, 1.5, coef)
+        profile_utility(net, (3, 1), (1, 3), 2.0, 1.5, coef)
+        profile_utility(net, (2, 3), None, 2.0, 0.0, coef)
+        assert len(solved) == 2
+        assert not coef.b_row(1).flags.writeable
+        assert coef.b_row(3) is coef.b_row(3)
 
     def test_idle_total_is_bias_weighted_s(self):
         net = dep_pair(theta=0.0, v0=1.0)
@@ -132,12 +157,14 @@ class TestSingleCampOptimal:
                 assert total <= value + 1e-8
 
     def test_streaming_scan_matches_dense_scan(self, monkeypatch):
+        # the scan on iterative solves (what large networks take) against the
+        # scan on the dense inverse
         rng = np.random.default_rng(109)
         for _ in range(5):
             net = random_network(rng, 7, dependency=True)
             kg = float(rng.uniform(0.5, 5.0))
             dense_profile, dense_value = single_camp_optimal(net, kg)
-            monkeypatch.setattr(dep, "DENSE_MAX_N", 2)
+            monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
             stream_profile, stream_value = single_camp_optimal(net, kg)
             monkeypatch.undo()
             assert stream_value == pytest.approx(dense_value, abs=1e-10)
@@ -145,6 +172,21 @@ class TestSingleCampOptimal:
                 dense_profile.alpha,
                 dense_profile.beta,
             )
+
+    def test_blocked_scan_matches_one_block(self, monkeypatch):
+        rng = np.random.default_rng(127)
+        nets = [random_network(rng, 7, dependency=True) for _ in range(4)]
+        # identical isolated nodes: every pair ties with the pairs of the
+        # same kind, so the first pair in scan order must win across blocks
+        nets.append(Network.build(6, [], w0=0.3, v0=0.5, wg=0.1, wb=0.1, theta=0.2))
+        for net in nets:
+            kg = float(rng.uniform(0.5, 5.0))
+            whole = single_camp_optimal(net, kg)
+            for entries in (1, 2 * net.n, 3 * net.n):
+                monkeypatch.setattr(dep, "SCAN_BLOCK_ENTRIES", entries)
+                assert single_camp_optimal(net, kg) == whole
+                monkeypatch.undo()
+        assert (whole[0].alpha, whole[0].beta) in ((0, 0), (0, 1))
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -188,7 +230,7 @@ class TestProfileUtility:
             bad = tuple(int(v) for v in rng.integers(0, n, 2))
             coef = DependencyCoefficients(net)
             value, kg1, kb1 = profile_utility(net, good, bad, kg, kb, coef)
-            u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
+            u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
 
             def u(a, b):
                 return u00 + qa * a + qb * b + qaa * a * a + qbb * b * b + qab * a * b
@@ -222,7 +264,7 @@ class TestProfileUtility:
             good = tuple(int(v) for v in rng.integers(0, n, 2))
             bad = tuple(int(v) for v in rng.integers(0, n, 2))
             coef = DependencyCoefficients(net)
-            u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
+            u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
             interior = interior_saddle(qa, qb, qaa, qbb, qab)
             if interior is None:
                 continue
@@ -378,7 +420,7 @@ class TestTwoCampEquilibrium:
             solution = two_camp_equilibrium(net, kg, kb, coefficients=coef)
             for i, good in enumerate(solution.profiles):
                 for j, bad in enumerate(solution.profiles):
-                    u00, qa, qb, qaa, qbb, qab = _quad_coefficients(coef, good, bad, kg, kb)
+                    u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
                     if good is not None and bad is not None:
                         degenerate += qaa == 0.0 or qbb == 0.0
 
