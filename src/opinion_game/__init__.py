@@ -50,14 +50,12 @@ from .centrality import (
 )
 from .strategy_fixed import (
     PureInvestment,
-    ScoredSlot,
     bounded_greedy,
     evaluate_two_phase,
     farsighted_unbounded,
     multi_election_scores,
     myopic_loss,
     myopic_strategy,
-    scored_slots,
 )
 from .strategy_dependent import (
     DependencyCoefficients,
@@ -101,7 +99,6 @@ __all__ = [
     "PureProfile",
     "SWEEP_COLUMNS",
     "SWEEP_MODES",
-    "ScoredSlot",
     "Topology",
     "Violation",
     "WeightScheme",
@@ -129,7 +126,6 @@ __all__ = [
     "profile_utility",
     "run_phases",
     "save_edge_list",
-    "scored_slots",
     "single_camp_optimal",
     "solve_zero_sum",
     "steady_state",

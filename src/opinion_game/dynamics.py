@@ -131,10 +131,14 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: b
         if max_iter is None:
             max_iter = min(MAX_SWEEPS, 2 + _sweeps(rho, gain * step, tol))
         if it >= max_iter:
-            raise ConvergenceError(
-                f"error bound {gain * step:.3e} still above {tol:.1e} after {it} iterations; "
-                "check the weight constraints"
-            )
+            message = f"error bound {gain * step:.3e} still above {tol:.1e} after {it} iterations"
+            if it >= MAX_SWEEPS:
+                message += (
+                    f"; with row sums of |w| up to {rho:.6g} a certified solve needs more than "
+                    f"{MAX_SWEEPS} sweeps, and such networks are not supported above "
+                    f"{DENSE_LIMIT_N} nodes yet"
+                )
+            raise ConvergenceError(message)
         prev = step
 
 

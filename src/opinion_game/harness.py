@@ -6,13 +6,14 @@ node grants each camp ``camp_base`` and spreads the remaining 1 - 2*camp_base
 uniformly over its out-edges; for a general w0 all of those values scale by
 (1 - w0), so each node's weights always sum to exactly 1. The camp total
 theta used by the dependency setting stays at the unscaled reference value
-2 * camp_base across the whole sweep.
+2 * camp_base across the whole sweep. The arc weights of a topology are one
+array expression, (1 - 2*camp_base)(1 - w0) / out_degree[src].
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,14 +58,10 @@ def generate_weights(topology: Topology, w0: float, scheme: WeightScheme | None 
         raise ValueError(f"w0 must lie in [0, 1), got {w0}")
     scale = 1.0 - w0
     cg = scheme.camp_base
-    deg = topology.out_degrees()
-    edges = [
-        (i, j, (1.0 - 2.0 * cg) * scale / deg[i])
-        for i, j, _ in topology.edges
-    ]
+    weight = (1.0 - 2.0 * cg) * scale / topology.out_degrees()[topology.src]
     return Network.build(
         topology.n,
-        edges,
+        replace(topology, weight=weight),
         w0=w0,
         v0=0.0,
         wg=cg * scale,
@@ -83,20 +80,20 @@ def ba_graph(n: int, attach: int = 2, seed: int = 0) -> Topology:
     if attach < 1 or n <= attach:
         raise ValueError(f"need n > attach >= 1, got n={n}, attach={attach}")
     rng = random.Random(seed)
-    undirected: list[tuple[int, int]] = []
+    src: list[int] = []
+    dst: list[int] = []
     repeated: list[int] = []
     targets = list(range(attach))
     for v in range(attach, n):
-        for t in targets:
-            undirected.append((v, t))
+        src.extend([v] * attach)
+        dst.extend(targets)
         repeated.extend(targets)
         repeated.extend([v] * attach)
         chosen: set[int] = set()
         while len(chosen) < attach:
             chosen.add(rng.choice(repeated))
         targets = sorted(chosen)
-    edges = [(i, j, 0.0) for i, j in undirected] + [(j, i, 0.0) for i, j in undirected]
-    return Topology(n=n, edges=tuple(edges))
+    return Topology(n, src + dst, dst + src, np.zeros(2 * len(src)))
 
 
 def _expected_splits(solution, cutoff=1e-12):

@@ -5,6 +5,10 @@ puts on node ``j``'s current opinion, ``w0[i]`` the weight on its own initial
 bias, ``wg[i]`` / ``wb[i]`` the weights on the good and bad camps' investments,
 and ``theta[i]`` the total camp weight a node grants when camp influence
 depends on its bias. Nodes are dense 0-based integers.
+
+Arcs stay numpy arrays from the edge-list file to the CSR matrix: a
+``Topology`` holds ``src``, ``dst`` and ``weight`` arrays, and duplicate and
+range checks, symmetrizing and the CSR layout are array operations.
 """
 
 from __future__ import annotations
@@ -36,18 +40,43 @@ def _as_vector(value, n: int, name: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Bare directed graph: node count plus weighted arcs, no node parameters."""
+    """Bare directed graph: node count plus weighted arcs, no node parameters.
+
+    Arc k runs from ``src[k]`` to ``dst[k]`` with weight ``weight[k]``; the
+    three are read-only arrays of one length (int64, int64, float).
+    """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("src", np.int64), ("dst", np.int64), ("weight", float)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.weight.shape:
+            raise ValueError(
+                "src, dst and weight must be 1-d arrays of one length, got shapes "
+                f"{self.src.shape}, {self.dst.shape}, {self.weight.shape}"
+            )
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, _, _ in self.edges:
-            deg[i] += 1
-        return deg
+        return np.bincount(self.src, minlength=self.n)
+
+
+def _arc_order(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, int | None]:
+    """Stable (src, dst) order of arcs whose ids lie in [0, n), and the index
+    of the first arc, in input order, that repeats an earlier (src, dst)."""
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # equal keys keep input order, so every later member of a run repeats
+    repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
+    return order, (int(repeats.min()) if repeats.size else None)
 
 
 def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) -> Topology:
@@ -58,46 +87,60 @@ def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) 
     ``symmetrize`` every listed edge is duplicated in both directions (a
     self-loop is added once). A missing weight column falls back to
     ``default_weight``; duplicate (src, dst) pairs are an error rather than
-    being summed.
+    being summed. Every line is parsed before duplicates are looked for, so
+    a malformed line is reported even when a duplicate precedes it.
     """
-    edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    max_id = -1
+    src: list[int] = []
+    dst: list[int] = []
+    wts: list[float] = []
+    linenos: list[int] = []
+    default = float(default_weight)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(
-                    f"{path}: line {lineno}: expected 'src dst [weight]', got {line!r}"
+                    f"{path}: line {lineno}: expected 'src dst [weight]', got {raw.strip()!r}"
                 )
             try:
                 i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else float(default_weight)
+                w = float(parts[2]) if len(parts) == 3 else default
             except ValueError:
                 raise ValueError(
-                    f"{path}: line {lineno}: could not parse {line!r}"
+                    f"{path}: line {lineno}: could not parse {raw.strip()!r}"
                 ) from None
             if i < 0 or j < 0:
-                raise ValueError(f"{path}: line {lineno}: negative node id in {line!r}")
-            arcs = [(i, j)] if (not symmetrize or i == j) else [(i, j), (j, i)]
-            for a, b in arcs:
-                if (a, b) in seen:
-                    raise ValueError(f"{path}: line {lineno}: duplicate edge ({a}, {b})")
-                seen.add((a, b))
-                edges.append((a, b, w))
-            max_id = max(max_id, i, j)
-    if max_id < 0:
+                raise ValueError(f"{path}: line {lineno}: negative node id in {raw.strip()!r}")
+            src.append(i)
+            dst.append(j)
+            wts.append(w)
+            linenos.append(lineno)
+    if not src:
         raise ValueError(f"{path}: no nodes (empty edge list)")
-    return Topology(n=max_id + 1, edges=tuple(edges))
+    a = np.array(src, dtype=np.int64)
+    b = np.array(dst, dtype=np.int64)
+    weight = np.array(wts, dtype=float)
+    line = np.array(linenos, dtype=np.int64)
+    n = int(max(a.max(), b.max())) + 1
+    if symmetrize:
+        # each line's arc, then its reverse unless it is a self-loop
+        keep = np.stack([np.ones(len(a), dtype=bool), a != b], axis=1).ravel()
+        a, b = np.stack([a, b], axis=1).ravel()[keep], np.stack([b, a], axis=1).ravel()[keep]
+        weight = np.repeat(weight, 2)[keep]
+        line = np.repeat(line, 2)[keep]
+    k = _arc_order(a, b, n)[1]
+    if k is not None:
+        raise ValueError(f"{path}: line {line[k]}: duplicate edge ({a[k]}, {b[k]})")
+    return Topology(n, a, b, weight)
 
 
 def save_edge_list(topology: Topology, path) -> None:
     """Write a Topology back to the edge-list text format."""
+    arcs = zip(topology.src.tolist(), topology.dst.tolist(), topology.weight.tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, w in topology.edges:
+        for i, j, w in arcs:
             fh.write(f"{i} {j} {w!r}\n")
 
 
@@ -123,7 +166,7 @@ class Network:
     def build(
         cls,
         n: int,
-        edges: Iterable[tuple[int, int, float]] = (),
+        edges: Topology | Iterable[tuple[int, int, float]] = (),
         *,
         w0=0.0,
         v0=0.0,
@@ -131,26 +174,33 @@ class Network:
         wb=0.0,
         theta=0.0,
     ) -> "Network":
+        """Network on n nodes from its arcs, a Topology or (src, dst, weight)
+        triples, plus per-node parameters (scalars broadcast to every node).
+        The first arc, in input order, that is out of range or repeats an
+        earlier (src, dst) raises ValueError."""
         if n <= 0:
             raise ValueError("need at least one node")
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        seen: set[tuple[int, int]] = set()
-        for i, j, w in edges:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-            rows.append(i)
-            cols.append(j)
-            vals.append(float(w))
-        mat = sparse.csr_array(
-            (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))),
-            shape=(n, n),
-        )
+        if isinstance(edges, Topology):
+            src, dst, weight = edges.src, edges.dst, edges.weight
+        else:
+            arcs = np.asarray(list(edges), dtype=float)
+            if arcs.size == 0:
+                arcs = arcs.reshape(0, 3)
+            if arcs.ndim != 2 or arcs.shape[1] != 3:
+                raise ValueError(f"edges must be (src, dst, weight) triples, got shape {arcs.shape}")
+            src, dst, weight = arcs[:, 0].astype(np.int64), arcs[:, 1].astype(np.int64), arcs[:, 2]
+        # errors name the first bad arc in input order: the first arc out of
+        # range, unless an arc before it repeats an earlier one
+        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        stop = int(bad[0]) if bad.size else len(src)
+        order, k = _arc_order(src[:stop], dst[:stop], n)
+        if k is not None:
+            raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
+        if bad.size:
+            raise ValueError(f"edge ({src[stop]}, {dst[stop]}) out of range for n={n}")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        mat = sparse.csr_array((weight[order], dst[order], indptr), shape=(n, n))
         mat.data.setflags(write=False)
         return cls(
             n=n,
@@ -164,7 +214,7 @@ class Network:
 
     @classmethod
     def from_topology(cls, topology: Topology, **params) -> "Network":
-        return cls.build(topology.n, topology.edges, **params)
+        return cls.build(topology.n, topology, **params)
 
     @cached_property
     def weights_t(self) -> sparse.csr_array:
@@ -189,10 +239,7 @@ class Network:
 
     def topology(self) -> Topology:
         coo = self.weights.tocoo()
-        edges = tuple(
-            (int(i), int(j), float(w)) for i, j, w in zip(coo.row, coo.col, coo.data)
-        )
-        return Topology(n=self.n, edges=edges)
+        return Topology(self.n, coo.row, coo.col, coo.data)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ With fixed weights the two camps' objectives decouple, so each camp can rank
 the 2n (node, phase) slots by their per-unit worth: s_i * w_i for a phase-1
 slot (the investment must survive into the final phase) and r_i * w_i for a
 phase-2 slot. The unbounded optimum sits on a single slot; under a per-node
-cap the optimum greedily fills slots in worth order.
+cap the optimum greedily fills slots in worth order, ranked by one stable
+numpy sort of the 2n worths.
 
 Ties are broken deterministically: phase 2 first, then the lowest node id.
 """
@@ -29,13 +30,6 @@ class PureInvestment:
     amount: float
 
 
-@dataclass(frozen=True)
-class ScoredSlot:
-    node: int
-    phase: int
-    coefficient: float
-
-
 def _camp_weights(net: Network, camp: str) -> np.ndarray:
     if camp == GOOD:
         return net.wg
@@ -46,15 +40,6 @@ def _camp_weights(net: Network, camp: str) -> np.ndarray:
 
 def _profile(net: Network, profile: CentralityProfile | None) -> CentralityProfile:
     return profile if profile is not None else compute_profile(net)
-
-
-def scored_slots(net: Network, camp: str, profile: CentralityProfile | None = None) -> list[ScoredSlot]:
-    """All 2n investment slots of a camp with their per-unit objective worth."""
-    prof = _profile(net, profile)
-    w = _camp_weights(net, camp)
-    slots = [ScoredSlot(i, 1, float(prof.s[i] * w[i])) for i in range(net.n)]
-    slots += [ScoredSlot(i, 2, float(prof.r[i] * w[i])) for i in range(net.n)]
-    return slots
 
 
 def farsighted_unbounded(
@@ -130,23 +115,21 @@ def bounded_greedy(
         raise ValueError("budget must be nonnegative")
     if cap <= 0:
         raise ValueError("cap must be positive")
-    order = sorted(
-        scored_slots(net, camp, profile),
-        key=lambda slot: (-slot.coefficient, -slot.phase, slot.node),
-    )
-    x1 = np.zeros(net.n)
-    x2 = np.zeros(net.n)
+    prof = _profile(net, profile)
+    w = _camp_weights(net, camp)
+    n = net.n
+    # phase-2 slots first, so a stable sort on worth alone breaks ties by
+    # phase 2 first, then the lowest node id
+    worth = np.concatenate([prof.r * w, prof.s * w])
+    x = np.zeros(2 * n)
     remaining = float(budget)
-    for slot in order:
-        if remaining <= 0 or slot.coefficient <= 0:
+    for k in np.argsort(-worth, kind="stable"):
+        if remaining <= 0 or worth[k] <= 0:
             break
         amount = min(cap, remaining)
-        if slot.phase == 1:
-            x1[slot.node] = amount
-        else:
-            x2[slot.node] = amount
+        x[k] = amount
         remaining -= amount
-    return InvestmentPlan(camp, x1, x2)
+    return InvestmentPlan(camp, x[n:], x[:n])
 
 
 def multi_election_scores(

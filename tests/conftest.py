@@ -1,12 +1,16 @@
 """Shared test helpers: seeded random instances that satisfy the weight
 constraints, plus independent oracles (truncated series, dense-inverse
-dynamics) that never route through the package's solvers."""
+dynamics, scalar loops over arcs and slots) that never route through the
+package's solvers or its array code."""
 
 from __future__ import annotations
 
-import numpy as np
+from dataclasses import dataclass
 
-from opinion_game import Network
+import numpy as np
+from scipy import sparse
+
+from opinion_game import GOOD, Network, Topology, compute_profile
 
 
 def random_network(
@@ -172,3 +176,66 @@ def compositions(total_units: int, bins: int):
     for first in range(total_units + 1):
         for rest in compositions(total_units - first, bins - 1):
             yield (first,) + rest
+
+
+def arc_list(topology: Topology) -> list[tuple[int, int, float]]:
+    """The arcs of a Topology as (src, dst, weight) triples, in its order."""
+    return list(zip(topology.src.tolist(), topology.dst.tolist(), topology.weight.tolist()))
+
+
+def loop_build_weights(n: int, edges) -> sparse.csr_array:
+    """The weight matrix ``Network.build`` makes, one arc at a time: the first
+    arc out of range or repeating an earlier (src, dst) raises ValueError."""
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    seen: set[tuple[int, int]] = set()
+    for i, j, w in edges:
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+        if (i, j) in seen:
+            raise ValueError(f"duplicate edge ({i}, {j})")
+        seen.add((i, j))
+        rows.append(i)
+        cols.append(j)
+        vals.append(float(w))
+    return sparse.csr_array(
+        (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))),
+        shape=(n, n),
+    )
+
+
+@dataclass(frozen=True)
+class ScoredSlot:
+    node: int
+    phase: int
+    coefficient: float
+
+
+def scored_slots(net: Network, camp: str, profile=None) -> list[ScoredSlot]:
+    """All 2n investment slots of a camp with their per-unit objective worth:
+    s_i w_i in phase 1, r_i w_i in phase 2."""
+    prof = profile if profile is not None else compute_profile(net)
+    w = net.wg if camp == GOOD else net.wb
+    slots = [ScoredSlot(i, 1, float(prof.s[i] * w[i])) for i in range(net.n)]
+    slots += [ScoredSlot(i, 2, float(prof.r[i] * w[i])) for i in range(net.n)]
+    return slots
+
+
+def greedy_oracle(net: Network, budget: float, camp: str, cap: float = 1.0, profile=None):
+    """(x1, x2) of the bounded greedy plan from a Python sort of the slots:
+    worth descending, then phase 2 first, then the lowest node id."""
+    order = sorted(
+        scored_slots(net, camp, profile),
+        key=lambda slot: (-slot.coefficient, -slot.phase, slot.node),
+    )
+    x = {1: np.zeros(net.n), 2: np.zeros(net.n)}
+    remaining = float(budget)
+    for slot in order:
+        if remaining <= 0 or slot.coefficient <= 0:
+            break
+        amount = min(cap, remaining)
+        x[slot.phase][slot.node] = amount
+        remaining -= amount
+    return x[1], x[2]

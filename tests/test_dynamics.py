@@ -201,11 +201,16 @@ class TestSolveLinear:
         # runs out of its sweep budget; neither forms an n x n array
         monkeypatch.setattr(dynamics, "MAX_SWEEPS", 1000)
         net = cycle_network(dynamics.DENSE_LIMIT_N + 1, a)
+        # the message names the cause: no contraction, or too many sweeps for
+        # a network this size (the weight constraints hold at rho < 1)
+        message = ("not a contraction" if a >= 1.0 else
+                   "a certified solve needs more than 1000 sweeps, and such networks "
+                   f"are not supported above {dynamics.DENSE_LIMIT_N} nodes yet")
         tracemalloc.start()
         try:
-            with pytest.raises(ConvergenceError):
+            with pytest.raises(ConvergenceError, match=message):
                 solve_linear(net, np.ones(net.n), transpose=True)
-            with pytest.raises(ConvergenceError):
+            with pytest.raises(ConvergenceError, match=message):
                 compute_profile(net)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

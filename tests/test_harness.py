@@ -1,3 +1,6 @@
+from collections import Counter
+
+import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
@@ -13,12 +16,13 @@ from opinion_game import (
 )
 from opinion_game.harness import DEFAULT_W0_GRID, SWEEP_COLUMNS
 
+from conftest import arc_list, loop_build_weights
+
 
 def two_regular_topology():
     # 3-cycle made bidirectional: every node has out-degree 2
-    und = [(0, 1), (1, 2), (2, 0)]
-    edges = [(i, j, 0.0) for i, j in und] + [(j, i, 0.0) for i, j in und]
-    return Topology(n=3, edges=tuple(edges))
+    src, dst = (0, 1, 2), (1, 2, 0)
+    return Topology(3, src + dst, dst + src, [0.0] * 6)
 
 
 class TestWeightScheme:
@@ -76,8 +80,18 @@ class TestGenerateWeights:
         for i, j, w in zip(lo_w.row, lo_w.col, lo_w.data):
             assert w / hi_w[i, j] == pytest.approx(ratio, abs=1e-12)
 
+    def test_matches_per_arc_formula(self):
+        topo = ba_graph(40, 3, seed=2)
+        net = generate_weights(topo, 0.35)
+        deg = Counter(topo.src.tolist())
+        want = loop_build_weights(
+            topo.n, [(i, j, (1.0 - 2.0 * 0.1) * (1.0 - 0.35) / deg[i]) for i, j, _ in arc_list(topo)]
+        )
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(net.weights, name), getattr(want, name)), name
+
     def test_isolated_node_keeps_camp_weights(self):
-        topo = Topology(n=2, edges=((0, 1, 0.0),))
+        topo = Topology(2, [0], [1], [0.0])
         net = generate_weights(topo, 0.2)
         assert net.wg[1] == pytest.approx(0.08)
         assert net.row_abs_sums[1] == 0.0
@@ -91,13 +105,22 @@ class TestBaGraph:
     def test_size_and_symmetry(self):
         topo = ba_graph(50, 2, seed=7)
         assert topo.n == 50
-        arcs = {(i, j) for i, j, _ in topo.edges}
+        arcs = set(zip(topo.src.tolist(), topo.dst.tolist()))
         assert all((j, i) in arcs for i, j in arcs)
         assert all(i != j for i, j in arcs)
 
     def test_deterministic_for_a_seed(self):
-        assert ba_graph(30, 2, seed=3).edges == ba_graph(30, 2, seed=3).edges
-        assert ba_graph(30, 2, seed=3).edges != ba_graph(30, 2, seed=4).edges
+        assert arc_list(ba_graph(30, 2, seed=3)) == arc_list(ba_graph(30, 2, seed=3))
+        assert arc_list(ba_graph(30, 2, seed=3)) != arc_list(ba_graph(30, 2, seed=4))
+
+    def test_arcs_pinned_for_a_seed(self):
+        # the random draw sequence, and so every synthetic CLI graph, is fixed
+        topo = ba_graph(6, 2, seed=0)
+        assert list(zip(topo.src.tolist(), topo.dst.tolist())) == [
+            (2, 0), (2, 1), (3, 0), (3, 2), (4, 0), (4, 3), (5, 0), (5, 3),
+            (0, 2), (1, 2), (0, 3), (2, 3), (0, 4), (3, 4), (0, 5), (3, 5),
+        ]
+        assert topo.weight.tolist() == [0.0] * 16
 
     def test_minimum_degree(self):
         topo = ba_graph(40, 3, seed=9)
@@ -142,7 +165,7 @@ class TestSweep:
         assert rows[0]["objective"] == pytest.approx(0.0)
 
     def test_two_camp_mode_returns_equilibrium_row(self):
-        topo = Topology(n=3, edges=two_regular_topology().edges)
+        topo = two_regular_topology()
         row = sweep_point(topo, 0.3, mode="dependency2", budgets=Budgets(2.0, 2.0))
         assert row["myopic_loss"] is None
         assert row["k1_good"] + row["k2_good"] == pytest.approx(2.0)

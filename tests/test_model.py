@@ -5,12 +5,13 @@ from opinion_game import (
     Budgets,
     InvestmentPlan,
     Network,
+    Topology,
     load_edge_list,
     save_edge_list,
     validate,
 )
 
-from conftest import random_network
+from conftest import arc_list, loop_build_weights, random_network
 
 
 def write(tmp_path, text):
@@ -23,7 +24,7 @@ class TestLoadEdgeList:
     def test_symmetrize_duplicates_both_directions(self, tmp_path):
         topo = load_edge_list(write(tmp_path, "0 1\n"), symmetrize=True)
         assert topo.n == 2
-        assert {(i, j) for i, j, _ in topo.edges} == {(0, 1), (1, 0)}
+        assert arc_list(topo) == [(0, 1, 0.0), (1, 0, 0.0)]
 
     def test_empty_file_is_an_error(self, tmp_path):
         with pytest.raises(ValueError, match="no nodes"):
@@ -32,7 +33,7 @@ class TestLoadEdgeList:
     def test_weighted_arcs_and_isolated_node(self, tmp_path):
         topo = load_edge_list(write(tmp_path, "0 2 0.5\n2 0 0.25\n"), symmetrize=False)
         assert topo.n == 3
-        assert set(topo.edges) == {(0, 2, 0.5), (2, 0, 0.25)}
+        assert arc_list(topo) == [(0, 2, 0.5), (2, 0, 0.25)]
         assert topo.out_degrees().tolist() == [1, 0, 1]
 
     def test_parse_failure_reports_line_number(self, tmp_path):
@@ -57,15 +58,51 @@ class TestLoadEdgeList:
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         topo = load_edge_list(write(tmp_path, "# header\n\n0 1 0.5\n  # indented comment\n"))
-        assert topo.edges == ((0, 1, 0.5),)
+        assert arc_list(topo) == [(0, 1, 0.5)]
 
     def test_default_weight_placeholder(self, tmp_path):
         topo = load_edge_list(write(tmp_path, "0 1\n"), default_weight=0.7)
-        assert topo.edges == ((0, 1, 0.7),)
+        assert arc_list(topo) == [(0, 1, 0.7)]
 
     def test_self_loop_symmetrized_once(self, tmp_path):
-        topo = load_edge_list(write(tmp_path, "0 0 0.4\n"), symmetrize=True)
-        assert topo.edges == ((0, 0, 0.4),)
+        topo = load_edge_list(write(tmp_path, "0 0 0.4\n1 0 0.2\n"), symmetrize=True)
+        assert arc_list(topo) == [(0, 0, 0.4), (1, 0, 0.2), (0, 1, 0.2)]
+        with pytest.raises(ValueError, match=r"line 2: duplicate edge \(0, 0\)$"):
+            load_edge_list(write(tmp_path, "0 0\n0 0\n"), symmetrize=True)
+
+    def test_mixed_two_and_three_column_lines(self, tmp_path):
+        path = write(tmp_path, "0 1\n1 2 0.5\n\n2 0\n")
+        assert arc_list(load_edge_list(path, default_weight=0.7)) == [
+            (0, 1, 0.7), (1, 2, 0.5), (2, 0, 0.7),
+        ]
+        topo = load_edge_list(path, symmetrize=True, default_weight=0.7)
+        assert arc_list(topo) == [
+            (0, 1, 0.7), (1, 0, 0.7), (1, 2, 0.5), (2, 1, 0.5), (2, 0, 0.7), (0, 2, 0.7),
+        ]
+        assert topo.src.dtype == topo.dst.dtype == np.int64
+        assert not topo.src.flags.writeable and not topo.weight.flags.writeable
+
+    @pytest.mark.parametrize("text, symmetrize, message", [
+        ("0 1\n# c\n\n1 2\n0 1\n", False, "line 5: duplicate edge (0, 1)"),
+        # the first arc, in file order, that repeats an earlier one
+        ("5 6\n0 1\n5 6\n0 1\n", False, "line 3: duplicate edge (5, 6)"),
+        ("0 1\n2 3\n1 0\n", True, "line 3: duplicate edge (1, 0)"),
+        ("0 1\n3 1\n1 3\n", True, "line 3: duplicate edge (1, 3)"),
+        ("0 1\n1 0\n", False, None),
+    ])
+    def test_duplicate_line_number(self, tmp_path, text, symmetrize, message):
+        path = write(tmp_path, text)
+        if message is None:
+            assert load_edge_list(path, symmetrize=symmetrize).n == 2
+            return
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path, symmetrize=symmetrize)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_malformed_line_reported_before_an_earlier_duplicate(self, tmp_path):
+        # every line is parsed before duplicates are looked for
+        with pytest.raises(ValueError, match="line 3: could not parse"):
+            load_edge_list(write(tmp_path, "0 1\n0 1\n0 x\n"))
 
     def test_load_save_load_idempotent(self, tmp_path):
         first = load_edge_list(write(tmp_path, "0 1 0.5\n1 2 -0.25\n2 0 0.1\n"))
@@ -73,10 +110,48 @@ class TestLoadEdgeList:
         save_edge_list(first, out)
         second = load_edge_list(out)
         assert second.n == first.n
-        assert set(second.edges) == set(first.edges)
+        assert arc_list(second) == arc_list(first)
+
+
+def random_arcs(rng, n, m):
+    """m distinct (src, dst, weight) arcs in random order."""
+    keys = rng.choice(n * n, size=m, replace=False)
+    return [(int(k // n), int(k % n), float(rng.normal())) for k in keys]
 
 
 class TestNetworkBuild:
+    def test_matches_loop_oracle_on_random_arc_lists(self):
+        rng = np.random.default_rng(191)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            edges = random_arcs(rng, n, int(rng.integers(0, n * n + 1)))
+            want = loop_build_weights(n, edges)
+            for source in (edges, Topology(n, *np.array(edges).reshape(-1, 3).T)):
+                got = Network.build(n, source).weights
+                for name in ("indptr", "indices", "data"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_errors_match_loop_oracle(self):
+        # an injected duplicate and/or out-of-range arc: the first one in
+        # input order is reported, with the loop's message
+        rng = np.random.default_rng(193)
+        for trial in range(60):
+            n = int(rng.integers(1, 20))
+            edges = random_arcs(rng, n, int(rng.integers(1, n * n + 1)))
+            if trial % 3 != 1:
+                at = int(rng.integers(1, len(edges) + 1))
+                edges.insert(at, edges[int(rng.integers(0, at))][:2] + (0.5,))
+            if trial % 3 != 0:
+                ends = [int(rng.integers(0, n)), int(rng.choice([-1, n, n + 3]))]
+                rng.shuffle(ends)
+                edges.insert(int(rng.integers(0, len(edges) + 1)), (*ends, 0.1))
+            with pytest.raises(ValueError) as want:
+                loop_build_weights(n, edges)
+            with pytest.raises(ValueError) as got:
+                Network.build(n, edges)
+            assert str(got.value) == str(want.value)
+
     def test_duplicate_edges_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Network.build(2, [(0, 1, 0.1), (0, 1, 0.2)])

@@ -413,7 +413,7 @@ class TestTwoCampEquilibrium:
             theta[0] = 0.0
             w0[n - 1] = 0.0
             net = Network.build(
-                n, base.topology().edges, w0=w0, v0=base.v0, wg=base.wg, wb=base.wb, theta=theta
+                n, base.topology(), w0=w0, v0=base.v0, wg=base.wg, wb=base.wb, theta=theta
             )
             kg, kb = float(rng.uniform(1, 40)), float(rng.uniform(1, 40))
             coef = DependencyCoefficients(net)

@@ -14,11 +14,12 @@ from opinion_game import (
     multi_election_scores,
     myopic_loss,
     myopic_strategy,
+    CentralityProfile,
+    Network,
     run_phases,
-    scored_slots,
 )
 
-from conftest import compositions, random_network, two_node_net
+from conftest import compositions, greedy_oracle, random_network, scored_slots, two_node_net
 
 
 def pair_net(w0=0.3, wg=(0.2, 0.1), wb=(0.1, 0.2)):
@@ -206,6 +207,9 @@ class TestEvaluateTwoPhase:
 
 
 class TestScoredSlots:
+    """``bounded_greedy`` against the scalar ranking oracle: ``scored_slots``
+    sorted by (-worth, -phase, node) and filled in that order."""
+
     def test_slot_inventory(self):
         net = pair_net()
         slots = scored_slots(net, GOOD)
@@ -213,3 +217,61 @@ class TestScoredSlots:
         coeffs = {(sl.node, sl.phase): sl.coefficient for sl in slots}
         assert coeffs[(0, 1)] == pytest.approx(0.24)
         assert coeffs[(0, 2)] == pytest.approx(0.4)
+
+    def assert_matches_oracle(self, net, budget, camp, cap, prof):
+        plan = bounded_greedy(net, budget, camp, cap=cap, profile=prof)
+        x1, x2 = greedy_oracle(net, budget, camp, cap, prof)
+        np.testing.assert_array_equal(plan.x1, x1)
+        np.testing.assert_array_equal(plan.x2, x2)
+        return plan
+
+    def test_random_networks(self):
+        rng = np.random.default_rng(173)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            net = random_network(rng, n, nonneg=bool(rng.integers(0, 2)))
+            prof = compute_profile(net)
+            cap = float(rng.choice([0.3, 1.0, 2.5]))
+            # budgets that are not multiples of the cap, and ones above 2n caps
+            budget = float(rng.uniform(0.0, 2.5 * n * cap))
+            for camp in (GOOD, BAD):
+                self.assert_matches_oracle(net, budget, camp, cap, prof)
+
+    def test_all_ties_on_a_regular_graph(self):
+        # a 16-node cycle with arc weight 0.5 and w0 = 0.5 has r = s = 2 at
+        # every node in exact arithmetic, so all 2n slots tie: phase 2 fills
+        # first, then phase 1, each from the lowest id
+        n = 16
+        net = Network.build(n, [(i, (i + 1) % n, 0.5) for i in range(n)], w0=0.5, wg=0.25)
+        prof = CentralityProfile(r=np.full(n, 2.0), s=np.full(n, 2.0))
+        plan = self.assert_matches_oracle(net, 19.5, GOOD, 1.0, prof)
+        assert plan.x2.tolist() == [1.0] * n
+        assert plan.x1.tolist() == [1.0, 1.0, 1.0, 0.5] + [0.0] * (n - 4)
+        plan = self.assert_matches_oracle(net, 2.0, GOOD, 0.75, prof)
+        assert plan.x2.tolist() == [0.75, 0.75, 0.5] + [0.0] * (n - 3)
+        assert plan.x1.tolist() == [0.0] * n
+        # few distinct worths, so most slots tie with many others
+        rng = np.random.default_rng(197)
+        for _ in range(10):
+            prof = CentralityProfile(r=rng.integers(1, 4, n) / 2.0, s=rng.integers(0, 4, n) / 2.0)
+            self.assert_matches_oracle(net, float(rng.uniform(0.0, 2.0 * n)), GOOD, 1.0, prof)
+
+    def test_budget_not_a_multiple_of_cap(self):
+        rng = np.random.default_rng(179)
+        net = random_network(rng, 12)
+        prof = compute_profile(net)
+        for budget, cap in ((3.7, 1.0), (0.3, 0.1), (5.0, 1.5), (1e-3, 2.0)):
+            plan = self.assert_matches_oracle(net, budget, GOOD, cap, prof)
+            assert plan.total() == pytest.approx(budget)
+            assert plan.violations(budget, cap) == []
+
+    def test_camp_with_no_positive_worth(self):
+        rng = np.random.default_rng(181)
+        base = random_network(rng, 10, dependency=True)  # r, s >= 0
+        wg = -base.wg
+        wg[::2] = 0.0
+        net = Network.build(10, base.topology(), w0=base.w0, v0=base.v0, wg=wg, wb=base.wb)
+        prof = compute_profile(net)
+        assert np.all(np.concatenate([prof.s * net.wg, prof.r * net.wg]) <= 0.0)
+        plan = self.assert_matches_oracle(net, 7.0, GOOD, 1.0, prof)
+        assert plan.total() == 0.0
