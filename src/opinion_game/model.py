@@ -8,11 +8,16 @@ depends on its bias. Nodes are dense 0-based integers.
 
 Arcs stay numpy arrays from the edge-list file to the CSR matrix: a
 ``Topology`` holds ``src``, ``dst`` and ``weight`` arrays, and duplicate and
-range checks, symmetrizing and the CSR layout are array operations.
+range checks, symmetrizing and the CSR layout are array operations. The
+loader finds lines and fields with byte masks over the whole file and parses
+the well-formed lines with numpy in one pass; only the other lines go
+through Python's ``int()`` and ``float()``, one at a time, and only they
+word errors.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -79,6 +84,159 @@ def _arc_order(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, in
     return order, (int(repeats.min()) if repeats.size else None)
 
 
+# Bytes a bulk weight may hold; a bulk node id holds ASCII digits only, at
+# most 18 of them, so that it fits in int64.
+_WEIGHT_BYTE = np.zeros(256, dtype=bool)
+_WEIGHT_BYTE[list(b"0123456789.eE+-")] = True
+_BULK_ID_DIGITS = 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _parse_line(path, lineno: int, raw: str, default: float) -> tuple[int, int, float] | None:
+    """(src, dst, weight) of one edge-list line, or None for a blank or
+    comment line; ValueError naming the line if it is malformed."""
+    parts = raw.split()
+    if not parts or parts[0].startswith("#"):
+        return None
+    if len(parts) not in (2, 3):
+        raise ValueError(f"{path}: line {lineno}: expected 'src dst [weight]', got {raw.strip()!r}")
+    try:
+        i, j = int(parts[0]), int(parts[1])
+        w = float(parts[2]) if len(parts) == 3 else default
+    except ValueError:
+        raise ValueError(f"{path}: line {lineno}: could not parse {raw.strip()!r}") from None
+    if i < 0 or j < 0:
+        raise ValueError(f"{path}: line {lineno}: negative node id in {raw.strip()!r}")
+    if i > _INT64_MAX or j > _INT64_MAX:
+        raise ValueError(f"{path}: line {lineno}: node id too large in {raw.strip()!r}")
+    return i, j, w
+
+
+def _fields(byte: np.ndarray):
+    """[start, stop) of each field, a maximal run of bytes other than space,
+    tab and newline; and whether each field holds a byte that no node id may
+    hold (anything but an ASCII digit), and one that no weight may hold."""
+    # in place, to hold at most three byte-sized temporaries at once
+    word = byte != ord(" ")
+    word &= byte != ord("\t")
+    word &= byte != ord("\n")
+    other = np.subtract(byte, np.uint8(ord("0")))
+    other = np.greater(other, 9, out=other.view(bool))
+    other &= word
+    at = np.flatnonzero(other)
+    del other
+    edge = np.zeros(len(byte) + 1, dtype=np.int8)
+    edge[:-1] = word
+    edge[1:] -= word
+    del word
+    start, stop = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    del edge
+    field = np.searchsorted(start, at, side="right") - 1
+    not_digits = np.zeros(len(start), dtype=bool)
+    not_digits[field] = True
+    not_weight = np.zeros(len(start), dtype=bool)
+    not_weight[field[~_WEIGHT_BYTE[byte[at]]]] = True
+    return start, stop, not_digits, not_weight
+
+
+def _span_mask(size: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Boolean mask of the bytes inside the disjoint spans [start, stop)."""
+    mask = np.zeros(size + 1, dtype=np.uint8)
+    mask[start], mask[stop] = 1, 255  # uint8 wraps 1 + 255 to 0
+    return np.cumsum(mask, dtype=np.uint8, out=mask)[:-1].view(bool)
+
+
+def _parse_numbers(text: np.ndarray, dtype, count: int) -> np.ndarray | None:
+    """The ``count`` whitespace-separated numbers in the bytes ``text``, parsed
+    in one pass by numpy, which reads floats as ``float()`` does; None if the
+    text does not hold ``count`` numbers."""
+    try:
+        with warnings.catch_warnings():
+            # older numpy warns about text it could not parse, newer numpy
+            # raises
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(text, dtype=dtype, sep=" ")
+    except (DeprecationWarning, ValueError):
+        return None
+    return values if len(values) == count else None
+
+
+def _bulk_lines(byte: np.ndarray, line_start: np.ndarray):
+    """Field counts of the lines, the bulk lines, which of them have a
+    weight, and the byte spans (start, stop) of those weights."""
+    start, stop, not_digits, not_weight = _fields(byte)
+    first = np.searchsorted(start, line_start)
+    n_fields = np.diff(first, append=len(start))
+    line = np.flatnonzero((n_fields == 2) | (n_fields == 3))
+    ids = first[line]
+    bad_id = not_digits | (stop - start > _BULK_ID_DIGITS)
+    ok = ~(bad_id[ids] | bad_id[ids + 1])
+    weighted = n_fields[line] == 3
+    ok[weighted] &= ~not_weight[ids[weighted] + 2]
+    line, ids, weighted = line[ok], ids[ok], weighted[ok]
+    field = ids[weighted] + 2
+    return n_fields, line, weighted, (start[field], stop[field])
+
+
+def _read_arcs(path, data: bytes, default: float):
+    """src, dst, weight and line-number arrays of the arcs of an edge-list
+    text, in line order.
+
+    Bulk lines, two or three fields of which the first two are node ids of
+    at most 18 ASCII digits and the third a weight of ``0-9 . e E + -``, are
+    parsed all at once by numpy. The other, odd lines are parsed one at a
+    time by :func:`_parse_line`, which alone words errors. A bulk line cannot
+    fail, except for a weight such as ``1e`` that passes the byte filter but
+    not ``float()``; then every line is parsed as odd, so the first bad line
+    in file order is still the one reported.
+    """
+    byte = np.frombuffer(data, dtype=np.uint8)
+    line_end = np.flatnonzero(byte == ord("\n"))
+    if len(byte) and byte[-1] != ord("\n"):
+        line_end = np.append(line_end, len(byte))
+    line_start = np.zeros_like(line_end)
+    line_start[1:] = line_end[:-1] + 1
+    n_fields, line, weighted, weight_span = _bulk_lines(byte, line_start)
+    blank = np.uint8(ord(" "))
+    weight = np.full(len(line), default)
+    inside = None
+    if weighted.any():
+        inside = _span_mask(len(byte), *weight_span)
+        values = _parse_numbers(np.where(inside, byte, blank), float, len(weight_span[0]))
+        if values is None:
+            line, weight = line[:0], weight[:0]
+        else:
+            weight[weighted] = values
+    odd = n_fields > 0
+    odd[line] = False
+    odd_start, odd_end = line_start[odd].tolist(), line_end[odd].tolist()
+    odd_src, odd_dst, odd_weight, odd_line = [], [], [], []
+    for k, lo, hi in zip(np.flatnonzero(odd).tolist(), odd_start, odd_end):
+        row = _parse_line(path, k + 1, data[lo:hi + 1].decode("utf-8"), default)
+        if row is not None:
+            odd_src.append(row[0])
+            odd_dst.append(row[1])
+            odd_weight.append(row[2])
+            odd_line.append(k)
+    src = dst = np.zeros(0, dtype=np.int64)
+    if len(line):
+        # the bulk ids are what is left of the file once the weights and the
+        # odd lines are blanked
+        text = byte.copy() if inside is None else np.where(inside, blank, byte)
+        for lo, hi in zip(odd_start, odd_end):
+            text[lo:hi] = blank
+        src, dst = _parse_numbers(text, np.int64, 2 * len(line)).reshape(-1, 2).T
+    del odd_start, odd_end  # before the merge copies the arrays
+    lineno = line + 1
+    if odd_line:
+        # put the odd lines' arcs among the bulk ones, in line order
+        at = np.searchsorted(line, odd_line)
+        src, dst = np.insert(src, at, odd_src), np.insert(dst, at, odd_dst)
+        weight = np.insert(weight, at, odd_weight)
+        lineno = np.insert(lineno, at, np.array(odd_line) + 1)
+    return src, dst, weight, lineno
+
+
 def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) -> Topology:
     """Read a whitespace-delimited "src dst [weight]" file into a Topology.
 
@@ -87,42 +245,22 @@ def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) 
     ``symmetrize`` every listed edge is duplicated in both directions (a
     self-loop is added once). A missing weight column falls back to
     ``default_weight``; duplicate (src, dst) pairs are an error rather than
-    being summed. Every line is parsed before duplicates are looked for, so
-    a malformed line is reported even when a duplicate precedes it.
+    being summed.
+
+    The file is decoded as UTF-8 up front, so invalid UTF-8 is reported
+    before any line error. Well-formed lines are parsed in bulk and the
+    others one at a time; the first bad line in file order is reported. Every
+    line is checked before duplicates are looked for, so a malformed line is
+    reported even when a duplicate precedes it.
     """
-    src: list[int] = []
-    dst: list[int] = []
-    wts: list[float] = []
-    linenos: list[int] = []
     default = float(default_weight)
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) not in (2, 3):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 'src dst [weight]', got {raw.strip()!r}"
-                )
-            try:
-                i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else default
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: could not parse {raw.strip()!r}"
-                ) from None
-            if i < 0 or j < 0:
-                raise ValueError(f"{path}: line {lineno}: negative node id in {raw.strip()!r}")
-            src.append(i)
-            dst.append(j)
-            wts.append(w)
-            linenos.append(lineno)
-    if not src:
+        text = fh.read()
+    data = text.encode("utf-8")
+    del text
+    a, b, weight, line = _read_arcs(path, data, default)
+    if not len(a):
         raise ValueError(f"{path}: no nodes (empty edge list)")
-    a = np.array(src, dtype=np.int64)
-    b = np.array(dst, dtype=np.int64)
-    weight = np.array(wts, dtype=float)
-    line = np.array(linenos, dtype=np.int64)
     n = int(max(a.max(), b.max())) + 1
     if symmetrize:
         # each line's arc, then its reverse unless it is a self-loop

@@ -183,6 +183,59 @@ def arc_list(topology: Topology) -> list[tuple[int, int, float]]:
     return list(zip(topology.src.tolist(), topology.dst.tolist(), topology.weight.tolist()))
 
 
+def loop_load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0):
+    """(n, src, dst, weight) of an edge-list file read one line at a time:
+    the first malformed line raises ValueError, then the first arc, in file
+    order, that repeats an earlier (src, dst). Ids of 2**63 or more are out
+    of its scope (numpy's int64 conversion raises OverflowError)."""
+    src: list[int] = []
+    dst: list[int] = []
+    wts: list[float] = []
+    linenos: list[int] = []
+    default = float(default_weight)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) not in (2, 3):
+                raise ValueError(
+                    f"{path}: line {lineno}: expected 'src dst [weight]', got {raw.strip()!r}"
+                )
+            try:
+                i, j = int(parts[0]), int(parts[1])
+                w = float(parts[2]) if len(parts) == 3 else default
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: could not parse {raw.strip()!r}"
+                ) from None
+            if i < 0 or j < 0:
+                raise ValueError(f"{path}: line {lineno}: negative node id in {raw.strip()!r}")
+            src.append(i)
+            dst.append(j)
+            wts.append(w)
+            linenos.append(lineno)
+    if not src:
+        raise ValueError(f"{path}: no nodes (empty edge list)")
+    n = max(max(src), max(dst)) + 1
+    arcs = []
+    for i, j, w, lineno in zip(src, dst, wts, linenos):
+        arcs.append((i, j, w, lineno))
+        if symmetrize and i != j:
+            arcs.append((j, i, w, lineno))
+    seen: set[tuple[int, int]] = set()
+    for i, j, _, lineno in arcs:
+        if (i, j) in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate edge ({i}, {j})")
+        seen.add((i, j))
+    return (
+        n,
+        np.array([a[0] for a in arcs], dtype=np.int64),
+        np.array([a[1] for a in arcs], dtype=np.int64),
+        np.array([a[2] for a in arcs], dtype=float),
+    )
+
+
 def loop_build_weights(n: int, edges) -> sparse.csr_array:
     """The weight matrix ``Network.build`` makes, one arc at a time: the first
     arc out of range or repeating an earlier (src, dst) raises ValueError."""

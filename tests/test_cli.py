@@ -88,6 +88,13 @@ class TestCentralityCommand:
         assert code == 1
         assert "error:" in err
 
+    def test_node_id_too_large_fails_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("0 1\n1 99999999999999999999\n")
+        code, _, err = run_cli(capsys, "centrality", "--graph", str(path))
+        assert code == 1
+        assert f"error: {path}: line 2: node id too large in '1 99999999999999999999'" in err
+
     def test_synthetic_fallback(self, capsys):
         code, out, err = run_cli(capsys, "centrality", "--seed", "1")
         assert code == 0

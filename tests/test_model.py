@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from opinion_game import (
     validate,
 )
 
-from conftest import arc_list, loop_build_weights, random_network
+from conftest import arc_list, loop_build_weights, loop_load_edge_list, random_network
 
 
 def write(tmp_path, text):
@@ -104,6 +106,85 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="line 3: could not parse"):
             load_edge_list(write(tmp_path, "0 1\n0 1\n0 x\n"))
 
+    @pytest.mark.parametrize("text, symmetrize, message", [
+        # a repeat of an odd line's arc on a later bulk line, and the reverse
+        ("+1 2\n1 2\n", False, "line 2: duplicate edge (1, 2)"),
+        ("1 2\n+1 2\n", False, "line 2: duplicate edge (1, 2)"),
+        ("0 1 inf\n0 1\n", False, "line 2: duplicate edge (0, 1)"),
+        ("0 1\n0 1 inf\n", False, "line 2: duplicate edge (0, 1)"),
+        ("+1 2\n2 1\n", True, "line 2: duplicate edge (2, 1)"),
+        ("3 4\n2 1\n٣ 4\n", False, "line 3: duplicate edge (3, 4)"),
+        # a weight that passes the byte filter but not float(), after an
+        # earlier malformed line, and before a later one
+        ("0 x\n0 1 1e\n", False, "line 1: could not parse '0 x'"),
+        ("0 1\n1 2 1e\n0 x\n", False, "line 2: could not parse '1 2 1e'"),
+        ("0 1 0.5\n1 2 1.2.3\n", False, "line 2: could not parse '1 2 1.2.3'"),
+        ("0 1\n0 1 1 1\n2 3 -\n", False,
+         "line 2: expected 'src dst [weight]', got '0 1 1 1'"),
+    ])
+    def test_odd_and_bulk_lines_in_line_order(self, tmp_path, text, symmetrize, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path, symmetrize=symmetrize)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_odd_arcs_merged_in_line_order(self, tmp_path):
+        path = write(tmp_path, "# src dst\n0 1\n+1 2 0.5\n2\t3\n0 2 inf\n3 0 1e-3\n")
+        assert arc_list(load_edge_list(path, default_weight=0.7)) == [
+            (0, 1, 0.7), (1, 2, 0.5), (2, 3, 0.7), (0, 2, float("inf")), (3, 0, 1e-3),
+        ]
+
+    def test_header_then_bulk_lines(self, tmp_path):
+        lines = [f"{i} {(i * 7 + 1) % 5000}" for i in range(5000)]
+        topo = load_edge_list(write(tmp_path, "# src dst\n" + "\n".join(lines) + "\n"))
+        assert topo.n == 5000
+        assert topo.src.tolist() == list(range(5000))
+        assert topo.dst.tolist() == [(i * 7 + 1) % 5000 for i in range(5000)]
+        assert not topo.weight.any()
+
+    def test_node_id_too_large(self, tmp_path):
+        path = write(tmp_path, "0 1\n1 99999999999999999999\n")
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}: line 2: node id too large in '1 99999999999999999999'"
+        # a long id with leading zeros is read one line at a time
+        path = write(tmp_path, "0000000000000000000000001 0\n")
+        assert arc_list(load_edge_list(path)) == [(1, 0, 0.0)]
+
+    def test_invalid_utf8_reported_before_line_errors(self, tmp_path):
+        # the bad byte lies past the first read chunk of a text-mode file
+        path = tmp_path / "graph.txt"
+        arcs = "".join(f"{i} {i + 1}\n" for i in range(4000))
+        path.write_bytes(b"0 x\n" + arcs.encode() + b"0 1 \xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            load_edge_list(path)
+
+    def test_matches_loop_oracle_on_random_files(self, tmp_path):
+        rng = random.Random(20181)
+        loaded = {}
+        for case in range(200):
+            # two files of 12k lines, so that the bulk path runs in bulk
+            lines = 12_000 if case in (7, 150) else rng.randint(1, 60)
+            text = random_edge_list(rng, lines, faults=case == 150 or (case != 7 and rng.random() < 0.6))
+            path = tmp_path / f"graph{case}.txt"
+            path.write_bytes(text.encode("utf-8"))
+            for symmetrize, default in ((False, 0.0), (False, 0.25), (True, 0.25)):
+                try:
+                    expected = loop_load_edge_list(path, symmetrize, default)
+                except ValueError as exc:
+                    with pytest.raises(type(exc)) as got:
+                        load_edge_list(path, symmetrize, default)
+                    assert type(got.value) is type(exc)
+                    assert str(got.value) == str(exc), text
+                    continue
+                topo = load_edge_list(path, symmetrize, default)
+                loaded[case] = loaded.get(case, 0) + 1
+                assert topo.n == expected[0], text
+                for got_arr, want in zip((topo.src, topo.dst, topo.weight), expected[1:]):
+                    assert got_arr.dtype == want.dtype
+                    assert got_arr.tobytes() == want.tobytes(), text
+        assert loaded[7] == 3 and 150 not in loaded and len(loaded) > 60
+
     def test_load_save_load_idempotent(self, tmp_path):
         first = load_edge_list(write(tmp_path, "0 1 0.5\n1 2 -0.25\n2 0 0.1\n"))
         out = tmp_path / "roundtrip.txt"
@@ -111,6 +192,63 @@ class TestLoadEdgeList:
         second = load_edge_list(out)
         assert second.n == first.n
         assert arc_list(second) == arc_list(first)
+
+
+# lines of the kinds an edge-list file mixes, besides well-formed arcs:
+# comments and blanks, and malformed lines
+COMMENTS = ["# src dst", "   # indented", "#0 1", "\t#", "", "   ", "\t \t"]
+MALFORMED = ["0 1#x", "7", "0 1 2 3", "-1 2", "3 -4", "0 x", "0 1 1e", "0 1 1.2.3",
+             "1 2 -", "0 1 1e+", "1.0 2", "0 0x1"]
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def random_weight(rng):
+    return rng.choice([
+        str(rng.randint(-3, 9)), repr(rng.uniform(-1, 1)), f"{rng.uniform(0, 1):.3e}",
+        ".5", "5.", "-0", "1E-3", "+0.25", "007",
+    ])
+
+
+def odd_arc_line(rng, i: int, j: int) -> str:
+    """Arc (i, j) spelled so that only Python's int() and float() read it."""
+    return rng.choice([
+        f"+{i} {j}", f"{i} +{j} 0.5", f"{i} {j} inf", f"{i} {j} nan", f"{i} {j} 1_0",
+        f"{i}\x0c{j}", f"{i}\x0b{j} -2", str(i).translate(ARABIC_INDIC) + f" {j}",
+        f"{i:025d} {j}", f"{i} {j}\xa0",
+    ])
+
+
+def random_edge_list(rng, lines: int, faults: bool) -> str:
+    """An edge-list text of about ``lines`` lines of distinct arcs, mostly in
+    bulk spellings (leading zeros, tabs, integer and decimal weights), with
+    comments, blanks and odd spellings mixed in, plus duplicates and
+    malformed lines if ``faults``; random line endings, some files without a
+    final newline."""
+    n = max(4, int(lines ** 0.5) + 2)
+    arcs = rng.sample([(i, j) for i in range(n) for j in range(i, n)], k=min(lines, n * (n + 1) // 2))
+    kinds = ["bulk"] * 30 + ["comment"] * 3 + ["odd"] * 3 + ["dup", "bad"] * faults
+    out = []
+    for i, j in arcs:
+        kind = rng.choice(kinds)
+        if rng.random() < 0.5:
+            i, j = j, i
+        if kind == "comment":
+            out.append(rng.choice(COMMENTS))
+        elif kind == "odd":
+            out.append(odd_arc_line(rng, i, j))
+        elif kind == "bad":
+            out.append(rng.choice(MALFORMED))
+        elif kind == "dup" and out:
+            out.append(rng.choice(out))
+        else:
+            fields = ["0" * rng.randint(0, 2) + str(i), str(j)]
+            if rng.random() < 0.5:
+                fields.append(random_weight(rng))
+            line = rng.choice([" ", "\t", "  ", " \t"]).join(fields)
+            out.append(rng.choice(["", " ", "\t"]) + line + rng.choice(["", " ", "\t "]))
+    ending = rng.choice(["\n", "\r\n", "\r", None])
+    text = "".join(line + (ending or rng.choice(["\n", "\r\n", "\r"])) for line in out)
+    return text[:-1] if rng.random() < 0.2 else text
 
 
 def random_arcs(rng, n, m):
