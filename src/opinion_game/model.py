@@ -8,11 +8,14 @@ depends on its bias. Nodes are dense 0-based integers.
 
 Arcs stay numpy arrays from the edge-list file to the CSR matrix: a
 ``Topology`` holds ``src``, ``dst`` and ``weight`` arrays, and duplicate and
-range checks, symmetrizing and the CSR layout are array operations. The
-loader finds lines and fields with byte masks over the whole file and parses
-the well-formed lines with numpy in one pass; only the other lines go
-through Python's ``int()`` and ``float()``, one at a time, and only they
-word errors.
+range checks and symmetrizing are array operations. The loader finds lines
+and fields with byte masks over the whole file and parses the well-formed
+lines with numpy in one pass; only the other lines go through Python's
+``int()`` and ``float()``, one at a time, and only they word errors.
+Duplicates are found by one plain sort of packed (src, dst) keys; a stable
+lexsort runs only to name the repeat, or when the keys would overflow.
+``Network.build`` gets its CSR layout from scipy's COO conversion, one
+scatter by row that sums repeats, so a repeat shows as a missing entry.
 """
 
 from __future__ import annotations
@@ -73,15 +76,27 @@ class Topology:
         return np.bincount(self.src, minlength=self.n)
 
 
-def _arc_order(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, int | None]:
-    """Stable (src, dst) order of arcs whose ids lie in [0, n), and the index
-    of the first arc, in input order, that repeats an earlier (src, dst)."""
-    key = src * n + dst
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    # equal keys keep input order, so every later member of a run repeats
-    repeats = order[1:][sorted_key[1:] == sorted_key[:-1]]
-    return order, (int(repeats.min()) if repeats.size else None)
+# Largest node count n for which the key src * n + dst of ids in [0, n),
+# at most n * n - 1, fits in int64.
+_KEY_MAX_N = 3_037_000_499
+
+
+def _first_repeat(src: np.ndarray, dst: np.ndarray, n: int) -> int | None:
+    """Index of the first arc, in input order, that repeats an earlier
+    (src, dst), or None; ids lie in [0, n).
+
+    A plain sort of the key src * n + dst shows whether any pair repeats.
+    Only then, or when the key could overflow, a stable lexsort names the
+    repeat: equal pairs keep input order, so every later member of a run
+    repeats an earlier arc and the first repeat is the smallest of them."""
+    if n <= _KEY_MAX_N:
+        key = np.sort(src * n + dst)
+        if not (key[1:] == key[:-1]).any():
+            return None
+    order = np.lexsort((dst, src))
+    a, b = src[order], dst[order]
+    repeats = order[1:][(a[1:] == a[:-1]) & (b[1:] == b[:-1])]
+    return int(repeats.min()) if repeats.size else None
 
 
 # Bytes a bulk weight may hold; a bulk node id holds ASCII digits only, at
@@ -107,7 +122,8 @@ def _parse_line(path, lineno: int, raw: str, default: float) -> tuple[int, int, 
         raise ValueError(f"{path}: line {lineno}: could not parse {raw.strip()!r}") from None
     if i < 0 or j < 0:
         raise ValueError(f"{path}: line {lineno}: negative node id in {raw.strip()!r}")
-    if i > _INT64_MAX or j > _INT64_MAX:
+    # the node count, one more than the largest id, must fit in int64 too
+    if i >= _INT64_MAX or j >= _INT64_MAX:
         raise ValueError(f"{path}: line {lineno}: node id too large in {raw.strip()!r}")
     return i, j, w
 
@@ -268,7 +284,7 @@ def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) 
         a, b = np.stack([a, b], axis=1).ravel()[keep], np.stack([b, a], axis=1).ravel()[keep]
         weight = np.repeat(weight, 2)[keep]
         line = np.repeat(line, 2)[keep]
-    k = _arc_order(a, b, n)[1]
+    k = _first_repeat(a, b, n)
     if k is not None:
         raise ValueError(f"{path}: line {line[k]}: duplicate edge ({a[k]}, {b[k]})")
     return Topology(n, a, b, weight)
@@ -327,18 +343,19 @@ class Network:
             if arcs.ndim != 2 or arcs.shape[1] != 3:
                 raise ValueError(f"edges must be (src, dst, weight) triples, got shape {arcs.shape}")
             src, dst, weight = arcs[:, 0].astype(np.int64), arcs[:, 1].astype(np.int64), arcs[:, 2]
-        # errors name the first bad arc in input order: the first arc out of
-        # range, unless an arc before it repeats an earlier one
         bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
-        stop = int(bad[0]) if bad.size else len(src)
-        order, k = _arc_order(src[:stop], dst[:stop], n)
-        if k is not None:
-            raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
-        if bad.size:
+        if not bad.size:
+            # scatters the arcs by row, sorts each row's columns and sums
+            # repeats, so a repeat shows as a missing entry
+            mat = sparse.csr_array((weight, (src, dst)), shape=(n, n))
+        if bad.size or mat.nnz < len(src):
+            # errors name the first bad arc in input order: the first arc out
+            # of range, unless an arc before it repeats an earlier one
+            stop = int(bad[0]) if bad.size else len(src)
+            k = _first_repeat(src[:stop], dst[:stop], n)
+            if k is not None:
+                raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
             raise ValueError(f"edge ({src[stop]}, {dst[stop]}) out of range for n={n}")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        mat = sparse.csr_array((weight[order], dst[order], indptr), shape=(n, n))
         mat.data.setflags(write=False)
         return cls(
             n=n,

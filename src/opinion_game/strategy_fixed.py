@@ -4,14 +4,16 @@ With fixed weights the two camps' objectives decouple, so each camp can rank
 the 2n (node, phase) slots by their per-unit worth: s_i * w_i for a phase-1
 slot (the investment must survive into the final phase) and r_i * w_i for a
 phase-2 slot. The unbounded optimum sits on a single slot; under a per-node
-cap the optimum greedily fills slots in worth order, ranked by one stable
-numpy sort of the 2n worths.
+cap the optimum greedily fills slots in worth order. Only the slots the fill
+can reach, about budget / cap of them, are ranked: ``np.partition`` finds
+the worth threshold and a stable sort orders the slots at or above it.
 
 Ties are broken deterministically: phase 2 first, then the lowest node id.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +104,20 @@ def myopic_loss(net: Network, kb: float, profile: CentralityProfile | None = Non
     return kb * (best - achieved)
 
 
+def _by_worth(worth: np.ndarray, head: int):
+    """Indices in the order of ``np.argsort(-worth, kind="stable")``: worth
+    descending, ties by lowest index. Only the slots worth at least the
+    head-th largest are sorted up front; the rest only if they are read."""
+    top = 0
+    if head < len(worth):
+        kth = len(worth) - head
+        head_slots = np.flatnonzero(worth >= np.partition(worth, kth)[kth])
+        yield from head_slots[np.argsort(-worth[head_slots], kind="stable")]
+        top = len(head_slots)
+    if top < len(worth):
+        yield from np.argsort(-worth, kind="stable")[top:]
+
+
 def bounded_greedy(
     net: Network,
     budget: float,
@@ -118,12 +134,16 @@ def bounded_greedy(
     prof = _profile(net, profile)
     w = _camp_weights(net, camp)
     n = net.n
-    # phase-2 slots first, so a stable sort on worth alone breaks ties by
+    # phase-2 slots first, so a stable order on worth alone breaks ties by
     # phase 2 first, then the lowest node id
     worth = np.concatenate([prof.r * w, prof.s * w])
+    # top-k by partition: only the ceil(budget / cap) slots the fill takes,
+    # plus slack for rounding in the running remainder, are ranked up front
+    reach = budget / cap
+    head = math.ceil(reach) + 2 if reach < 2 * n else 2 * n
     x = np.zeros(2 * n)
     remaining = float(budget)
-    for k in np.argsort(-worth, kind="stable"):
+    for k in _by_worth(worth, head):
         if remaining <= 0 or worth[k] <= 0:
             break
         amount = min(cap, remaining)

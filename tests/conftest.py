@@ -186,8 +186,9 @@ def arc_list(topology: Topology) -> list[tuple[int, int, float]]:
 def loop_load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0):
     """(n, src, dst, weight) of an edge-list file read one line at a time:
     the first malformed line raises ValueError, then the first arc, in file
-    order, that repeats an earlier (src, dst). Ids of 2**63 or more are out
-    of its scope (numpy's int64 conversion raises OverflowError)."""
+    order, that repeats an earlier (src, dst). Ids of 2**63 - 1 or more are
+    out of its scope: the loader refuses them, since the node count would not
+    fit in int64."""
     src: list[int] = []
     dst: list[int] = []
     wts: list[float] = []

@@ -95,6 +95,14 @@ class TestCentralityCommand:
         assert code == 1
         assert f"error: {path}: line 2: node id too large in '1 99999999999999999999'" in err
 
+    def test_node_id_at_int64_max_fails_cleanly(self, capsys, tmp_path):
+        # the node count, one more than the id, would not fit in int64
+        path = tmp_path / "big.txt"
+        path.write_text("9223372036854775807 0\n")
+        code, _, err = run_cli(capsys, "centrality", "--graph", str(path))
+        assert code == 1
+        assert f"error: {path}: line 1: node id too large in '9223372036854775807 0'" in err
+
     def test_synthetic_fallback(self, capsys):
         code, out, err = run_cli(capsys, "centrality", "--seed", "1")
         assert code == 0

@@ -151,6 +151,35 @@ class TestLoadEdgeList:
         path = write(tmp_path, "0000000000000000000000001 0\n")
         assert arc_list(load_edge_list(path)) == [(1, 0, 0.0)]
 
+    def test_node_id_at_int64_max(self, tmp_path):
+        # the node count, 2**63, would not fit in int64
+        path = write(tmp_path, "0 1\n9223372036854775807 0\n")
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}: line 2: node id too large in '9223372036854775807 0'"
+        topo = load_edge_list(write(tmp_path, "9223372036854775806 0\n"))
+        assert topo.n == 2**63 - 1
+
+    def test_distinct_arcs_whose_packed_keys_wrap(self, tmp_path):
+        # n = 2**32 + 1: the packed key src * n + dst of both arcs wraps to
+        # one int64 value, yet the arcs differ (loaded only, never built, as
+        # a matrix this size needs 32 GiB)
+        topo = load_edge_list(write(tmp_path, "4294967296 0\n0 4294967296\n"))
+        assert topo.n == 2**32 + 1
+        assert arc_list(topo) == [(2**32, 0, 0.0), (0, 2**32, 0.0)]
+
+    @pytest.mark.parametrize("text, symmetrize, message", [
+        ("3100000000 7\n5 5\n3100000000 7 0.5\n", False, "line 3: duplicate edge (3100000000, 7)"),
+        ("3100000000 7\n7 3100000000\n", True, "line 2: duplicate edge (7, 3100000000)"),
+        ("9223372036854775806 1\n1 1\n9223372036854775806 1\n", False,
+         "line 3: duplicate edge (9223372036854775806, 1)"),
+    ])
+    def test_duplicate_with_ids_beyond_packed_keys(self, tmp_path, text, symmetrize, message):
+        path = write(tmp_path, text)
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path, symmetrize=symmetrize)
+        assert str(exc.value) == f"{path}: {message}"
+
     def test_invalid_utf8_reported_before_line_errors(self, tmp_path):
         # the bad byte lies past the first read chunk of a text-mode file
         path = tmp_path / "graph.txt"
@@ -269,6 +298,47 @@ class TestNetworkBuild:
                 for name in ("indptr", "indices", "data"):
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_matches_loop_oracle_on_20k_arcs(self):
+        rng = np.random.default_rng(211)
+        n = 3000
+        edges = random_arcs(rng, n, 20_000)
+        edges[::97] = [(i, j, 0.0) for i, j, _ in edges[::97]]
+        want = loop_build_weights(n, edges)
+        for source in (edges, Topology(n, *np.array(edges).reshape(-1, 3).T)):
+            got = Network.build(n, source).weights
+            assert got.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("edges, repeat", [
+        ([(0, 1, 0.0), (1, 2, 0.5), (0, 1, 0.0)], (0, 1)),
+        ([(2, 2, -0.0), (0, 1, 0.25), (2, 2, 0.0), (1, 0, 0.1)], (2, 2)),
+        ([(1, 0, 0.5), (1, 0, -0.5)], (1, 0)),
+    ])
+    def test_zero_weight_duplicates_rejected(self, edges, repeat):
+        # repeats that sum to zero still leave one entry fewer than arcs
+        with pytest.raises(ValueError) as exc:
+            Network.build(3, edges)
+        assert str(exc.value) == f"duplicate edge {repeat}"
+
+    def test_explicit_zero_weights_kept(self):
+        weights = Network.build(3, [(1, 2, 0.0), (0, 1, 0.5), (1, 0, -0.0), (2, 2, 0.0)]).weights
+        assert weights.nnz == 4
+        assert weights.indptr.tolist() == [0, 1, 3, 4]
+        assert weights.indices.tolist() == [1, 0, 2, 2]
+        assert weights.data.tolist() == [0.5, 0.0, 0.0, 0.0]
+        assert np.signbit(weights.data).tolist() == [False, True, False, False]
+
+    def test_weights_in_canonical_format(self):
+        rng = np.random.default_rng(223)
+        for n in (1, 2, 7, 40):
+            for edges in ([], random_arcs(rng, n, int(rng.integers(1, n * n + 1)))):
+                weights = Network.build(n, edges).weights
+                assert weights.has_canonical_format
+                assert weights.shape == (n, n) and weights.nnz == len(edges)
+                assert not weights.data.flags.writeable
 
     def test_errors_match_loop_oracle(self):
         # an injected duplicate and/or out-of-range arc: the first one in

@@ -19,6 +19,8 @@ from opinion_game import (
     run_phases,
 )
 
+from opinion_game.strategy_fixed import _by_worth
+
 from conftest import compositions, greedy_oracle, random_network, scored_slots, two_node_net
 
 
@@ -275,3 +277,108 @@ class TestScoredSlots:
         assert np.all(np.concatenate([prof.s * net.wg, prof.r * net.wg]) <= 0.0)
         plan = self.assert_matches_oracle(net, 7.0, GOOD, 1.0, prof)
         assert plan.total() == 0.0
+
+
+class TestTopKRanking:
+    """``bounded_greedy`` ranks only the slots at or above the worth of its
+    reachable head, about budget / cap slots; ties at that threshold, heads
+    that cover every slot and the full order past the head must all give
+    the scalar oracle's plan."""
+
+    assert_matches_oracle = TestScoredSlots.assert_matches_oracle
+
+    def cycle(self, n, wg=0.25):
+        return Network.build(n, [(i, (i + 1) % n, 0.5) for i in range(n)], w0=0.5, wg=wg)
+
+    def test_uniform_cycle_ties_every_slot(self):
+        # r = s = 2 everywhere: the threshold worth is every slot's worth, so
+        # all 2n slots are ranked though the fill reaches only four
+        n = 300
+        prof = CentralityProfile(r=np.full(n, 2.0), s=np.full(n, 2.0))
+        plan = self.assert_matches_oracle(self.cycle(n), 3.5, GOOD, 1.0, prof)
+        assert plan.x2.tolist() == [1.0, 1.0, 1.0, 0.5] + [0.0] * (n - 4)
+        assert plan.x1.tolist() == [0.0] * n
+
+    def test_ties_straddle_the_threshold(self):
+        # budget 2 reaches a head of four slots; the fourth-largest worth,
+        # 2, is shared by slots inside and outside the head, across phases
+        n = 8
+        r = np.array([1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0])
+        s = np.array([2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 2.0])
+        prof = CentralityProfile(r=r, s=s)
+        net = self.cycle(n)
+        plan = self.assert_matches_oracle(net, 2.0, GOOD, 1.0, prof)
+        assert plan.x2.tolist() == [0.0, 0.0, 1.0] + [0.0] * 5
+        assert plan.x1.tolist() == [0.0, 0.0, 0.0, 1.0] + [0.0] * 4
+        plan = self.assert_matches_oracle(net, 5.5, GOOD, 1.0, prof)
+        assert plan.x2.tolist() == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
+        assert plan.x1.tolist() == [0.5, 0.0, 0.0, 1.0] + [0.0] * 4
+
+    @pytest.mark.parametrize("budget, cap", [(2.0, 0.75), (0.75, 2.0), (2.0, 0.3), (7.0, 0.7)])
+    def test_fractional_budget_over_cap(self, budget, cap):
+        rng = np.random.default_rng(227)
+        net = random_network(rng, 25, nonneg=False)
+        prof = compute_profile(net)
+        for camp in (GOOD, BAD):
+            plan = self.assert_matches_oracle(net, budget, camp, cap, prof)
+            assert plan.total() <= budget + 1e-12
+            assert plan.violations(budget, cap) == []
+
+    def test_budget_beyond_every_slot(self):
+        # budget >= 2n caps: every positive slot fills, from the full order
+        n = 12
+        rng = np.random.default_rng(229)
+        net = random_network(rng, n)
+        prof = compute_profile(net)
+        for budget in (2 * n * 1.5, 2 * n * 1.5 + 0.25, 1e6, np.inf):
+            plan = self.assert_matches_oracle(net, budget, GOOD, 1.5, prof)
+            worth = np.concatenate([prof.s * net.wg, prof.r * net.wg])
+            filled = np.concatenate([plan.x1, plan.x2])
+            assert np.array_equal(filled > 0, worth > 0)
+
+    def test_zero_budget(self):
+        n = 50
+        prof = CentralityProfile(r=np.arange(n, 0.0, -1.0), s=np.full(n, 1.0))
+        plan = self.assert_matches_oracle(self.cycle(n), 0.0, GOOD, 1.0, prof)
+        assert plan.total() == 0.0
+
+    def test_no_positive_worth(self):
+        # every worth is zero or negative, so nothing fills even though the
+        # head covers the largest worths
+        n = 40
+        rng = np.random.default_rng(233)
+        r = -rng.integers(0, 3, n).astype(float)
+        s = -rng.integers(0, 3, n).astype(float)
+        r[::7] = 0.0
+        prof = CentralityProfile(r=r, s=s)
+        for budget in (0.5, 3.0, 100.0):
+            plan = self.assert_matches_oracle(self.cycle(n), budget, GOOD, 1.0, prof)
+            assert plan.total() == 0.0
+
+    def test_seeded_sweep_of_budgets_and_caps(self):
+        rng = np.random.default_rng(239)
+        for trial in range(60):
+            n = int(rng.integers(1, 60))
+            net = random_network(rng, n, nonneg=bool(trial % 2), density=0.2)
+            if trial % 3 == 0:
+                # few distinct worths, so ties are common at every threshold
+                prof = CentralityProfile(r=rng.integers(-1, 3, n) / 2.0, s=rng.integers(-1, 3, n) / 2.0)
+            else:
+                prof = compute_profile(net)
+            cap = float(rng.choice([0.1, 0.75, 1.0, 3.0]))
+            budget = float(rng.choice([rng.uniform(0.0, 4.0 * cap), rng.uniform(0.0, 2.5 * n * cap)]))
+            for camp in (GOOD, BAD):
+                self.assert_matches_oracle(net, budget, camp, cap, prof)
+
+    def test_order_past_the_head_is_the_full_stable_order(self):
+        # the greedy stops inside the head; read to the end, the order is
+        # still exactly the full stable sort, whatever the head
+        rng = np.random.default_rng(241)
+        for _ in range(40):
+            size = int(rng.integers(1, 50))
+            worth = rng.integers(-3, 4, size) / 4.0
+            if rng.random() < 0.3:
+                worth[rng.integers(0, size)] = np.nan
+            want = np.argsort(-worth, kind="stable").tolist()
+            for head in sorted({1, 2, int(rng.integers(1, size + 1)), size}):
+                assert [int(k) for k in _by_worth(worth, head)] == want
