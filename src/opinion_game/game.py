@@ -122,11 +122,27 @@ def solve_zero_sum(
         raise GameSolverError(f"degenerate optimum (objective {total:.3e}) on shifted payoffs")
 
     z = np.zeros(ncols + nrows)
-    for k, var in enumerate(basis):
-        z[var] = tableau[k + 1, -1]
+    z[basis] = tableau[1:, -1]
+    duals = tableau[0, ncols:ncols + nrows]
+    # The tableau carries the rounding of every pivot, and pivots on small
+    # differences of near-equal payoffs amplify it well past machine
+    # precision. Re-solving the final basis against the original data
+    # recovers the primal and dual solutions to machine accuracy.
+    constraints = np.hstack([shifted, np.eye(nrows)])
+    basic = constraints[:, basis]
+    try:
+        z_basic = np.linalg.solve(basic, np.ones(nrows))
+        refined = np.linalg.solve(basic.T, (np.asarray(basis) < ncols).astype(float))
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.all(np.isfinite(z_basic)) and np.all(np.isfinite(refined)):
+            z[basis] = z_basic
+            duals = refined
+            total = float(z_basic[np.asarray(basis) < ncols].sum())
     col_mix = np.maximum(z[:ncols], 0.0)
     col_mix /= col_mix.sum()
-    duals = np.maximum(tableau[0, ncols:ncols + nrows], 0.0)
+    duals = np.maximum(duals, 0.0)
     row_mix = duals / duals.sum()
     value = 1.0 / total - shift
     return row_mix, col_mix, float(value)

@@ -99,6 +99,25 @@ class TestSolverProperties:
         assert float((row @ payoff).min()) == pytest.approx(value, abs=1e-9)
         assert float((payoff @ col).max()) == pytest.approx(value, abs=1e-9)
 
+    @pytest.mark.parametrize("payoff", [
+        [[2.0**-24, 0.0, -1.0, 2.0**-24, 2.0**-24, 2.0**-24],
+         [2.0**-24, 2.0**-24, -3.0, 2.0**-24, 2.0**-24, 2.0**-24],
+         [-1.0, 2.0**-24, 2.0**-24, 2.0**-24, 2.0**-24, 2.0**-24],
+         [-1.0, 2.0**-24, 2.0**-24, 2.0**-24, 2.0**-24, 2.0**-24]],
+        [[2.0**-24, 0.0, -1.0, 2.0**-24, 2.0**-24],
+         [2.0**-24, 2.0**-24, -2.0, 2.0**-24, 2.0**-24],
+         [2.0**-24, -1.0, 2.0**-24, 2.0**-24, 2.0**-24],
+         [2.0**-24, -1.0, 2.0**-24, 2.0**-24, 2.0**-24]],
+    ])
+    def test_near_tied_payoffs_keep_machine_accuracy(self, payoff):
+        # pivots on differences of near-equal payoffs once left the mixes
+        # off by about 1e-9, which broke the equilibrium gaps above
+        payoff = np.array(payoff)
+        row, col, value = solve_zero_sum(payoff)
+        row_gain, col_gain = deviation_gaps(payoff, row, col, value)
+        assert row_gain <= 1e-12
+        assert col_gain <= 1e-12
+
     def test_duality_gap_up_to_50x50(self):
         rng = np.random.default_rng(73)
         for _ in range(15):
