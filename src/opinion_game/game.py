@@ -28,11 +28,9 @@ class GameSolverError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class MatrixGame:
     """A zero-sum game: the row player maximizes ``payoff``, the column player
-    minimizes it. Labels are optional strategy names for reporting."""
+    minimizes it."""
 
     payoff: np.ndarray
-    row_labels: tuple[str, ...] | None = None
-    col_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         mat = np.asarray(self.payoff, dtype=float)
@@ -41,10 +39,6 @@ class MatrixGame:
         if not np.all(np.isfinite(mat)):
             raise ValueError("payoff matrix has non-finite entries")
         object.__setattr__(self, "payoff", mat)
-        if self.row_labels is not None and len(self.row_labels) != mat.shape[0]:
-            raise ValueError("row_labels length does not match payoff rows")
-        if self.col_labels is not None and len(self.col_labels) != mat.shape[1]:
-            raise ValueError("col_labels length does not match payoff columns")
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:

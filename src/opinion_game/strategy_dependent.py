@@ -19,9 +19,14 @@ settling each pair's split in closed form. With two camps the
 (n^2+1) x (n^2+1) payoff matrix of saddle values feeds the zero-sum solver
 in :mod:`opinion_game.game`. It is assembled in n x (n^2+1) row blocks, one
 per phase-1 node of the good camp, by a vectorized kernel that finds each
-box saddle exactly: the optimum of each camp's outer problem is a box
-endpoint, a piece breakpoint or a piece stationary point, so only those
-candidates are scored.
+box saddle exactly. The good camp's maximin split is a box endpoint, a
+piece breakpoint or a piece stationary point of its outer problem, so only
+those candidates are scored. By Sion's minimax theorem the bad camp's split
+is then its best reply to that split, unique where the objective is
+strictly convex in it: one clamped stationary point. The mirrored candidate
+search over the bad camp's outer problem still runs where that reply is not
+unique (zero curvature), where the objective is not concave in the good
+camp's split, and where the clamp would amplify the good camp's rounding.
 """
 
 from __future__ import annotations
@@ -130,21 +135,21 @@ def _outer_split(px, py, pxx, pyy, pxy, kx, ky):
     points; undefined or out-of-box candidates drop out and the first
     maximizer is kept.
     """
+    shape = np.broadcast_shapes(*(np.shape(p) for p in (px, py, pxx, pyy, pxy, kx, ky)))
+    cands = np.empty((7, *shape))
     with np.errstate(all="ignore"):
         convex = pyy > 0.0
-        cands = np.stack(np.broadcast_arrays(
-            0.0,
-            kx,
-            -np.where(convex, py, py + pyy * ky) / pxy,
-            np.where(convex, -(py + 2.0 * pyy * ky) / pxy, np.nan),
-            -px / (2.0 * pxx),
-            -(px + pxy * ky) / (2.0 * pxx),
-            np.where(
-                convex,
-                -(px - pxy * py / (2.0 * pyy)) / (2.0 * (pxx - pxy * pxy / (4.0 * pyy))),
-                np.nan,
-            ),
-        ))
+        cands[0] = 0.0
+        cands[1] = kx
+        cands[2] = -np.where(convex, py, py + pyy * ky) / pxy
+        cands[3] = np.where(convex, -(py + 2.0 * pyy * ky) / pxy, np.nan)
+        cands[4] = -px / (2.0 * pxx)
+        cands[5] = -(px + pxy * ky) / (2.0 * pxx)
+        cands[6] = np.where(
+            convex,
+            -(px - pxy * py / (2.0 * pyy)) / (2.0 * (pxx - pxy * pxy / (4.0 * pyy))),
+            np.nan,
+        )
         slope = py + pxy * cands
         y = np.where(
             convex,
@@ -152,7 +157,7 @@ def _outer_split(px, py, pxx, pyy, pxy, kx, ky):
             np.where(slope * ky + pyy * ky * ky >= 0.0, 0.0, ky),
         )
         score = px * cands + pxx * cands * cands + slope * y + pyy * y * y
-        score = np.where((cands >= 0.0) & (cands <= kx), score, -np.inf)
+        score[~((cands >= 0.0) & (cands <= kx))] = -np.inf
     best = np.expand_dims(np.argmax(score, axis=0), 0)
     return np.take_along_axis(cands, best, axis=0)[0]
 
@@ -166,12 +171,34 @@ def _box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb):
     Returns (value, a, b): a maximizes min_b u and b minimizes max_a u, so
     neither camp gains by changing its own split. A camp whose budget is 0
     keeps a split of 0, which is how stay-out profiles are solved.
+
+    a is the first maximizer found by :func:`_outer_split`. When u is
+    concave in a and strictly convex in b (qaa <= 0 < qbb), the saddle
+    points form a product A* x B*, and every b in B* minimizes u(a*, .) for
+    a* in A* (Sion's minimax theorem); that minimizer is unique, so b is the
+    clamped stationary point of u(a, .), the bad camp's best reply. The
+    clamp moves b by qab / (2 qbb) per unit of a, so it is used only where
+    |qab| kg <= 2^13 qbb kb: a rounding error of one ulp of kg in a then
+    moves b by at most about 2^-40 kb. The remaining entries with kb > 0
+    (qbb <= 0, where u(a, .) may have several minimizers; qaa > 0, where u
+    is not concave in a; and near-linear b) take b from the mirrored
+    search, the first minimizer of max_a u.
     """
     u00, qa, qb, qaa, qbb, qab, kg, kb = (
         np.asarray(x, dtype=float) for x in (u00, qa, qb, qaa, qbb, qab, kg, kb)
     )
     a = _outer_split(qa, qb, qaa, qbb, qab, kg, kb)
-    b = _outer_split(-qb, -qa, -qbb, -qaa, -qab, kb, kg)
+    spends = kb > 0.0
+    with np.errstate(all="ignore"):
+        # + 0.0 turns the clamp's -0.0 into the +0.0 the search returns
+        b = np.where(spends, np.clip(-(qb + qab * a) / (2.0 * qbb), 0.0, kb) + 0.0, 0.0)
+        reply = (qaa <= 0.0) & (qbb > 0.0) & (np.abs(qab) * kg <= 2.0**13 * qbb * kb)
+    mirror = np.broadcast_to(spends & ~reply, b.shape)
+    if mirror.any():
+        pa, pb, paa, pbb, pab, ka, kd = (
+            np.broadcast_to(x, b.shape)[mirror] for x in (qa, qb, qaa, qbb, qab, kg, kb)
+        )
+        b[mirror] = _outer_split(-pb, -pa, -pbb, -paa, -pab, kd, ka)
     value = u00 + qa * a + qb * b + qaa * a * a + qbb * b * b + qab * a * b
     return value, a, b
 
@@ -233,9 +260,8 @@ def profile_utility(
     kg - kg1 and kb - kb1 go to phase 2. The good camp's split maximizes and
     the bad camp's minimizes the quadratic objective over the budget box.
     This is one entry of the payoff that :func:`two_camp_equilibrium`
-    assembles in blocks, solved by the same exact saddle kernel, which
-    scores only the box endpoints, piece breakpoints and piece stationary
-    points of the two outer problems.
+    assembles in blocks, solved by the same exact saddle kernel
+    (:func:`_box_saddle`).
     """
     if kg < 0 or kb < 0:
         raise ValueError("budgets must be nonnegative")

@@ -167,6 +167,54 @@ def interior_saddle(qa, qb, qaa, qbb, qab):
     return float(a), float(b)
 
 
+def outer_split(px, py, pxx, pyy, pxy, kx, ky):
+    """First maximizer over [0, kx] of min over y in [0, ky] of
+
+        p(x, y) = px x + py y + pxx x^2 + pyy y^2 + pxy x y,
+
+    elementwise, from the box endpoints, piece breakpoints and piece
+    stationary points, scored in that order; the candidates are stacked from
+    broadcast arrays and out-of-box scores dropped with ``np.where``."""
+    with np.errstate(all="ignore"):
+        convex = pyy > 0.0
+        cands = np.stack(np.broadcast_arrays(
+            0.0,
+            kx,
+            -np.where(convex, py, py + pyy * ky) / pxy,
+            np.where(convex, -(py + 2.0 * pyy * ky) / pxy, np.nan),
+            -px / (2.0 * pxx),
+            -(px + pxy * ky) / (2.0 * pxx),
+            np.where(
+                convex,
+                -(px - pxy * py / (2.0 * pyy)) / (2.0 * (pxx - pxy * pxy / (4.0 * pyy))),
+                np.nan,
+            ),
+        ))
+        slope = py + pxy * cands
+        y = np.where(
+            convex,
+            np.clip(-slope / (2.0 * pyy), 0.0, ky),
+            np.where(slope * ky + pyy * ky * ky >= 0.0, 0.0, ky),
+        )
+        score = px * cands + pxx * cands * cands + slope * y + pyy * y * y
+        score = np.where((cands >= 0.0) & (cands <= kx), score, -np.inf)
+    best = np.expand_dims(np.argmax(score, axis=0), 0)
+    return np.take_along_axis(cands, best, axis=0)[0]
+
+
+def mirrored_box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb):
+    """(value, a, b) of the box saddle of u00 + qa a + qb b + qaa a^2 +
+    qbb b^2 + qab a b over [0, kg] x [0, kb] from two candidate searches,
+    one per camp: a maximizes min_b u and b minimizes max_a u."""
+    u00, qa, qb, qaa, qbb, qab, kg, kb = (
+        np.asarray(x, dtype=float) for x in (u00, qa, qb, qaa, qbb, qab, kg, kb)
+    )
+    a = outer_split(qa, qb, qaa, qbb, qab, kg, kb)
+    b = outer_split(-qb, -qa, -qbb, -qaa, -qab, kb, kg)
+    value = u00 + qa * a + qb * b + qaa * a * a + qbb * b * b + qab * a * b
+    return value, a, b
+
+
 def compositions(total_units: int, bins: int):
     """All nonnegative integer tuples of length ``bins`` summing to at most
     ``total_units`` (grid enumeration for brute-force allocation oracles)."""

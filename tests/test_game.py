@@ -69,10 +69,6 @@ class TestInputChecks:
         with pytest.raises(ValueError):
             MatrixGame(np.zeros((0, 3)))
 
-    def test_label_lengths_checked(self):
-        with pytest.raises(ValueError):
-            MatrixGame(np.zeros((2, 2)), row_labels=("a",))
-
     def test_pivot_cap_raises(self):
         with pytest.raises(GameSolverError, match="pivot cap"):
             solve_zero_sum(np.eye(4), max_pivots=1)

@@ -22,6 +22,7 @@ from opinion_game.strategy_dependent import _box_saddle
 from conftest import (
     dependency_two_phase_sum,
     interior_saddle,
+    mirrored_box_saddle,
     quad_coefficients,
     random_network,
     two_node_net,
@@ -286,6 +287,75 @@ class TestProfileUtility:
         assert (value, a, b) == (-0.5, 0.0, 3.0)
         net = Network.build(2, [(0, 1, 0.5), (1, 0, 0.5)], w0=0.3, v0=[0.5, -0.5], theta=0.0)
         assert profile_utility(net, (0, 1), (1, 0), 10.0, 5.0)[1:] == (0.0, 0.0)
+
+    def test_clamped_reply_is_positive_zero(self):
+        # the bad camp's best reply -(qb + qab a) / (2 qbb) is -0.0 here
+        _, _, b = _box_saddle(2.5, 0.0, 0.0, 0.0, 1.0, 0.0, 4.0, 3.0)
+        assert b == 0.0 and not np.signbit(b)
+
+    def test_best_reply_matches_mirrored_search(self):
+        # 2,400 coefficient sets in eight families against the two-search
+        # kernel: concave-convex, qbb = 0, qaa = 0, qaa > 0 (no saddle
+        # guaranteed), qab = 0, a zero budget, qbb near the underflow limit
+        # and small qbb, where the clamp would amplify a's rounding
+        rng = np.random.default_rng(173)
+        per = 300
+
+        def draw():
+            return [
+                rng.normal(0.0, 5.0, per),
+                rng.normal(0.0, 3.0, per),
+                rng.normal(0.0, 3.0, per),
+                -rng.exponential(0.3, per),
+                rng.exponential(0.3, per),
+                rng.normal(0.0, 0.5, per),
+                rng.uniform(0.5, 40.0, per),
+                rng.uniform(0.5, 40.0, per),
+            ]
+
+        families = {}
+        families["concave-convex"] = draw()
+        for name, k, values in (
+            ("qbb = 0", 4, np.zeros(per)),
+            ("qaa = 0", 3, np.zeros(per)),
+            ("qab = 0", 5, np.zeros(per)),
+            ("qbb ~ 1e-300", 4, 1e-300 * rng.uniform(0.5, 2.0, per)),
+            ("small qbb", 4, 10.0 ** rng.uniform(-14.0, -2.0, per)),
+        ):
+            families[name] = draw()
+            families[name][k] = values
+        families["qaa > 0"] = draw()
+        families["qaa > 0"][3] *= -1.0
+        coefs = draw()
+        # a zero budget, half of them with the stay-out coefficients (the
+        # idle camp's linear, square and coupling terms vanish)
+        good_out = rng.random(per) < 0.5
+        idle = rng.random(per) < 0.5
+        for k in (6, 1, 3, 5):
+            coefs[k] = np.where(good_out & (idle | (k == 6)), 0.0, coefs[k])
+        for k in (7, 2, 4, 5):
+            coefs[k] = np.where(~good_out & (idle | (k == 7)), 0.0, coefs[k])
+        families["zero budget"] = coefs
+
+        grid = np.linspace(0.0, 1.0, 201)
+        for name, coefs in families.items():
+            kg, kb = coefs[6], coefs[7]
+            value, a, b = _box_saddle(*coefs)
+            value_o, a_o, b_o = mirrored_box_saddle(*coefs)
+            tol = 1e-9 * (1.0 + np.abs(value_o))
+            assert np.array_equal(a, a_o), name
+            assert np.all(np.abs(b - b_o) <= tol), name
+            assert np.all(np.abs(value - value_o) <= tol), name
+            if name == "qaa > 0":
+                continue
+
+            c = [x[:, None] for x in coefs]
+
+            def u(t, s):
+                return c[0] + c[1] * t + c[2] * s + c[3] * t * t + c[4] * s * s + c[5] * t * s
+
+            assert np.all(u(grid * kg[:, None], b[:, None]).max(axis=1) <= value + tol), name
+            assert np.all(u(a[:, None], grid * kb[:, None]).min(axis=1) >= value - tol), name
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
