@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -14,12 +15,10 @@ import numpy as np
 from . import harness
 from .dynamics import ConvergenceError, iter_phases
 from .game import GameSolverError
-from .model import (
-    BAD, GOOD, Budgets, InvestmentPlan, Network, _as_vector, load_edge_list, validate,
-)
+from .model import BAD, GOOD, Budgets, Network, _as_vector, load_edge_list, validate
 from .centrality import compute_profile
 from .strategy_dependent import single_camp_optimal, two_camp_equilibrium
-from .strategy_fixed import bounded_greedy, evaluate_two_phase, farsighted_unbounded, myopic_loss
+from .strategy_fixed import bounded_greedy, evaluate_two_phase, myopic_loss
 
 #: node count of the synthetic fallback graph used when --graph is omitted
 SYNTHETIC_NODES = 300
@@ -104,17 +103,13 @@ def _cmd_steady_state(args) -> None:
 def _cmd_strategy_fixed(args) -> None:
     net = _network(args, "fixed")
     prof = compute_profile(net)
-    plans = {}
-    for camp, budget in ((GOOD, args.kg), (BAD, args.kb)):
-        if args.bounded:
-            plans[camp] = bounded_greedy(net, budget, camp, cap=args.cap, profile=prof)
-        else:
-            pure = farsighted_unbounded(net, budget, camp, profile=prof)
-            x1 = np.zeros(net.n)
-            x2 = np.zeros(net.n)
-            if pure.node is not None:
-                (x1 if pure.phase == 1 else x2)[pure.node] = pure.amount
-            plans[camp] = InvestmentPlan(camp, x1, x2)
+    # with no cap the greedy fill puts the whole budget on the best slot,
+    # the farsighted unbounded optimum
+    cap = args.cap if args.bounded else math.inf
+    plans = {
+        camp: bounded_greedy(net, budget, camp, cap=cap, profile=prof)
+        for camp, budget in ((GOOD, args.kg), (BAD, args.kb))
+    }
     objective = evaluate_two_phase(
         net, plans[GOOD].x1, plans[GOOD].x2, plans[BAD].x1, plans[BAD].x2, profile=prof
     )
@@ -144,7 +139,7 @@ def _cmd_strategy_dep(args) -> None:
         rows = [[profile.alpha, profile.beta, profile.k1, profile.k2, value]]
         _emit(rows, ["alpha", "beta", "kg1", "kg2", "value"], args.out)
         return
-    solution = two_camp_equilibrium(net, args.kg, args.kb, max_nodes=args.max_nodes)
+    solution = two_camp_equilibrium(net, args.kg, args.kb)
     rows = []
     for i, p in enumerate(solution.row_mix):
         if p <= 1e-9:
@@ -174,8 +169,7 @@ def _cmd_sweep(args) -> None:
     scheme = _scheme(args)
     topology = _load_topology(args)
     rows = harness.sweep_w0(
-        topology, scheme, mode, Budgets(args.kg, args.kb),
-        bounded_cap=args.cap, max_nodes=args.max_nodes,
+        topology, scheme, mode, Budgets(args.kg, args.kb), bounded_cap=args.cap
     )
     table = [[row[col] for col in harness.SWEEP_COLUMNS] for row in rows]
     _emit(table, list(harness.SWEEP_COLUMNS), args.out)
@@ -208,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=float, default=1.0, help="per-node per-phase investment cap")
     common.add_argument("--out", help="CSV output path (stdout if omitted)")
     common.add_argument("--seed", type=int, default=0, help="seed for synthetic graph generation")
-    common.add_argument("--max-nodes", type=int, default=40, dest="max_nodes",
-                        help="refusal guard for the two-camp dependency game")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

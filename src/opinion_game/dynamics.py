@@ -156,7 +156,7 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValueError(f"rhs must be a length-{n} vector or an {n} x k block, got {rhs.shape}")
-    mat = net.weights_t if transpose else net.weights
+    mat = net.weights.T if transpose else net.weights  # .T: a CSC view, no copy
     delta = dense_resolvent(net)
     if delta is None:
         rho = float(net.row_abs_sums.max())

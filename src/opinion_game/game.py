@@ -20,6 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: reduced costs below -PIVOT_TOL improve; pivot entries must exceed it
+PIVOT_TOL = 1e-12
+
 
 class GameSolverError(RuntimeError):
     """Simplex failed to terminate cleanly; the message carries diagnostics."""
@@ -48,51 +51,43 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= np.outer(factors, tableau[row])
 
 
-def _simplex_bland(tableau: np.ndarray, basis: list[int], tol: float, max_pivots: int) -> int:
+def _simplex_bland(tableau: np.ndarray, basis: np.ndarray, cap: int) -> int:
     """Primal simplex on a maximization tableau, Bland's rule for entering and
-    leaving variables. Returns the pivot count."""
+    leaving variables: the first improving column enters, and of the rows
+    with the least ratio the one with the smallest basic index leaves.
+    Returns the pivot count."""
     nrows = tableau.shape[0] - 1
     ncols = tableau.shape[1] - 1
-    for pivots in range(max_pivots):
-        enter = -1
-        for j in range(ncols):
-            if tableau[0, j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+    for pivots in range(cap):
+        improving = np.flatnonzero(tableau[0, :-1] < -PIVOT_TOL)
+        if not improving.size:
             return pivots
+        enter = improving[0]
         col = tableau[1:, enter]
-        leave = -1
-        best_ratio = np.inf
-        for i in range(nrows):
-            if col[i] > tol:
-                ratio = tableau[i + 1, -1] / col[i]
-                if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leave]):
-                    best_ratio = ratio
-                    leave = i
-        if leave < 0:
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if not rows.size:
             raise GameSolverError("unbounded pivot column; payoff matrix is ill-formed")
+        ratios = tableau[1:, -1][rows] / col[rows]
+        ties = rows[ratios == ratios.min()]
+        leave = ties[np.argmin(basis[ties])]
         _pivot(tableau, leave + 1, enter)
         basis[leave] = enter
     raise GameSolverError(
-        f"pivot cap {max_pivots} exceeded on a {nrows}x{ncols - nrows} game "
+        f"pivot cap {cap} exceeded on a {nrows}x{ncols - nrows} game "
         f"(payoff range [{tableau.min():.3g}, {tableau.max():.3g}]); "
         "the matrix is likely too ill-conditioned for this solver"
     )
 
 
-def solve_zero_sum(
-    game: MatrixGame | np.ndarray,
-    *,
-    tol: float = 1e-12,
-    max_pivots: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
+def solve_zero_sum(game: MatrixGame | np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Optimal mixed strategies and value of a zero-sum matrix game.
 
     Returns (row_mix, col_mix, value): row_mix maximizes the minimum column
     expectation, col_mix minimizes the maximum row expectation, and both
     guarantee ``value``. Ties among optimal bases are resolved by pivot
-    order, so only the value is contract-stable.
+    order, so only the value is contract-stable. The solver takes no
+    options: it pivots with tolerance ``PIVOT_TOL`` and raises
+    GameSolverError after 1000 + 50 (rows + cols) pivots.
     """
     if not isinstance(game, MatrixGame):
         game = MatrixGame(np.asarray(game, dtype=float))
@@ -107,12 +102,11 @@ def solve_zero_sum(
     tableau[1:, :ncols] = shifted
     tableau[1:, ncols:ncols + nrows] = np.eye(nrows)
     tableau[1:, -1] = 1.0
-    basis = list(range(ncols, ncols + nrows))
-    cap = max_pivots if max_pivots is not None else 1000 + 50 * (nrows + ncols)
-    _simplex_bland(tableau, basis, tol, cap)
+    basis = np.arange(ncols, ncols + nrows)
+    _simplex_bland(tableau, basis, 1000 + 50 * (nrows + ncols))
 
     total = float(tableau[0, -1])
-    if not np.isfinite(total) or total <= tol:
+    if not np.isfinite(total) or total <= PIVOT_TOL:
         raise GameSolverError(f"degenerate optimum (objective {total:.3e}) on shifted payoffs")
 
     z = np.zeros(ncols + nrows)
@@ -126,14 +120,14 @@ def solve_zero_sum(
     basic = constraints[:, basis]
     try:
         z_basic = np.linalg.solve(basic, np.ones(nrows))
-        refined = np.linalg.solve(basic.T, (np.asarray(basis) < ncols).astype(float))
+        refined = np.linalg.solve(basic.T, (basis < ncols).astype(float))
     except np.linalg.LinAlgError:
         pass
     else:
         if np.all(np.isfinite(z_basic)) and np.all(np.isfinite(refined)):
             z[basis] = z_basic
             duals = refined
-            total = float(z_basic[np.asarray(basis) < ncols].sum())
+            total = float(z_basic[basis < ncols].sum())
     col_mix = np.maximum(z[:ncols], 0.0)
     col_mix /= col_mix.sum()
     duals = np.maximum(duals, 0.0)

@@ -114,7 +114,6 @@ def sweep_point(
     budgets: Budgets | None = None,
     *,
     bounded_cap: float = 1.0,
-    max_nodes: int = 40,
 ) -> dict:
     """One sweep row: generate weights at w0, run the mode's optimizer, and
     report the phase budgets and objective (columns in SWEEP_COLUMNS)."""
@@ -147,7 +146,7 @@ def sweep_point(
             "objective": value,
             "myopic_loss": None,
         }
-    solution = two_camp_equilibrium(net, budgets.kg, budgets.kb, max_nodes=max_nodes)
+    solution = two_camp_equilibrium(net, budgets.kg, budgets.kb)
     eg1, eb1 = _expected_splits(solution)
     return {
         "w0": w0,
@@ -167,14 +166,10 @@ def sweep_w0(
     budgets: Budgets | None = None,
     *,
     bounded_cap: float = 1.0,
-    max_nodes: int = 40,
 ) -> list[dict]:
     """Run :func:`sweep_point` for every grid value; one row per w0."""
     scheme = scheme if scheme is not None else WeightScheme()
     return [
-        sweep_point(
-            topology, w0, scheme, mode, budgets,
-            bounded_cap=bounded_cap, max_nodes=max_nodes,
-        )
+        sweep_point(topology, w0, scheme, mode, budgets, bounded_cap=bounded_cap)
         for w0 in scheme.w0_grid
     ]

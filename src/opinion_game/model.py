@@ -367,17 +367,6 @@ class Network:
             theta=_as_vector(theta, n, "theta"),
         )
 
-    @classmethod
-    def from_topology(cls, topology: Topology, **params) -> "Network":
-        return cls.build(topology.n, topology, **params)
-
-    @cached_property
-    def weights_t(self) -> sparse.csr_array:
-        """The transposed weights in CSR form, for solves with w^T."""
-        mat = self.weights.T.tocsr()
-        mat.data.setflags(write=False)
-        return mat
-
     @cached_property
     def resolvent(self) -> np.ndarray:
         """Dense (I - w)^{-1}; raises numpy's LinAlgError when I - w is singular."""

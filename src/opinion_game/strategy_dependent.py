@@ -17,7 +17,8 @@ facts keep the problem tractable:
 The single-camp optimum scans all n^2 node pairs in blocks of phase-1 nodes,
 settling each pair's split in closed form. With two camps the
 (n^2+1) x (n^2+1) payoff matrix of saddle values feeds the zero-sum solver
-in :mod:`opinion_game.game`. It is assembled in n x (n^2+1) row blocks, one
+in :mod:`opinion_game.game`; networks above ``MAX_GAME_NODES`` nodes are
+refused. The payoff is assembled in n x (n^2+1) row blocks, one
 per phase-1 node of the good camp, by a vectorized kernel that finds each
 box saddle exactly. The good camp's maximin split is a box endpoint, a
 piece breakpoint or a piece stationary point of its outer problem, so only
@@ -43,7 +44,8 @@ from .model import Network
 
 Pair = tuple[int, int]
 
-#: default node-count guard for the two-camp game assembly
+#: largest network the two-camp game is assembled for: its payoff has
+#: (n^2+1)^2 entries, 2.7 million at 40 nodes
 MAX_GAME_NODES = 40
 #: entries of one block of the single-camp scan, (phase-1 nodes) x n; of
 #: 2^14..2^20 this gave the lowest peak memory, at a speed within noise of
@@ -98,14 +100,15 @@ class DependencyCoefficients:
     matrix, b[j, i] = r[j] * w0[j] * delta[j, i], measures how strongly a
     unit of phase-1 opinion at node i resurfaces in the final phase through
     node j's bias; its row sums over j reproduce s. s_total = sum_ij c_i b_ji
-    is the objective when nobody invests. Rows come from
+    is the objective when nobody invests. r and s are solved once, when the
+    instance is made; rows come from
     :func:`~opinion_game.centrality.delta_row` on demand, cached per node.
     """
 
-    def __init__(self, net: Network, r: np.ndarray | None = None, s: np.ndarray | None = None):
+    def __init__(self, net: Network):
         self.net = net
-        self.r = katz_r(net) if r is None else np.asarray(r, dtype=float)
-        self.s = katz_s(net, self.r) if s is None else np.asarray(s, dtype=float)
+        self.r = katz_r(net)
+        self.s = katz_s(net, self.r)
         self.c = net.w0 * net.v0
         self.theta = net.theta
         self.s_total = float(self.c @ self.s)
@@ -371,7 +374,6 @@ def two_camp_equilibrium(
     net: Network,
     kg: float,
     kb: float,
-    max_nodes: int = MAX_GAME_NODES,
     coefficients: DependencyCoefficients | None = None,
 ) -> GameSolution:
     """Assemble the (n^2+1)-strategy zero-sum game over pure profiles and
@@ -381,14 +383,15 @@ def two_camp_equilibrium(
     camp (n x (n^2+1) entries) plus the stay-out row, each block's
     coefficients gathered from the dense coupling matrix and solved by one
     call of the exact saddle kernel. The (n^2+1)^2 entries grow as
-    n^4, so networks above ``max_nodes`` are refused outright.
+    n^4, so networks above ``MAX_GAME_NODES`` nodes are refused outright,
+    before any solve.
     """
     n = net.n
     m = n * n + 1
-    if n > max_nodes:
+    if n > MAX_GAME_NODES:
         raise ValueError(
             f"two-camp equilibrium needs a ({n}^2+1)^2 = {m * m}-entry payoff; "
-            f"refusing n={n} > max_nodes={max_nodes}"
+            f"refusing n={n} above the {MAX_GAME_NODES}-node limit"
         )
     if kg < 0 or kb < 0:
         raise ValueError("budgets must be nonnegative")

@@ -11,6 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from opinion_game import GOOD, Network, Topology, compute_profile
+from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot
 
 
 def random_network(
@@ -341,3 +342,37 @@ def greedy_oracle(net: Network, budget: float, camp: str, cap: float = 1.0, prof
         x[slot.phase][slot.node] = amount
         remaining -= amount
     return x[1], x[2]
+
+
+def bland_oracle(tableau: np.ndarray, basis, cap: int) -> int:
+    """Scalar loops of Bland's rule, a drop-in for ``game._simplex_bland``:
+    scan for the first improving column, then scan the rows for the least
+    ratio, ties to the smallest basic index."""
+    nrows = tableau.shape[0] - 1
+    ncols = tableau.shape[1] - 1
+    for pivots in range(cap):
+        enter = -1
+        for j in range(ncols):
+            if tableau[0, j] < -PIVOT_TOL:
+                enter = j
+                break
+        if enter < 0:
+            return pivots
+        col = tableau[1:, enter]
+        leave = -1
+        best_ratio = np.inf
+        for i in range(nrows):
+            if col[i] > PIVOT_TOL:
+                ratio = tableau[i + 1, -1] / col[i]
+                if ratio < best_ratio or (ratio == best_ratio and basis[i] < basis[leave]):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise GameSolverError("unbounded pivot column; payoff matrix is ill-formed")
+        _pivot(tableau, leave + 1, enter)
+        basis[leave] = enter
+    raise GameSolverError(
+        f"pivot cap {cap} exceeded on a {nrows}x{ncols - nrows} game "
+        f"(payoff range [{tableau.min():.3g}, {tableau.max():.3g}]); "
+        "the matrix is likely too ill-conditioned for this solver"
+    )

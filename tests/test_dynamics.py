@@ -229,8 +229,11 @@ class TestSolveLinear:
         norm = (lambda v: np.abs(v).sum()) if transpose else (lambda v: np.abs(v).max())
         for seed in (5, 6):
             net = hub_network(seed=seed, rho=rho)
-            mat = net.weights_t if transpose else net.weights
-            d = int(np.diff(mat.indptr).max()) + 1  # terms summed per entry of a sweep
+            # terms summed per entry of a sweep: the right-hand side plus a
+            # node's in-degree for w^T, its out-degree for w
+            w = net.weights
+            degree = np.bincount(w.indices, minlength=net.n) if transpose else np.diff(w.indptr)
+            d = int(degree.max()) + 1
             a = np.eye(net.n) - net.weights.toarray()
             for rhs in (np.ones(net.n), np.random.default_rng(7).uniform(-1, 1, net.n)):
                 exact = refined_solve(a.T if transpose else a, rhs)

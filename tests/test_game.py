@@ -6,7 +6,10 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
+import opinion_game.game as game
 from opinion_game import GameSolverError, MatrixGame, solve_zero_sum
+
+from conftest import bland_oracle
 
 
 def deviation_gaps(payoff, row_mix, col_mix, value):
@@ -70,8 +73,14 @@ class TestInputChecks:
             MatrixGame(np.zeros((0, 3)))
 
     def test_pivot_cap_raises(self):
+        # the slack tableau of the 4x4 game eye(4) + 1 needs more than one pivot
+        tableau = np.zeros((5, 9))
+        tableau[0, :4] = -1.0
+        tableau[1:, :4] = np.eye(4) + 1.0
+        tableau[1:, 4:8] = np.eye(4)
+        tableau[1:, -1] = 1.0
         with pytest.raises(GameSolverError, match="pivot cap"):
-            solve_zero_sum(np.eye(4), max_pivots=1)
+            game._simplex_bland(tableau, np.arange(4, 8), 1)
 
 
 class TestSolverProperties:
@@ -145,6 +154,31 @@ class TestSolverProperties:
             row_gain, col_gain = deviation_gaps(transformed, row, col, t_value)
             assert row_gain <= 1e-8
             assert col_gain <= 1e-8
+
+    def test_vector_pivots_match_scalar_oracle(self, monkeypatch):
+        # half the games draw from near-tied levels, where Bland's ties and
+        # the pivot tolerance decide the path, half are Gaussian
+        rng = np.random.default_rng(0)
+        levels = np.array([0.0, 1e-13, -6e-8, 1e-6, -2.0, 5.0])
+        games = []
+        for k in range(3000):
+            shape = tuple(int(m) for m in rng.integers(1, 7, size=2))
+            games.append(rng.choice(levels, size=shape) if k % 2 else rng.normal(size=shape))
+
+        def solve_all():
+            out = []
+            for payoff in games:
+                try:
+                    row, col, value = solve_zero_sum(payoff)
+                except GameSolverError as exc:
+                    out.append(str(exc))
+                else:
+                    out.append(row.tobytes() + col.tobytes() + np.float64(value).tobytes())
+            return out
+
+        vector = solve_all()
+        monkeypatch.setattr(game, "_simplex_bland", bland_oracle)
+        assert vector == solve_all()
 
     def test_pure_value_sandwich(self):
         rng = np.random.default_rng(89)

@@ -511,6 +511,7 @@ class TestTwoCampEquilibrium:
 
     def test_node_guard_refuses_large_networks(self):
         rng = np.random.default_rng(163)
-        net = random_network(rng, 5, dependency=True)
-        with pytest.raises(ValueError, match="refusing"):
-            two_camp_equilibrium(net, 1.0, 1.0, max_nodes=4)
+        net = random_network(rng, 41, dependency=True)
+        with pytest.raises(ValueError, match="2829124-entry payoff; refusing n=41"):
+            two_camp_equilibrium(net, 1.0, 1.0)
+        assert "resolvent" not in vars(net)  # refused before any solve

@@ -1,4 +1,6 @@
 import itertools
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +81,27 @@ class TestFarsightedUnbounded:
                 alloc = np.asarray(units, dtype=float) * step
                 val = evaluate_two_phase(net, alloc[:n], alloc[n:], None, None, prof)
                 assert val <= best_val + 1e-9
+
+    def test_uncapped_greedy_is_the_unbounded_optimum(self):
+        rng = np.random.default_rng(67)
+        outcomes = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            base = random_network(rng, n, nonneg=bool(rng.integers(2)))
+            unused = 1.0 - base.row_abs_sums - base.wg - base.wb
+            for share in (0.0, 0.5, 1.0):
+                # negated bad-camp weights: on a nonnegative network every
+                # slot of that camp is worth <= 0, so it stays out
+                net = replace(base, w0=share * unused, wb=-base.wb)
+                prof = compute_profile(net)
+                for camp, budget in itertools.product((GOOD, BAD), (0.0, 1.0, 100.0)):
+                    plan = bounded_greedy(net, budget, camp, cap=math.inf, profile=prof)
+                    best = farsighted_unbounded(net, budget, camp, prof)
+                    x1, x2 = plan_vectors(n, best)
+                    assert np.array_equal(plan.x1, x1) and np.array_equal(plan.x2, x2)
+                    outcomes.add((budget > 0, best.phase))
+        # every outcome is reached: both phases, and staying out with a budget
+        assert {(True, 1), (True, 2), (True, None), (False, None)} <= outcomes
 
 
 class TestMyopic:
