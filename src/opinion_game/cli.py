@@ -231,6 +231,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.cap > 0:  # also refuses nan, before any work
+            raise ValueError("cap must be positive")
         args.func(args)
     except (ValueError, OSError, ConvergenceError, GameSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,10 @@ update is a convergent affine map and the phase settles at
     v* = (I - w)^{-1} (w0 o v_prev + wg o x - wb o y).
 
 Every linear solve goes through :func:`solve_linear`, which takes no options:
-it applies the inverse the network caches or runs the recursion, choosing
-from n, nnz and rho = max_i sum_j |w_ij| (see :func:`_solves_dense`).
+it applies the inverse the network caches or runs Chebyshev-weighted sweeps
+of the recursion, choosing from n, nnz and rho = max_i sum_j |w_ij| (see
+:func:`_solves_dense`). :func:`fixed_point_iterate` runs the plain recursion
+under the same certificate.
 Phases chain by feeding each phase's converged opinions in as the next
 phase's bias.
 """
@@ -98,38 +100,60 @@ def _norm(a: np.ndarray, column_sums: bool) -> float:
 
 
 def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: bool,
-             tol: float, max_iter: int | None = None) -> tuple[np.ndarray, int]:
-    """Run v <- mat @ v + rhs from ``start``; returns (v, iterations).
+             tol: float, max_iter: int | None = None, *,
+             chebyshev: bool = False) -> tuple[np.ndarray, int]:
+    """Sweep J(v) = mat @ v + rhs from ``start``; returns (J(v), sweeps).
 
     ``mat`` contracts by ``rho`` in the max-norm, or in each column's 1-norm
-    with ``column_sums``, so a step of size d leaves v within
-    rho / (1 - rho) * d of the fixed point: the loop stops once that is
-    below ``tol``, or once a step fails to shrink by rho (only rounding does
-    that) within ``STALL_ULPS`` ulps of v. The default budget is where the
-    first step, shrunk by rho per sweep, meets ``tol``, plus two, at most
-    ``MAX_SWEEPS``.
+    with ``column_sums``, so J is a rho-contraction and, for any v, J(v) lies
+    within rho / (1 - rho) * |J(v) - v| of the fixed point: the loop stops
+    once that is below ``tol``, or once a step fails to shrink by rho (only
+    rounding does that) within ``STALL_ULPS`` ulps of J(v). The default
+    budget is where the first step, shrunk by rho per sweep, meets tol / 2,
+    plus two, at most ``MAX_SWEEPS``; the halved target leaves room for the
+    rounding of the last steps, which near rho = 1 outweighs rho^2.
+
+    Plain sweeps take v <- J(v). With ``chebyshev`` each sweep after the
+    first is weighted by the Chebyshev recurrence for a spectrum in
+    [-rho, rho] (Golub & Varga 1961): v_{k+1} = v_{k-1} + omega_{k+1}
+    (J(v_k) - v_{k-1}), omega_2 = 1 / (1 - rho^2 / 2) and omega_{k+1} =
+    1 / (1 - rho^2 omega_k / 4). A real spectrum then shrinks the step by
+    about sqrt(omega - 1) instead of rho per sweep. The stop rules above
+    hold for any v, so the certificate is the same. Plain sweeps guarantee
+    step_k <= rho^(k-1) step_1; the first weighted sweep that breaks this
+    (a complex spectrum, or rounding) drops the weights for the rest of the
+    solve and restarts from the J(v) of the smallest step so far, with the
+    budget recomputed from that step.
     """
     if not rho < 1.0:
         raise ConvergenceError(
             f"row sums of |w| reach {rho:.6g}; the recursion is not a contraction"
         )
     gain = rho / (1.0 - rho)
-    v = start
+    v = old = start
     it = 0
     prev = math.inf
     while True:
         nxt = mat @ v + rhs
         it += 1
         step = _norm(nxt - v, column_sums)
-        v = nxt
         if gain * step < tol:
-            return v, it
-        if step > rho * prev and step < STALL_ULPS * EPS * _norm(v, column_sums):
-            return v, it
+            return nxt, it
+        if step > rho * prev and step < STALL_ULPS * EPS * _norm(nxt, column_sums):
+            return nxt, it
+        if chebyshev:
+            if it == 1:
+                first = best_step = step
+            if step <= best_step:
+                best, best_step = nxt, step
+            if it > 2 and step > first * rho ** (it - 1):  # behind plain sweeps
+                chebyshev = False
+                nxt, step = best, best_step
+                max_iter = min(MAX_SWEEPS, it + 2 + _sweeps(rho, gain * step, tol / 2))
         if not math.isfinite(step):
             raise ConvergenceError(f"recursion diverged (step {step:.3e})")
         if max_iter is None:
-            max_iter = min(MAX_SWEEPS, 2 + _sweeps(rho, gain * step, tol))
+            max_iter = min(MAX_SWEEPS, 2 + _sweeps(rho, gain * step, tol / 2))
         if it >= max_iter:
             message = f"error bound {gain * step:.3e} still above {tol:.1e} after {it} iterations"
             if it >= MAX_SWEEPS:
@@ -140,13 +164,21 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: b
                 )
             raise ConvergenceError(message)
         prev = step
+        if chebyshev and it > 1:
+            omega = 1.0 / (1.0 - rho * rho * (0.5 if it == 2 else omega / 4.0))
+            v, old = old + omega * (nxt - old), v
+        else:
+            v, old = nxt, v
 
 
 def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     """Solve (I - w) z = rhs, or (I - w^T) z = rhs, for a vector or an n x k block.
 
     Dense solves apply the cached inverse and must pass a residual check.
-    Iterative solves are within ``DEFAULT_TOL`` of z in exact arithmetic, in
+    Iterative solves run Chebyshev-weighted sweeps (see :func:`_iterate`),
+    which on a real spectrum, as a symmetric topology with per-row weights
+    has, take about half the sweeps of the plain recursion, and fall back to
+    it otherwise. They are within ``DEFAULT_TOL`` of z in exact arithmetic, in
     the max-norm for plain systems and in each column's 1-norm for
     transposed ones; rounding adds at most about
     d eps (rho |z| + |rhs|) / (1 - rho) on rows of d entries. Raises
@@ -160,7 +192,7 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     delta = dense_resolvent(net)
     if delta is None:
         rho = float(net.row_abs_sums.max())
-        return _iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL)[0]
+        return _iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL, chebyshev=True)[0]
     z = (delta.T if transpose else delta) @ rhs
     resid = float(np.abs(z - mat @ z - rhs).max(initial=0.0))
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
@@ -204,11 +236,12 @@ def fixed_point_iterate(
 ) -> tuple[np.ndarray, int]:
     """Run the phase recursion from v_prev; returns (opinions, iterations used).
 
-    This is :func:`solve_linear`'s iterative loop, so the result is within
-    ``tol`` of :func:`steady_state` in exact arithmetic, plus the same
-    rounding bound. ``max_iter`` defaults to a budget derived from rho and
-    the first step; ConvergenceError is raised when it runs out, or at once
-    when rho >= 1.
+    Each iteration is one plain sweep v <- w v + rhs, the paper's process,
+    under the stop rules of :func:`solve_linear`'s iterative path, which
+    weights its sweeps instead. The result is within ``tol`` of
+    :func:`steady_state` in exact arithmetic, plus the same rounding bound.
+    ``max_iter`` defaults to a budget derived from rho and the first step;
+    ConvergenceError is raised when it runs out, or at once when rho >= 1.
     """
     v_prev, rhs = _phase_rhs(net, v_prev, x, y, wg_eff, wb_eff)
     rho = float(net.row_abs_sums.max())

@@ -129,7 +129,7 @@ def bounded_greedy(
     fill slots in decreasing worth while the worth stays positive."""
     if budget < 0:
         raise ValueError("budget must be nonnegative")
-    if cap <= 0:
+    if not cap > 0:
         raise ValueError("cap must be positive")
     prof = _profile(net, profile)
     w = _camp_weights(net, camp)

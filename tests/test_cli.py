@@ -157,6 +157,35 @@ class TestStrategyFixedCommand:
         assert "myopic loss" in err
 
 
+class TestCapOption:
+    # --cap is checked before any work: without --bounded, strategy-fixed
+    # once ignored it, and dependency sweeps never read it
+    @pytest.mark.parametrize("argv", [
+        ("strategy-fixed", "--cap", "-3"),
+        ("strategy-fixed", "--cap", "nan"),
+        ("strategy-fixed", "--bounded", "--cap", "-3"),
+        ("strategy-fixed", "--bounded", "--cap", "nan"),
+        ("strategy-fixed", "--bounded", "--cap", "0"),
+        ("sweep", "--mode", "dependency2", "--cap", "-3"),
+        ("sweep", "--cap", "nan"),
+        ("centrality", "--cap", "-3"),
+    ])
+    def test_bad_cap_refused_before_any_work(self, capsys, graph_file, argv):
+        code, out, err = run_cli(capsys, *argv, "--graph", graph_file)
+        assert code == 1
+        assert out == ""
+        assert err == "error: cap must be positive\n"
+
+    def test_synthetic_graph_not_built_for_a_bad_cap(self, capsys):
+        code, out, err = run_cli(capsys, "strategy-fixed", "--cap", "-3")
+        assert (code, out, err) == (1, "", "error: cap must be positive\n")
+
+    def test_infinite_cap_accepted(self, capsys, graph_file):
+        code, _, _ = run_cli(capsys, "strategy-fixed", "--graph", graph_file,
+                             "--bounded", "--cap", "inf")
+        assert code == 0
+
+
 class TestStrategyDepCommand:
     def test_single_camp_row(self, capsys, graph_file):
         code, out, _ = run_cli(

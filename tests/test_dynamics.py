@@ -1,16 +1,20 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from opinion_game import (
     ConvergenceError,
     Network,
+    ba_graph,
     compute_profile,
     delta_matrix,
     delta_row,
@@ -247,6 +251,132 @@ class TestSolveLinear:
             solve_linear(two_node_net(), np.ones(3))
         with pytest.raises(ValueError):
             solve_linear(two_node_net(), np.ones((3, 2)))
+
+
+def pa_network(n, rho, **params):
+    """Preferential-attachment topology (arcs both ways) whose rows of w each
+    sum to ``rho``: w = diag(rho / degree) A with A symmetric, so w is similar
+    to a symmetric matrix and its spectrum is real."""
+    top = ba_graph(n)
+    return Network.build(n, replace(top, weight=rho / top.out_degrees()[top.src]), **params)
+
+
+def sweep_counts(monkeypatch):
+    """Record the sweeps of every ``_iterate`` call made through the module,
+    solve_linear's among them."""
+    counts = []
+    iterate = dynamics._iterate
+
+    def counted(*args, **kwargs):
+        z, sweeps = iterate(*args, **kwargs)
+        counts.append(sweeps)
+        return z, sweeps
+
+    monkeypatch.setattr(dynamics, "_iterate", counted)
+    return counts
+
+
+def plain_sweeps(net, rhs, transpose):
+    """Sweeps of the unweighted recursion on the same system."""
+    mat = net.weights.T if transpose else net.weights
+    rho = float(net.row_abs_sums.max())
+    return dynamics._iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL)[1]
+
+
+def within_certificate(net, z, exact, rhs, transpose):
+    """The iterative path's bound: the stop rule (tolerance or stall) plus
+    the rounding of sweeps over rows of d terms, in the system's norm."""
+    rho = float(net.row_abs_sums.max())
+    gain = rho / (1.0 - rho)
+    norm = (lambda v: np.abs(v).sum(axis=0).max()) if transpose else (lambda v: np.abs(v).max())
+    w = net.weights
+    degree = np.bincount(w.indices, minlength=net.n) if transpose else np.diff(w.indptr)
+    d = int(degree.max()) + 1
+    stop = max(DEFAULT_TOL, gain * STALL_ULPS * EPS * norm(exact))
+    rounding = d * EPS * (rho * norm(exact) + norm(rhs)) / (1.0 - rho)
+    return norm(z - exact) <= stop + rounding
+
+
+def sparse_exact(net, rhs, transpose=False):
+    """Sparse LU solve; exact to rounding on cycles, which have no fill-in."""
+    w = net.weights.T if transpose else net.weights
+    return spsolve(sparse.csc_matrix(sparse.identity(net.n) - w), rhs)
+
+
+class TestChebyshevSweeps:
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("rho", [0.56, 0.9, 0.99])
+    def test_accuracy_on_a_real_spectrum(self, monkeypatch, rho, transpose):
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        net = pa_network(1500, rho)
+        rng = np.random.default_rng(23)
+        rhs_all = np.column_stack([np.ones(net.n), rng.uniform(-1, 1, (net.n, 5))])
+        a = np.eye(net.n) - net.weights.toarray()
+        exact_all = refined_solve(a.T if transpose else a, rhs_all)
+        for cols in (0, 1, slice(2, 6)):  # ones, signed, a 4-column block
+            rhs, exact = rhs_all[:, cols], exact_all[:, cols]
+            z = solve_linear(net, rhs, transpose=transpose)
+            assert z.shape == rhs.shape
+            assert within_certificate(net, z, exact, rhs, transpose)
+
+    def test_half_the_sweeps_on_a_real_spectrum(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        counts = sweep_counts(monkeypatch)
+        net = pa_network(1500, 0.56)
+        ones, signed = np.ones(net.n), np.random.default_rng(29).uniform(-1, 1, net.n)
+        # plain ones: the error lies on the eigenvector of rho, where plain
+        # sweeps meet their bound exactly and rounding can seem to break it
+        for rhs, transpose in ((ones, True), (signed, True), (ones, False)):
+            solve_linear(net, rhs, transpose=transpose)
+            assert counts.pop() <= 0.6 * plain_sweeps(net, rhs, transpose)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("a", [0.56, 0.9, 0.99])
+    def test_complex_spectrum_falls_back_to_plain_sweeps(self, monkeypatch, a, transpose):
+        # a directed cycle's spectrum is a * (n-th roots of unity): the
+        # weights amplify its complex modes, so the guard must take over
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        counts = sweep_counts(monkeypatch)
+        net = cycle_network(3000, a)
+        rhs = np.random.default_rng(31).uniform(-1, 1, net.n)
+        z = solve_linear(net, rhs, transpose=transpose)
+        assert within_certificate(net, z, sparse_exact(net, rhs, transpose), rhs, transpose)
+        assert counts.pop() <= plain_sweeps(net, rhs, transpose) + 2
+
+    @pytest.mark.parametrize("rho", [0.999, 0.9999])
+    def test_near_unit_symmetric_network_solves(self, rho):
+        # every row of w sums to rho, so 1^T (I - w^T) = (1 - rho) 1^T gives
+        # sum(r) = n / (1 - rho) and sum(s) = sum(w0 o r) / (1 - rho) exactly;
+        # at 0.9999 the plain recursion ran out of its 100,000 sweeps
+        n = 5000
+        net = pa_network(n, rho, w0=(1.0 - rho) / 2, wg=(1.0 - rho) / 4, wb=(1.0 - rho) / 4)
+        assert validate(net) == []
+        assert dense_resolvent(net) is None
+        prof = compute_profile(net)
+        assert prof.r.sum() == pytest.approx(n / (1.0 - rho), rel=1e-9)
+        assert prof.s.sum() == pytest.approx((net.w0 * prof.r).sum() / (1.0 - rho), rel=1e-9)
+
+
+class TestSweepBudget:
+    # rows of 0.999: the budget once bought two sweeps past the first step's
+    # geometric estimate, a factor rho^2 = 0.998, less than the rounding of
+    # the last steps, and these validated networks raised ConvergenceError
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_near_unit_cycle_meets_its_bound(self, seed):
+        n = 3000
+        rng = np.random.default_rng(seed)
+        v0 = rng.uniform(-1, 1, n)
+        x = rng.uniform(0, 1, n)
+        net = Network.build(n, [(i, (i + 1) % n, 0.999) for i in range(n)],
+                            w0=5e-4, wg=2.5e-4, wb=2.5e-4, v0=v0)
+        assert validate(net) == []
+        assert dense_resolvent(net) is None
+        rhs = net.w0 * net.v0 + net.wg * x
+        v = steady_state(net, net.v0, x=x)
+        assert within_certificate(net, v, sparse_exact(net, rhs), rhs, False)
+        rhs = net.wg * x
+        v, _ = fixed_point_iterate(net, np.zeros(n), x=x)
+        assert within_certificate(net, v, sparse_exact(net, rhs), rhs, False)
 
 
 class TestRunPhases:

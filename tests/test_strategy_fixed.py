@@ -169,6 +169,13 @@ class TestBoundedGreedy:
         plan = bounded_greedy(pair_net(), 2.0, GOOD, cap=0.5)
         assert float(np.max(np.concatenate([plan.x1, plan.x2]))) <= 0.5
 
+    @pytest.mark.parametrize("cap", [0.0, -3.0, math.nan, -math.inf])
+    def test_nonpositive_or_nan_cap_refused(self, cap):
+        # nan once slipped through `cap <= 0` and failed later as
+        # "x1 has non-finite entries"
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            bounded_greedy(pair_net(), 2.0, GOOD, cap=cap)
+
     def test_matches_exhaustive_discretized_search(self):
         rng = np.random.default_rng(67)
         levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
