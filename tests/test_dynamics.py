@@ -14,6 +14,7 @@ from scipy.sparse.linalg import spsolve
 from opinion_game import (
     ConvergenceError,
     Network,
+    Topology,
     ba_graph,
     compute_profile,
     delta_matrix,
@@ -261,14 +262,25 @@ def pa_network(n, rho, **params):
     return Network.build(n, replace(top, weight=rho / top.out_degrees()[top.src]), **params)
 
 
+def directed_network(n, src, dst, rho):
+    """Arcs src -> dst, each row of w summing to ``rho`` or, on a node with
+    no out-arcs, to 0."""
+    src, dst = np.asarray(src), np.asarray(dst)
+    weight = rho / np.bincount(src, minlength=n)[src]
+    return Network.build(n, Topology(n, src, dst, weight))
+
+
+#: the sweep loop itself, kept apart from the counting wrapper below
+ITERATE = dynamics._iterate
+
+
 def sweep_counts(monkeypatch):
     """Record the sweeps of every ``_iterate`` call made through the module,
     solve_linear's among them."""
     counts = []
-    iterate = dynamics._iterate
 
     def counted(*args, **kwargs):
-        z, sweeps = iterate(*args, **kwargs)
+        z, sweeps = ITERATE(*args, **kwargs)
         counts.append(sweeps)
         return z, sweeps
 
@@ -280,7 +292,7 @@ def plain_sweeps(net, rhs, transpose):
     """Sweeps of the unweighted recursion on the same system."""
     mat = net.weights.T if transpose else net.weights
     rho = float(net.row_abs_sums.max())
-    return dynamics._iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL)[1]
+    return ITERATE(mat, rhs, rhs, rho, transpose, DEFAULT_TOL)[1]
 
 
 def within_certificate(net, z, exact, rhs, transpose):
@@ -342,6 +354,57 @@ class TestChebyshevSweeps:
         z = solve_linear(net, rhs, transpose=transpose)
         assert within_certificate(net, z, sparse_exact(net, rhs, transpose), rhs, transpose)
         assert counts.pop() <= plain_sweeps(net, rhs, transpose) + 2
+
+    @pytest.mark.parametrize("rho", [0.56, 0.99])
+    @pytest.mark.parametrize("graph", ["new-to-old", "sinks"])
+    def test_acyclic_parts_keep_plain_pace(self, monkeypatch, graph, rho):
+        # where sinks or acyclic parts put the spectral radius well below
+        # rho, plain sweeps beat weighted ones; with rows of rho the weights
+        # once took 32-99 sweeps on these graphs where plain sweeps took 13-35
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        counts = sweep_counts(monkeypatch)
+        n = 5000
+        rng = np.random.default_rng(37)
+        if graph == "new-to-old":  # each new node's arcs to the older ones it joined
+            top = ba_graph(n)
+            half = len(top.src) // 2
+            src, dst = top.src[:half], top.dst[:half]
+        else:  # a random digraph, a fifth of whose nodes have no out-arcs
+            degree = rng.poisson(2, n) * (rng.random(n) > 0.2)
+            arcs = np.unique(np.column_stack([np.repeat(np.arange(n), degree),
+                                              rng.integers(0, n, degree.sum())]), axis=0)
+            src, dst = arcs[arcs[:, 0] != arcs[:, 1]].T
+        net = directed_network(n, src, dst, rho)
+        rhs_all = np.column_stack([np.ones(n), rng.uniform(-1, 1, (n, 4))])
+        for transpose in (False, True):
+            exact_all = sparse_exact(net, rhs_all, transpose)
+            for cols in (0, 1, slice(2, 5)):  # ones, signed, a 3-column block
+                rhs, exact = rhs_all[:, cols], exact_all[:, cols]
+                z = solve_linear(net, rhs, transpose=transpose)
+                assert within_certificate(net, z, exact, rhs, transpose)
+                assert counts.pop() <= plain_sweeps(net, rhs, transpose) + 3
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    @pytest.mark.parametrize("rho", [0.56, 0.9, 0.99])
+    def test_depth_two_network_keeps_plain_pace(self, monkeypatch, rho, transpose):
+        # three layers, arcs from each to the next: w^3 = 0, so plain sweeps
+        # end at sweep 3 with a step of exactly 0; weighted from sweep 2 on,
+        # the solve took 21-75 sweeps. (With rhs = 1 in the max-norm the
+        # steps match a symmetric network's step for step, and the weights
+        # stay: ROADMAP item 3.)
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        counts = sweep_counts(monkeypatch)
+        k = 2000
+        tail = np.repeat(np.arange(2 * k), 2)
+        head = k + (tail % k + np.tile([0, 1], 2 * k)) % k + np.where(tail < k, 0, k)
+        net = directed_network(3 * k, tail, head, rho)
+        rhs = np.random.default_rng(41).uniform(-1, 1, (3 * k, 2))
+        z = solve_linear(net, rhs, transpose=transpose)
+        assert within_certificate(net, z, sparse_exact(net, rhs, transpose), rhs, transpose)
+        assert plain_sweeps(net, rhs, transpose) == 3
+        # transposed, sweep 2 already shrinks the step faster than weighted
+        # sweeps would, so the sweeps stay plain
+        assert counts.pop() <= (3 if transpose else 3 + 3)
 
     @pytest.mark.parametrize("rho", [0.999, 0.9999])
     def test_near_unit_symmetric_network_solves(self, rho):
