@@ -105,7 +105,7 @@ def _cmd_strategy_fixed(args) -> None:
     prof = compute_profile(net)
     # with no cap the greedy fill puts the whole budget on the best slot,
     # the farsighted unbounded optimum
-    cap = args.cap if args.bounded else math.inf
+    cap = (1.0 if args.cap is None else args.cap) if args.bounded else math.inf
     plans = {
         camp: bounded_greedy(net, budget, camp, cap=cap, profile=prof)
         for camp, budget in ((GOOD, args.kg), (BAD, args.kb))
@@ -141,15 +141,18 @@ def _cmd_strategy_dep(args) -> None:
         return
     solution = two_camp_equilibrium(net, args.kg, args.kb)
     rows = []
-    for i, p in enumerate(solution.row_mix):
+    for a, i in enumerate(solution.row_set):
+        p = solution.row_mix[i]
         if p <= 1e-9:
             continue
-        for j, q in enumerate(solution.col_mix):
+        for b, j in enumerate(solution.col_set):
+            q = solution.col_mix[j]
             if q <= 1e-9:
                 continue
             good = solution.profiles[i]
             bad = solution.profiles[j]
-            kg1, kb1 = float(solution.kg1[i, j]), float(solution.kb1[i, j])
+            kg1 = float(solution.restricted_kg1[a, b])
+            kb1 = float(solution.restricted_kb1[a, b])
             rows.append([
                 solution.value,
                 good[0] if good else None, good[1] if good else None, float(p),
@@ -169,7 +172,8 @@ def _cmd_sweep(args) -> None:
     scheme = _scheme(args)
     topology = _load_topology(args)
     rows = harness.sweep_w0(
-        topology, scheme, mode, Budgets(args.kg, args.kb), bounded_cap=args.cap
+        topology, scheme, mode, Budgets(args.kg, args.kb),
+        bounded_cap=1.0 if args.cap is None else args.cap,
     )
     table = [[row[col] for col in harness.SWEEP_COLUMNS] for row in rows]
     _emit(table, list(harness.SWEEP_COLUMNS), args.out)
@@ -199,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--v0", type=float, default=0.0,
                         help="constant initial opinion override; sweep ignores it and "
                              "starts every grid point from zero opinions")
-    common.add_argument("--cap", type=float, default=1.0, help="per-node per-phase investment cap")
+    common.add_argument("--cap", type=float, default=None,
+                        help="per-node per-phase investment cap (default 1); "
+                             "strategy-fixed needs --bounded with it")
     common.add_argument("--out", help="CSV output path (stdout if omitted)")
     common.add_argument("--seed", type=int, default=0, help="seed for synthetic graph generation")
 
@@ -231,8 +237,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not args.cap > 0:  # also refuses nan, before any work
-            raise ValueError("cap must be positive")
+        if args.cap is not None:  # checked before any work
+            if not args.cap > 0:  # also refuses nan
+                raise ValueError("cap must be positive")
+            if args.command == "strategy-fixed" and not args.bounded:
+                raise ValueError("--cap needs --bounded")
         args.func(args)
     except (ValueError, OSError, ConvergenceError, GameSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)

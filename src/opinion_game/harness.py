@@ -97,12 +97,14 @@ def ba_graph(n: int, attach: int = 2, seed: int = 0) -> Topology:
 
 
 def _expected_splits(solution, cutoff=1e-12):
-    """Mixed-strategy expectation of the phase-1 budgets over support pairs."""
-    rows = solution.row_mix > cutoff
-    cols = solution.col_mix > cutoff
-    p, q = solution.row_mix[rows], solution.col_mix[cols]
+    """Mixed-strategy expectation of the phase-1 budgets over support pairs,
+    read from the splits of the solve's row and column sets."""
+    p = solution.row_mix[solution.row_set]
+    q = solution.col_mix[solution.col_set]
+    rows, cols = p > cutoff, q > cutoff
     return tuple(
-        float(p @ split[np.ix_(rows, cols)] @ q) for split in (solution.kg1, solution.kb1)
+        float(p[rows] @ split[np.ix_(rows, cols)] @ q[cols])
+        for split in (solution.restricted_kg1, solution.restricted_kb1)
     )
 
 

@@ -15,37 +15,41 @@ facts keep the problem tractable:
   saddle point over the budget box.
 
 The single-camp optimum scans all n^2 node pairs in blocks of phase-1 nodes,
-settling each pair's split in closed form. With two camps the
-(n^2+1) x (n^2+1) payoff matrix of saddle values feeds the zero-sum solver
-in :mod:`opinion_game.game`; networks above ``MAX_GAME_NODES`` nodes are
-refused. The payoff is assembled in n x (n^2+1) row blocks, one
-per phase-1 node of the good camp, by a vectorized kernel that finds each
-box saddle exactly. The good camp's maximin split is a box endpoint, a
-piece breakpoint or a piece stationary point of its outer problem, so only
-those candidates are scored. By Sion's minimax theorem the bad camp's split
-is then its best reply to that split, unique where the objective is
-strictly convex in it: one clamped stationary point. The mirrored candidate
-search over the bad camp's outer problem still runs where that reply is not
-unique (zero curvature), where the objective is not concave in the good
-camp's split, and where the clamp would amplify the good camp's rounding.
+settling each pair's split in closed form. With two camps the game over the
+(n^2+1) x (n^2+1) payoff of saddle values is solved by a double oracle: both
+camps' strategy sets grow by best responses, each restricted game going to
+the zero-sum solver in :mod:`opinion_game.game`, and only the rows and
+columns of the strategies added are scored. Networks above
+``MAX_GAME_NODES`` nodes are refused. Every saddle value comes from a
+vectorized kernel that finds each box saddle exactly. The good camp's
+maximin split is a box endpoint, a piece breakpoint or a piece stationary
+point of its outer problem, so only those candidates are scored. By Sion's
+minimax theorem the bad camp's split is then its best reply to that split,
+unique where the objective is strictly convex in it: one clamped stationary
+point. The mirrored candidate search over the bad camp's outer problem still
+runs where that reply is not unique (zero curvature), where the objective is
+not concave in the good camp's split, and where the clamp would amplify the
+good camp's rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .centrality import delta_columns, delta_matrix, delta_row, katz_r, katz_s
 from .dynamics import dependency_camp_weights, solve_linear
-from .game import MatrixGame, solve_zero_sum
+from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
 from .model import Network
 
 Pair = tuple[int, int]
 
-#: largest network the two-camp game is assembled for: its payoff has
-#: (n^2+1)^2 entries, 2.7 million at 40 nodes
+#: largest network the two-camp game is solved for: its full payoff, built
+#: when ``GameSolution.payoff`` is read, has (n^2+1)^2 entries, 2.7 million
+#: at 40 nodes
 MAX_GAME_NODES = 40
 #: entries of one block of the single-camp scan, (phase-1 nodes) x n; of
 #: 2^14..2^20 this gave the lowest peak memory, at a speed within noise of
@@ -74,17 +78,44 @@ class PureProfile:
 
 @dataclass(frozen=True, eq=False)
 class GameSolution:
-    """Solved two-camp game: payoff over pure profiles (good camp maximizes),
-    mixed strategies of both camps, the game value, and the phase-1 budgets
-    kg1[i, j] and kb1[i, j] of each payoff entry's saddle."""
+    """Solved two-camp game over the pure profiles in ``profiles`` (good camp
+    maximizes): mixed strategies of both camps, zero outside the row and
+    column sets the double oracle grew; the game value; and the certificate
+    ``gap``, the best row response's value minus the best column response's
+    value against those mixes. ``restricted_kg1[a, b]`` and
+    ``restricted_kb1[a, b]`` are the phase-1 budgets of the saddle of good
+    profile ``row_set[a]`` against bad profile ``col_set[b]``.
 
-    payoff: np.ndarray
+    ``payoff``, ``kg1`` and ``kb1`` are the full (n^2+1) x (n^2+1) payoff
+    and splits, built on first read from the same kernel, so bitwise equal
+    to the entries the solve used."""
+
     row_mix: np.ndarray
     col_mix: np.ndarray
     value: float
+    gap: float
     profiles: tuple[Optional[Pair], ...]
-    kg1: np.ndarray
-    kb1: np.ndarray
+    row_set: np.ndarray
+    col_set: np.ndarray
+    restricted_kg1: np.ndarray
+    restricted_kb1: np.ndarray
+    _terms: tuple = field(repr=False)
+
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _full_game(*self._terms)
+
+    @cached_property
+    def payoff(self) -> np.ndarray:
+        return self._full[0]
+
+    @cached_property
+    def kg1(self) -> np.ndarray:
+        return self._full[1]
+
+    @cached_property
+    def kb1(self) -> np.ndarray:
+        return self._full[2]
 
 
 def camp_weights(net: Network, v_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -262,9 +293,9 @@ def profile_utility(
     a camp that stays out. Returns (value, kg1, kb1); the remaining budgets
     kg - kg1 and kb - kb1 go to phase 2. The good camp's split maximizes and
     the bad camp's minimizes the quadratic objective over the budget box.
-    This is one entry of the payoff that :func:`two_camp_equilibrium`
-    assembles in blocks, solved by the same exact saddle kernel
-    (:func:`_box_saddle`).
+    This is one entry of the payoff whose rows and columns
+    :func:`two_camp_equilibrium` scores, solved by the same exact saddle
+    kernel (:func:`_box_saddle`).
     """
     if kg < 0 or kb < 0:
         raise ValueError("budgets must be nonnegative")
@@ -370,21 +401,45 @@ def game_profiles(n: int) -> tuple[Optional[Pair], ...]:
     return tuple((a, b) for a in range(n) for b in range(n)) + (None,)
 
 
+def _full_game(coef, b_mat, good, bad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(payoff, kg1, kb1) over every pair of pure profiles, built in blocks of
+    rows, one per phase-1 node of the good camp (n x (n^2+1) entries) plus
+    the stay-out row; ``good`` and ``bad`` are :func:`_camp_terms` of every
+    profile."""
+    n = coef.net.n
+    m = len(good[0])
+    payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
+    for start in range(0, m, n):
+        rows = slice(start, start + n)
+        block = _coefficient_block(coef, b_mat, [x[rows] for x in good], bad)
+        payoff[rows], kg1[rows], kb1[rows] = _box_saddle(*block)
+    return payoff, kg1, kb1
+
+
 def two_camp_equilibrium(
     net: Network,
     kg: float,
     kb: float,
     coefficients: DependencyCoefficients | None = None,
 ) -> GameSolution:
-    """Assemble the (n^2+1)-strategy zero-sum game over pure profiles and
-    solve it by linear programming.
+    """Equilibrium of the zero-sum game over the n^2 + 1 pure profiles of
+    each camp, by the double oracle of McMahan, Gordon & Blum (ICML 2003).
 
-    The payoff is built in blocks of rows, one per phase-1 node of the good
-    camp (n x (n^2+1) entries) plus the stay-out row, each block's
-    coefficients gathered from the dense coupling matrix and solved by one
-    call of the exact saddle kernel. The (n^2+1)^2 entries grow as
-    n^4, so networks above ``MAX_GAME_NODES`` nodes are refused outright,
-    before any solve.
+    The column set starts as the bad camp's stay-out strategy and the row
+    set as the good camp's best reply to it. Each round solves the game
+    restricted to the two sets with :func:`~opinion_game.game.solve_zero_sum`,
+    then scores both camps' best responses to the restricted mixes against
+    every profile, from the full rows and columns of the payoff cached as
+    their profiles joined a set (one call of the exact saddle kernel each).
+    A best response joins its set when it is not in it yet and beats the
+    restricted value by more than ``PIVOT_TOL * (1 + |value|)``; ties go to
+    the first profile. The loop ends when neither set grows. The best row
+    response's value minus the best column response's value is the
+    certificate ``gap``: up to rounding it bounds the exploitability of the
+    mixes on the full payoff, and a gap above ``1e-9 * (1 + |value|)`` raises
+    GameSolverError. The full payoff is never formed here; reading
+    ``payoff``, ``kg1`` or ``kb1`` of the solution builds it. Networks above
+    ``MAX_GAME_NODES`` nodes are refused outright, before any solve.
     """
     n = net.n
     m = n * n + 1
@@ -401,18 +456,53 @@ def two_camp_equilibrium(
     node1, node2 = np.divmod(np.arange(n * n), n)
     good = _camp_terms(coef, node1, node2, node2, cb, kg, 1.0)
     bad = _camp_terms(coef, node1, node2, node2, cb, kb, -1.0)
-    payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
-    for start in range(0, m, n):
-        rows = slice(start, start + n)
-        block = _coefficient_block(coef, b_mat, [x[rows] for x in good], bad)
-        payoff[rows], kg1[rows], kb1[rows] = _box_saddle(*block)
-    row_mix, col_mix, value = solve_zero_sum(MatrixGame(payoff))
+
+    def row(i):  # (payoff, kg1, kb1) of good profile i against every bad one
+        return [x[0] for x in _box_saddle(*_coefficient_block(
+            coef, b_mat, [t[i:i + 1] for t in good], bad))]
+
+    def col(j):  # payoff of every good profile against bad profile j
+        return _box_saddle(*_coefficient_block(
+            coef, b_mat, good, [t[j:j + 1] for t in bad]))[0][:, 0]
+
+    col_of = {m - 1: col(m - 1)}
+    first = int(np.argmax(col_of[m - 1]))
+    row_of = {first: row(first)}
+    while True:
+        rows, cols = sorted(row_of), sorted(col_of)
+        restricted = np.array([row_of[i][0][cols] for i in rows])
+        p, q, value = solve_zero_sum(restricted)
+        row_scores = q @ np.array([col_of[j] for j in cols])
+        col_scores = p @ np.array([row_of[i][0] for i in rows])
+        i, j = int(np.argmax(row_scores)), int(np.argmin(col_scores))
+        upper, lower = float(row_scores[i]), float(col_scores[j])
+        tol = PIVOT_TOL * (1.0 + abs(value))
+        grew = False
+        if i not in row_of and upper > value + tol:
+            row_of[i] = row(i)
+            grew = True
+        if j not in col_of and lower < value - tol:
+            col_of[j] = col(j)
+            grew = True
+        if not grew:
+            break
+    gap = upper - lower
+    if gap > 1e-9 * (1.0 + abs(value)):
+        raise GameSolverError(
+            f"double oracle stopped at value {value!r} with best row response "
+            f"{upper!r} and best column response {lower!r} (gap {gap:.3e})"
+        )
+    row_mix, col_mix = np.zeros(m), np.zeros(m)
+    row_mix[rows], col_mix[cols] = p, q
     return GameSolution(
-        payoff=payoff,
         row_mix=row_mix,
         col_mix=col_mix,
         value=float(value),
+        gap=gap,
         profiles=game_profiles(n),
-        kg1=kg1,
-        kb1=kb1,
+        row_set=np.array(rows),
+        col_set=np.array(cols),
+        restricted_kg1=np.array([row_of[i][1][cols] for i in rows]),
+        restricted_kb1=np.array([row_of[i][2][cols] for i in rows]),
+        _terms=(coef, b_mat, good, bad),
     )

@@ -10,8 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from opinion_game import GOOD, Network, Topology, compute_profile
-from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot
+from opinion_game import GOOD, DependencyCoefficients, Network, Topology, compute_profile
+from opinion_game.centrality import delta_matrix
+from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot, solve_zero_sum
+from opinion_game.strategy_dependent import _box_saddle, _camp_terms, _coefficient_block
 
 
 def random_network(
@@ -214,6 +216,38 @@ def mirrored_box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb):
     b = outer_split(-qb, -qa, -qbb, -qaa, -qab, kb, kg)
     value = u00 + qa * a + qb * b + qaa * a * a + qbb * b * b + qab * a * b
     return value, a, b
+
+
+@dataclass(frozen=True)
+class FullGame:
+    payoff: np.ndarray
+    kg1: np.ndarray
+    kb1: np.ndarray
+    row_mix: np.ndarray
+    col_mix: np.ndarray
+    value: float
+
+
+def full_game_solution(net: Network, kg: float, kb: float) -> FullGame:
+    """The two-camp game solved whole: every payoff entry assembled in
+    n x (n^2+1) row blocks, one per phase-1 node of the good camp plus the
+    stay-out row, by the saddle kernel, then one ``solve_zero_sum`` over the
+    (n^2+1) x (n^2+1) matrix."""
+    n = net.n
+    m = n * n + 1
+    coef = DependencyCoefficients(net)
+    b_mat = (coef.r * net.w0)[:, None] * delta_matrix(net)
+    cb = b_mat @ coef.c
+    node1, node2 = np.divmod(np.arange(n * n), n)
+    good = _camp_terms(coef, node1, node2, node2, cb, kg, 1.0)
+    bad = _camp_terms(coef, node1, node2, node2, cb, kb, -1.0)
+    payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
+    for start in range(0, m, n):
+        rows = slice(start, start + n)
+        block = _coefficient_block(coef, b_mat, [x[rows] for x in good], bad)
+        payoff[rows], kg1[rows], kb1[rows] = _box_saddle(*block)
+    row_mix, col_mix, value = solve_zero_sum(payoff)
+    return FullGame(payoff, kg1, kb1, row_mix, col_mix, value)
 
 
 def compositions(total_units: int, bins: int):

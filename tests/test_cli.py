@@ -159,7 +159,7 @@ class TestStrategyFixedCommand:
 
 class TestCapOption:
     # --cap is checked before any work: without --bounded, strategy-fixed
-    # once ignored it, and dependency sweeps never read it
+    # once ignored it and now refuses it; dependency sweeps never read it
     @pytest.mark.parametrize("argv", [
         ("strategy-fixed", "--cap", "-3"),
         ("strategy-fixed", "--cap", "nan"),
@@ -179,6 +179,18 @@ class TestCapOption:
     def test_synthetic_graph_not_built_for_a_bad_cap(self, capsys):
         code, out, err = run_cli(capsys, "strategy-fixed", "--cap", "-3")
         assert (code, out, err) == (1, "", "error: cap must be positive\n")
+
+    @pytest.mark.parametrize("cap", ["2", "1", "inf"])
+    def test_cap_without_bounded_refused_before_any_work(self, capsys, cap):
+        # the synthetic graph's note on stderr would show any work done
+        code, out, err = run_cli(capsys, "strategy-fixed", "--cap", cap)
+        assert (code, out, err) == (1, "", "error: --cap needs --bounded\n")
+
+    def test_default_cap_is_one(self, capsys, graph_file):
+        outputs = [run_cli(capsys, "strategy-fixed", "--graph", graph_file, "--kg", "3",
+                           "--bounded", *extra) for extra in ([], ["--cap", "1"])]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
 
     def test_infinite_cap_accepted(self, capsys, graph_file):
         code, _, _ = run_cli(capsys, "strategy-fixed", "--graph", graph_file,

@@ -3,17 +3,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opinion_game.centrality as centrality
+import opinion_game.cli as cli
 import opinion_game.dynamics as dynamics
+import opinion_game.harness as harness
 import opinion_game.strategy_dependent as dep
 from opinion_game import (
+    Budgets,
     DependencyCoefficients,
+    GameSolverError,
     Network,
+    ba_graph,
     camp_weights,
     delta_row,
     game_profiles,
+    generate_weights,
     katz_s,
     profile_utility,
     run_phases,
+    save_edge_list,
     single_camp_optimal,
     two_camp_equilibrium,
 )
@@ -21,6 +28,7 @@ from opinion_game.strategy_dependent import _box_saddle
 
 from conftest import (
     dependency_two_phase_sum,
+    full_game_solution,
     interior_saddle,
     mirrored_box_saddle,
     quad_coefficients,
@@ -515,3 +523,84 @@ class TestTwoCampEquilibrium:
         with pytest.raises(ValueError, match="2829124-entry payoff; refusing n=41"):
             two_camp_equilibrium(net, 1.0, 1.0)
         assert "resolvent" not in vars(net)  # refused before any solve
+
+
+class TestDoubleOracle:
+    # the oracle solves the game whole: every payoff entry, then one LP
+
+    @staticmethod
+    def check_against_full_game(net, kg, kb):
+        solution = two_camp_equilibrium(net, kg, kb)
+        full = full_game_solution(net, kg, kb)
+        value = solution.value
+        assert value == pytest.approx(full.value, abs=1e-9)
+        exploit = max(float((full.payoff @ solution.col_mix).max()) - value,
+                      value - float((solution.row_mix @ full.payoff).min()))
+        # the best responses are summed over the sets, the full products over
+        # every profile: the two round differently, by a few ulps of the payoff
+        rounding = 16 * np.finfo(float).eps * (1.0 + float(np.abs(full.payoff).max()))
+        assert exploit <= 1e-9
+        assert exploit <= solution.gap + rounding
+        assert np.array_equal(solution.payoff, full.payoff)
+        assert np.array_equal(solution.kg1, full.kg1)
+        assert np.array_equal(solution.kb1, full.kb1)
+        rows, cols = np.ix_(solution.row_set, solution.col_set)
+        assert np.array_equal(solution.restricted_kg1, full.kg1[rows, cols])
+        assert np.array_equal(solution.restricted_kb1, full.kb1[rows, cols])
+        outside = np.ones(len(solution.profiles), dtype=bool)
+        outside[solution.row_set] = False
+        assert not solution.row_mix[outside].any()
+        outside[:] = True
+        outside[solution.col_set] = False
+        assert not solution.col_mix[outside].any()
+
+    def test_random_small_networks_match_the_full_game(self):
+        rng = np.random.default_rng(173)
+        for n in range(2, 7):
+            for _ in range(3):
+                net = random_network(rng, n, dependency=True)
+                kg, kb = float(rng.uniform(1, 20)), float(rng.uniform(1, 20))
+                self.check_against_full_game(net, kg, kb)
+
+    @pytest.mark.parametrize("n, seed", [(12, seed) for seed in range(6)]
+                             + [(20, seed) for seed in range(3)])
+    @pytest.mark.parametrize("w0", [0.3, 0.7])
+    def test_preferential_attachment_matches_the_full_game(self, n, seed, w0):
+        net = generate_weights(ba_graph(n, 2, seed), w0)
+        self.check_against_full_game(net, 100.0, 50.0)
+
+    def test_wrong_restricted_mix_fails_the_certificate(self, monkeypatch):
+        solve = dep.solve_zero_sum
+
+        def perturbed(payoff):
+            row_mix, col_mix, value = solve(payoff)
+            col_mix = col_mix.copy()
+            col_mix[0] += 0.25
+            return row_mix, col_mix, value
+
+        monkeypatch.setattr(dep, "solve_zero_sum", perturbed)
+        net = random_network(np.random.default_rng(179), 3, dependency=True)
+        number = r"-?\d[\d.e+-]*"
+        with pytest.raises(GameSolverError, match=rf"best row response {number} "
+                                                  rf"and best column response {number}"):
+            two_camp_equilibrium(net, 5.0, 4.0)
+
+    def test_sweep_and_cli_leave_the_full_payoff_unbuilt(self, monkeypatch, tmp_path):
+        solutions = []
+
+        def recording(*args, **kwargs):
+            solutions.append(two_camp_equilibrium(*args, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(harness, "two_camp_equilibrium", recording)
+        monkeypatch.setattr(cli, "two_camp_equilibrium", recording)
+        topology = ba_graph(12, 2, 5)
+        harness.sweep_point(topology, 0.7, mode="dependency2", budgets=Budgets(100.0, 50.0))
+        graph = tmp_path / "pa.txt"
+        save_edge_list(topology, graph)
+        argv = ["strategy-dep", "--graph", str(graph), "--w0-grid", "0.7", "--kb", "50"]
+        assert cli.main(argv) == 0
+        assert len(solutions) == 2
+        for solution in solutions:
+            assert np.count_nonzero(solution.col_mix) > 1  # a mixed equilibrium
+            assert not {"payoff", "kg1", "kb1"} & set(vars(solution))
