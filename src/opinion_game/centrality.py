@@ -58,10 +58,7 @@ def katz_multiphase(net: Network, q: int) -> np.ndarray:
     (I - w^T) r_q = r_{q-1} o w0."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    vec = katz_r(net)
-    for _ in range(q - 1):
-        vec = solve_linear(net, vec * net.w0, transpose=True)
-    return vec
+    return katz_r(net) if q == 1 else compute_profile(net, q).order(q)
 
 
 def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:

@@ -134,9 +134,12 @@ def _cmd_strategy_fixed(args) -> None:
 def _cmd_strategy_dep(args) -> None:
     mode = args.mode or "dependency2"
     net = _network(args, "dependency")
+    def node(i, spent):  # a phase's node, blank when the camp spends nothing in it
+        return None if spent == 0 else i
     if mode == "dependency1":
         profile, value = single_camp_optimal(net, args.kg)
-        rows = [[profile.alpha, profile.beta, profile.k1, profile.k2, value]]
+        rows = [[node(profile.alpha, profile.k1), node(profile.beta, profile.k2),
+                 profile.k1, profile.k2, value]]
         _emit(rows, ["alpha", "beta", "kg1", "kg2", "value"], args.out)
         return
     solution = two_camp_equilibrium(net, args.kg, args.kb)
@@ -149,15 +152,16 @@ def _cmd_strategy_dep(args) -> None:
             q = solution.col_mix[j]
             if q <= 1e-9:
                 continue
-            good = solution.profiles[i]
-            bad = solution.profiles[j]
+            good = solution.profiles[i] or (None, None)
+            bad = solution.profiles[j] or (None, None)
             kg1 = float(solution.restricted_kg1[a, b])
             kb1 = float(solution.restricted_kb1[a, b])
+            kg2, kb2 = args.kg - kg1, args.kb - kb1
             rows.append([
                 solution.value,
-                good[0] if good else None, good[1] if good else None, float(p),
-                bad[0] if bad else None, bad[1] if bad else None, float(q),
-                kg1, args.kg - kg1, kb1, args.kb - kb1,
+                node(good[0], kg1), node(good[1], kg2), float(p),
+                node(bad[0], kb1), node(bad[1], kb2), float(q),
+                kg1, kg2, kb1, kb2,
             ])
     header = ["value", "g_alpha", "g_beta", "g_prob",
               "b_gamma", "b_delta", "b_prob", "kg1", "kg2", "kb1", "kb2"]
@@ -237,7 +241,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.cap is not None:  # checked before any work
+        Budgets(args.kg, args.kb)  # checked before any work, as sweep checks them
+        if args.cap is not None:
             if not args.cap > 0:  # also refuses nan
                 raise ValueError("cap must be positive")
             if args.command == "strategy-fixed" and not args.bounded:

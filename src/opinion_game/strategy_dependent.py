@@ -15,10 +15,11 @@ facts keep the problem tractable:
   saddle point over the budget box.
 
 The single-camp optimum scans all n^2 node pairs in blocks of phase-1 nodes,
-settling each pair's split in closed form. With two camps the game over the
-(n^2+1) x (n^2+1) payoff of saddle values is solved by a double oracle: both
-camps' strategy sets grow by best responses, each restricted game going to
-the zero-sum solver in :mod:`opinion_game.game`, and only the rows and
+settling each pair's split and value in closed form, and reports the best
+pair's own entry, without the saddle kernel. With two camps the game over
+the (n^2+1) x (n^2+1) payoff of saddle values is solved by a double oracle:
+both camps' strategy sets grow by best responses, each restricted game going
+to the zero-sum solver in :mod:`opinion_game.game`, and only the rows and
 columns of the strategies added are scored. Networks above
 ``MAX_GAME_NODES`` nodes are refused. Every saddle value comes from a
 vectorized kernel that finds each box saddle exactly. The good camp's
@@ -29,7 +30,8 @@ unique where the objective is strictly convex in it: one clamped stationary
 point. The mirrored candidate search over the bad camp's outer problem still
 runs where that reply is not unique (zero curvature), where the objective is
 not concave in the good camp's split, and where the clamp would amplify the
-good camp's rounding.
+good camp's rounding. Both paths read the coupling terms r o w0 and b c from
+:class:`DependencyCoefficients`, which forms them once.
 """
 
 from __future__ import annotations
@@ -128,11 +130,12 @@ class DependencyCoefficients:
     """Per-instance constants of the final-phase objective.
 
     c[i] = w0[i] * v0[i] is node i's bias carry. Row j of the coupling
-    matrix, b[j, i] = r[j] * w0[j] * delta[j, i], measures how strongly a
-    unit of phase-1 opinion at node i resurfaces in the final phase through
-    node j's bias; its row sums over j reproduce s. s_total = sum_ij c_i b_ji
-    is the objective when nobody invests. r and s are solved once, when the
-    instance is made; rows come from
+    matrix, b[j, i] = scale[j] * delta[j, i] with scale = r o w0, measures
+    how strongly a unit of phase-1 opinion at node i resurfaces in the final
+    phase through node j's bias; its row sums over j reproduce s, and
+    cb = b c = scale o (I - w)^{-1} c holds the c-weighted sums of its rows.
+    s_total = sum_ij c_i b_ji is the objective when nobody invests. r, s and
+    cb are solved once, when the instance is made; rows come from
     :func:`~opinion_game.centrality.delta_row` on demand, cached per node.
     """
 
@@ -142,6 +145,8 @@ class DependencyCoefficients:
         self.s = katz_s(net, self.r)
         self.c = net.w0 * net.v0
         self.theta = net.theta
+        self.scale = self.r * net.w0
+        self.cb = self.scale * solve_linear(net, self.c)
         self.s_total = float(self.c @ self.s)
         self._rows: dict[int, np.ndarray] = {}
 
@@ -149,7 +154,7 @@ class DependencyCoefficients:
         """Row j of b, read-only, cached per node."""
         row = self._rows.get(j)
         if row is None:
-            row = self.r[j] * self.net.w0[j] * delta_row(self.net, j)
+            row = self.scale[j] * delta_row(self.net, j)
             row.setflags(write=False)
             self._rows[j] = row
         return row
@@ -237,20 +242,19 @@ def _box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb):
     return value, a, b
 
 
-def _camp_terms(coef, node1, node2, rows, cb, budget: float, sign: float):
+def _camp_terms(coef, node1, node2, rows, budget: float, sign: float):
     """Per-profile terms of one camp for the profiles (node1[k], node2[k]),
     followed by the stay-out profile: phase-1 weight, phase-2 weight,
     phase-2 gain, budget, phase-1 node, and the row of the phase-2 node in
-    the coupling rows (``cb`` holds those rows' c-weighted sums). ``sign`` is
-    +1 for the good camp and -1 for the bad one. Stay-out has zero weights
-    and zero budget, so every term it enters vanishes; its node and row are
-    placeholders."""
+    the coupling rows. ``sign`` is +1 for the good camp and -1 for the bad
+    one. Stay-out has zero weights and zero budget, so every term it enters
+    vanishes; its node and row are placeholders."""
     node1 = np.asarray(node1, dtype=int)
     node2 = np.asarray(node2, dtype=int)
     rows = np.asarray(rows, dtype=int)
     w1 = 0.5 * coef.theta[node1] * (1.0 + sign * coef.c[node1])
     w2 = 0.5 * coef.theta[node2]
-    gain = cb[rows] + sign * coef.r[node2]
+    gain = coef.cb[node2] + sign * coef.r[node2]
     spend = np.full(len(node1), float(budget))
     return (
         *(np.append(x, 0.0) for x in (w1, w2, gain, spend)),
@@ -297,17 +301,16 @@ def profile_utility(
     :func:`two_camp_equilibrium` scores, solved by the same exact saddle
     kernel (:func:`_box_saddle`).
     """
-    if kg < 0 or kb < 0:
-        raise ValueError("budgets must be nonnegative")
+    if not (0 <= kg < np.inf and 0 <= kb < np.inf):  # also refuses nan
+        raise ValueError("budgets must be finite and nonnegative")
     coef = coefficients if coefficients is not None else DependencyCoefficients(net)
     present = [p for p in (good, bad) if p is not None]
     b_rows = np.array([coef.b_row(p[1]) for p in present] or [np.zeros(net.n)])
-    cb = b_rows @ coef.c
 
     def side(profile, row, budget, sign):
         # the profile's terms, or the stay-out terms when it is None
         node1, node2 = ([profile[0]], [profile[1]]) if profile is not None else ([], [])
-        terms = _camp_terms(coef, node1, node2, [row] * len(node1), cb, budget, sign)
+        terms = _camp_terms(coef, node1, node2, [row] * len(node1), budget, sign)
         return [x[:1] for x in terms]
 
     block = _coefficient_block(
@@ -317,34 +320,24 @@ def profile_utility(
     return float(value[0, 0]), float(a[0, 0]), float(b[0, 0])
 
 
-def _split_values(
-    s_total: float,
-    kg: float,
-    first_gain,
-    second_gain,
-    coupling,
-) -> np.ndarray:
-    """Best objective over the budget split for a batch of node pairs.
+def _split_values(s_total: float, kg: float, first_gain, second_gain, coupling):
+    """Best objective over the budget split, and the phase-1 budget that
+    reaches it, for a batch of node pairs.
 
     Per pair the objective as a function of the phase-1 budget t is
-    s_total + first_gain * t + second_gain * (kg - t) + coupling * t * (kg - t);
-    the maximum sits at an endpoint or, when the quadratic is strictly
-    concave, at the clamped interior stationary point. Arguments broadcast,
-    so either gain may be the scanned vector.
+    s_total + first_gain * t + second_gain * (kg - t) + coupling * t * (kg - t).
+    Where coupling > 0 it is strictly concave and its maximizer is the
+    stationary point clamped to [0, kg]; otherwise the better endpoint
+    maximizes it, 0 when the gains tie. The objective is evaluated once, at
+    that budget. Arguments broadcast, so either gain may be the scanned
+    vector. Returns (values, phase-1 budgets).
     """
-    v_zero = s_total + kg * np.asarray(second_gain, dtype=float)
-    v_full = s_total + kg * np.asarray(first_gain, dtype=float)
-    values = np.maximum(v_full, v_zero)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = (first_gain - second_gain + coupling * kg) / (2.0 * coupling)
-        v_int = (
-            s_total
-            + first_gain * k1
-            + second_gain * (kg - k1)
-            + coupling * k1 * (kg - k1)
-        )
-    inside = (coupling > 0.0) & (k1 > 0.0) & (k1 < kg)
-    return np.where(inside, np.maximum(values, v_int), values)
+        stationary = (first_gain - second_gain + coupling * kg) / (2.0 * coupling)
+    endpoint = np.where(first_gain > second_gain, kg, 0.0)
+    k1 = np.where(coupling > 0.0, np.clip(stationary, 0.0, kg), endpoint)
+    values = s_total + first_gain * k1 + second_gain * (kg - k1) + coupling * k1 * (kg - k1)
+    return values, k1
 
 
 def single_camp_optimal(
@@ -353,46 +346,41 @@ def single_camp_optimal(
     """Best two-phase schedule for the good camp alone (bad camp absent).
 
     Scans every (phase-1 node, phase-2 node) pair; per pair the objective is
-    quadratic in the phase-1 budget, so the split is settled in closed form
-    (endpoints when the quadratic degenerates). The scan runs over blocks of
-    phase-1 nodes of at most ``SCAN_BLOCK_ENTRIES`` pairs, each block's
-    resolvent columns coming from the cached inverse or from one
-    multi-right-hand-side solve; the best pair's split is then settled by
-    :func:`profile_utility`. Returns
-    the stay-out profile with the idle objective when no pair strictly beats
-    it. Ties between pairs go to the first pair in (alpha, beta) scan order.
+    quadratic in the phase-1 budget, so :func:`_split_values` settles the
+    split and its value in closed form. The scan runs over blocks of phase-1
+    nodes of at most ``SCAN_BLOCK_ENTRIES`` pairs, each block's resolvent
+    columns coming from the cached inverse or from one
+    multi-right-hand-side solve, and reports the best entry's own value and
+    split. Returns the stay-out profile with the idle objective when no pair
+    strictly beats it. Ties between pairs go to the first pair in
+    (alpha, beta) scan order.
     """
-    if kg < 0:
-        raise ValueError("budget must be nonnegative")
+    if not 0 <= kg < np.inf:  # also refuses nan
+        raise ValueError("budget must be finite and nonnegative")
     coef = coefficients if coefficients is not None else DependencyCoefficients(net)
     stay_out = (PureProfile(None, None, 0.0, 0.0), coef.s_total)
     if kg == 0 or net.n == 0:
         return stay_out
 
     n = net.n
-    scale = coef.r * net.w0  # b[j, i] = scale[j] * delta[j, i]
-    second_gain = 0.5 * coef.theta * (scale * solve_linear(net, coef.c) + coef.r)
+    second_gain = 0.5 * coef.theta * (coef.cb + coef.r)
     first_weight = coef.theta * (1.0 + coef.c)
     first_gain = 0.5 * first_weight * coef.s
     width = max(1, SCAN_BLOCK_ENTRIES // n)
-    best_val = -np.inf
-    alpha = beta = 0
+    best, best_val = stay_out
     for start in range(0, n, width):
         stop = min(start + width, n)
-        b_cols = scale[:, None] * delta_columns(net, start, stop)  # columns b[:, start:stop]
+        b_cols = coef.scale[:, None] * delta_columns(net, start, stop)  # columns b[:, start:stop]
         coupling = 0.25 * np.outer(first_weight[start:stop], coef.theta) * b_cols.T
-        values = _split_values(
+        values, splits = _split_values(
             coef.s_total, kg, first_gain[start:stop, None], second_gain[None, :], coupling
         )
         flat = int(np.argmax(values))
         if values.flat[flat] > best_val:
             best_val = float(values.flat[flat])
-            alpha, beta = start + flat // n, flat % n
-
-    value, k1, _ = profile_utility(net, (alpha, beta), None, kg, 0.0, coef)
-    if value <= coef.s_total:
-        return stay_out
-    return PureProfile(alpha, beta, k1, kg - k1), value
+            k1 = float(splits.flat[flat])
+            best = PureProfile(start + flat // n, flat % n, k1, kg - k1)
+    return best, best_val
 
 
 def game_profiles(n: int) -> tuple[Optional[Pair], ...]:
@@ -448,14 +436,13 @@ def two_camp_equilibrium(
             f"two-camp equilibrium needs a ({n}^2+1)^2 = {m * m}-entry payoff; "
             f"refusing n={n} above the {MAX_GAME_NODES}-node limit"
         )
-    if kg < 0 or kb < 0:
-        raise ValueError("budgets must be nonnegative")
+    if not (0 <= kg < np.inf and 0 <= kb < np.inf):  # also refuses nan
+        raise ValueError("budgets must be finite and nonnegative")
     coef = coefficients if coefficients is not None else DependencyCoefficients(net)
-    b_mat = (coef.r * net.w0)[:, None] * delta_matrix(net)
-    cb = b_mat @ coef.c
+    b_mat = coef.scale[:, None] * delta_matrix(net)
     node1, node2 = np.divmod(np.arange(n * n), n)
-    good = _camp_terms(coef, node1, node2, node2, cb, kg, 1.0)
-    bad = _camp_terms(coef, node1, node2, node2, cb, kb, -1.0)
+    good = _camp_terms(coef, node1, node2, node2, kg, 1.0)
+    bad = _camp_terms(coef, node1, node2, node2, kb, -1.0)
 
     def row(i):  # (payoff, kg1, kb1) of good profile i against every bad one
         return [x[0] for x in _box_saddle(*_coefficient_block(

@@ -53,7 +53,7 @@ def farsighted_unbounded(
     is positive; otherwise the camp stays out. Phase 1 wins only when the
     best phase-1 worth strictly beats every phase-2 worth.
     """
-    if budget < 0:
+    if not budget >= 0:  # also refuses nan
         raise ValueError("budget must be nonnegative")
     prof = _profile(net, profile)
     w = _camp_weights(net, camp)
@@ -73,7 +73,7 @@ def myopic_strategy(
 ) -> PureInvestment:
     """Greedy strategy that only looks at the current phase: entire budget on
     the node with the largest r_i * w_i, spent in phase 1."""
-    if budget < 0:
+    if not budget >= 0:  # also refuses nan
         raise ValueError("budget must be nonnegative")
     prof = _profile(net, profile)
     w = _camp_weights(net, camp)
@@ -93,7 +93,7 @@ def myopic_loss(net: Network, kb: float, profile: CentralityProfile | None = Non
     farsighted play would realize the best slot worth overall; the loss is kb
     times the worth gap (never negative).
     """
-    if kb < 0:
+    if not kb >= 0:  # also refuses nan
         raise ValueError("kb must be nonnegative")
     prof = _profile(net, profile)
     first = prof.s * net.wb
@@ -127,7 +127,7 @@ def bounded_greedy(
 ) -> InvestmentPlan:
     """Optimal plan when each (node, phase) slot holds at most ``cap`` units:
     fill slots in decreasing worth while the worth stays positive."""
-    if budget < 0:
+    if not budget >= 0:  # also refuses nan
         raise ValueError("budget must be nonnegative")
     if not cap > 0:
         raise ValueError("cap must be positive")

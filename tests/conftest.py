@@ -237,10 +237,9 @@ def full_game_solution(net: Network, kg: float, kb: float) -> FullGame:
     m = n * n + 1
     coef = DependencyCoefficients(net)
     b_mat = (coef.r * net.w0)[:, None] * delta_matrix(net)
-    cb = b_mat @ coef.c
     node1, node2 = np.divmod(np.arange(n * n), n)
-    good = _camp_terms(coef, node1, node2, node2, cb, kg, 1.0)
-    bad = _camp_terms(coef, node1, node2, node2, cb, kb, -1.0)
+    good = _camp_terms(coef, node1, node2, node2, kg, 1.0)
+    bad = _camp_terms(coef, node1, node2, node2, kb, -1.0)
     payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
     for start in range(0, m, n):
         rows = slice(start, start + n)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import opinion_game
-from opinion_game import Network, generate_weights, katz_r, katz_s, load_edge_list
+from opinion_game import (
+    Network, ba_graph, generate_weights, katz_r, katz_s, load_edge_list, save_edge_list,
+)
 from opinion_game.cli import _network, build_parser, main
 
 
@@ -198,6 +200,24 @@ class TestCapOption:
         assert code == 0
 
 
+class TestBudgetOptions:
+    # nan and infinite budgets once ran: strategy-dep printed a nan value and
+    # strategy-fixed --bounded put the cap on every slot; every command now
+    # refuses them before any work, as sweep always did
+    @pytest.mark.parametrize("argv, err", [
+        (("strategy-dep", "--mode", "dependency1", "--kg", "nan"), "kg must be finite "
+         "and nonnegative, got nan"),
+        (("strategy-fixed", "--bounded", "--kg", "nan", "--kb", "2"), "kg must be finite "
+         "and nonnegative, got nan"),
+        (("strategy-dep", "--mode", "dependency1", "--kg", "inf"), "kg must be finite "
+         "and nonnegative, got inf"),
+        (("centrality", "--kb", "-1"), "kb must be finite and nonnegative, got -1.0"),
+    ])
+    def test_bad_budget_refused_before_any_work(self, capsys, argv, err):
+        # the synthetic graph's note on stderr would show any work done
+        assert run_cli(capsys, *argv, "--w0-grid", "0.3") == (1, "", f"error: {err}\n")
+
+
 class TestStrategyDepCommand:
     def test_single_camp_row(self, capsys, graph_file):
         code, out, _ = run_cli(
@@ -223,6 +243,23 @@ class TestStrategyDepCommand:
         for row in rows:
             probs[(row[1], row[2])] = probs.get((row[1], row[2]), 0.0) + 0.0
         assert all(float(row[0]) == pytest.approx(float(rows[0][0])) for row in rows)
+
+    def test_phase_without_spending_names_no_node(self, capsys, tmp_path):
+        # the bad camp spends its whole budget in phase 1, so its phase-2
+        # node, once picked by rounding (0 in one row, 3 in the other), is blank
+        graph = str(tmp_path / "pa20.txt")
+        save_edge_list(ba_graph(20, 2, 0), graph)
+        code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph, "--w0-grid", "0.3",
+                               "--kg", "100", "--kb", "50")
+        assert code == 0
+        _, rows = read_csv(out)
+        cells = [row[1:3] + row[4:6] + row[9:] for row in rows]
+        assert cells == [["3", "3", "3", "", "50", "0"]] * 2
+        assert [float(row[6]) for row in rows] == pytest.approx([0.865774187022, 0.134225812978])
+        # at w0 = 0 phase-1 spending never reaches the final phase
+        code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph, "--w0-grid", "0",
+                               "--mode", "dependency1")
+        assert (code, read_csv(out)[1]) == (0, [["", "3", "0", "100", "133.384841721"]])
 
     def test_guard_refuses_synthetic_scale(self, capsys):
         code, _, err = run_cli(capsys, "strategy-dep", "--seed", "0")

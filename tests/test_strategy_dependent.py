@@ -24,7 +24,7 @@ from opinion_game import (
     single_camp_optimal,
     two_camp_equilibrium,
 )
-from opinion_game.strategy_dependent import _box_saddle
+from opinion_game.strategy_dependent import _box_saddle, _split_values
 
 from conftest import (
     dependency_two_phase_sum,
@@ -200,6 +200,82 @@ class TestSingleCampOptimal:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             single_camp_optimal(dep_pair(), -1.0)
+
+    def test_iterative_scan_solves_only_r_and_s_transposed(self, monkeypatch):
+        # the winner is neither re-solved by the saddle kernel nor given a
+        # resolvent row of its own
+        net = random_network(np.random.default_rng(181), 9, dependency=True)
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        transposed = []
+        for module in (centrality, dep):
+            solve = module.solve_linear
+
+            def spy(*args, _solve=solve, **kwargs):
+                transposed.append(kwargs.get("transpose", False))
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, "solve_linear", spy)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the single-camp scan left its closed form")
+
+        monkeypatch.setattr(dep, "profile_utility", refused)
+        monkeypatch.setattr(DependencyCoefficients, "b_row", refused)
+        profile, _ = single_camp_optimal(net, 4.0)
+        assert profile.alpha is not None
+        assert transposed.count(True) == 2
+
+    def test_reports_the_closed_form_entry_the_kernel_agrees_with(self):
+        rng = np.random.default_rng(191)
+        scanned = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            net = random_network(rng, n, dependency=True)
+            kg = float(rng.uniform(0.5, 50.0))
+            coef = DependencyCoefficients(net)
+            profile, value = single_camp_optimal(net, kg, coef)
+            if profile.alpha is None:
+                continue
+            a, b, k1, k2 = profile.alpha, profile.beta, profile.k1, profile.k2
+            first = 0.5 * coef.theta[a] * (1.0 + coef.c[a])
+            second = 0.5 * coef.theta[b]
+            closed = (
+                coef.s_total + first * coef.s[a] * k1 + second * (coef.cb[b] + coef.r[b]) * k2
+                + first * second * coef.b_row(b)[a] * k1 * k2
+            )
+            assert value == pytest.approx(closed, rel=1e-12)
+            kernel_value, kernel_k1, _ = profile_utility(net, (a, b), None, kg, 0.0)
+            assert abs(value - kernel_value) <= 1e-12 * (1.0 + abs(value))
+            assert abs(k1 - kernel_k1) <= 1e-9 * kg
+            scanned += 1
+        assert scanned >= 30
+
+
+class TestSplitValues:
+    def test_endpoint_choice_and_clamped_stationary_point(self):
+        # s_total 3, kg 4; gains (first, second) against coupling: without
+        # strict concavity the better endpoint wins and a tie goes to 0
+        # (exactly: a zero expected value leaves assert_allclose no slack)
+        first = np.array([2.0, 1.0, 1.0, 2.0, 1.0, 2.0, 1.0, 1.0, 1.0])
+        second = np.array([1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 2.0, 1.0, 1.0])
+        coupling = np.array([0.0, 0.0, 0.0, -0.5, -0.5, 1e-300, 1e-300, 1e-300, 0.5])
+        values, k1 = _split_values(3.0, 4.0, first, second, coupling)
+        assert_allclose(k1, [4.0, 0.0, 0.0, 4.0, 0.0, 4.0, 0.0, 2.0, 2.0], rtol=1e-15)
+        assert_allclose(values, [11.0, 11.0, 7.0, 11.0, 7.0, 11.0, 11.0, 7.0, 9.0], rtol=1e-15)
+
+
+class TestBudgetChecks:
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_non_finite_budgets_refused(self, budget):
+        # nan once passed `kg < 0` and printed a nan value; inf printed one too
+        net = dep_pair()
+        with pytest.raises(ValueError, match="^budget must be finite and nonnegative$"):
+            single_camp_optimal(net, budget)
+        for kg, kb in ((budget, 1.0), (1.0, budget)):
+            with pytest.raises(ValueError, match="^budgets must be finite and nonnegative$"):
+                profile_utility(net, (0, 1), (1, 0), kg, kb)
+            with pytest.raises(ValueError, match="^budgets must be finite and nonnegative$"):
+                two_camp_equilibrium(net, kg, kb)
 
 
 class TestProfileUtility:

@@ -176,6 +176,20 @@ class TestBoundedGreedy:
         with pytest.raises(ValueError, match="^cap must be positive$"):
             bounded_greedy(pair_net(), 2.0, GOOD, cap=cap)
 
+    @pytest.mark.parametrize("budget", [-1.0, math.nan, -math.inf])
+    def test_negative_or_nan_budget_refused(self, budget):
+        # a nan budget once passed `budget < 0` and filled every slot to the
+        # cap; an infinite one stays valid (see test_budget_beyond_every_slot)
+        net = pair_net()
+        for call in (
+            lambda: bounded_greedy(net, budget, GOOD),
+            lambda: farsighted_unbounded(net, budget, GOOD),
+            lambda: myopic_strategy(net, budget, GOOD),
+            lambda: myopic_loss(net, budget),
+        ):
+            with pytest.raises(ValueError, match="must be nonnegative$"):
+                call()
+
     def test_matches_exhaustive_discretized_search(self):
         rng = np.random.default_rng(67)
         levels = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
