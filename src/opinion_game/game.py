@@ -8,10 +8,11 @@ program
 
 has an immediately feasible slack basis, so one primal simplex run settles
 it; the optimal column mix is q = z / sum(z) with game value
-1 / sum(z) - shift, and the row mix falls out of the same tableau as the
-dual prices on the slack columns. Pivoting uses Bland's smallest-index rule
-throughout, which cannot cycle; a generous pivot cap guards against numeric
-stalls anyway.
+1 / sum(z) - shift, and the row mix is the dual prices on the slack
+columns. Pivoting uses Bland's smallest-index rule throughout, which cannot
+cycle; a generous pivot cap guards against numeric stalls anyway. Pivots on
+near-tied payoffs can still end in a wrong basis, so every answer is
+certified, and the game -M^T, with the players swapped, is the fallback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ PIVOT_TOL = 1e-12
 
 
 class GameSolverError(RuntimeError):
-    """Simplex failed to terminate cleanly; the message carries diagnostics."""
+    """No certified solution was found; the message carries diagnostics."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,19 +80,10 @@ def _simplex_bland(tableau: np.ndarray, basis: np.ndarray, cap: int) -> int:
     )
 
 
-def solve_zero_sum(game: MatrixGame | np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Optimal mixed strategies and value of a zero-sum matrix game.
-
-    Returns (row_mix, col_mix, value): row_mix maximizes the minimum column
-    expectation, col_mix minimizes the maximum row expectation, and both
-    guarantee ``value``. Ties among optimal bases are resolved by pivot
-    order, so only the value is contract-stable. The solver takes no
-    options: it pivots with tolerance ``PIVOT_TOL`` and raises
-    GameSolverError after 1000 + 50 (rows + cols) pivots.
-    """
-    if not isinstance(game, MatrixGame):
-        game = MatrixGame(np.asarray(game, dtype=float))
-    payoff = game.payoff
+def _solve_lp(payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Uncertified (row_mix, col_mix, value) read off the final basis of
+    the column player's program; GameSolverError if the simplex fails or the
+    read-out is not finite and positive."""
     nrows, ncols = payoff.shape
     shift = 1.0 - float(payoff.min())
     shifted = payoff + shift
@@ -105,32 +97,56 @@ def solve_zero_sum(game: MatrixGame | np.ndarray) -> tuple[np.ndarray, np.ndarra
     basis = np.arange(ncols, ncols + nrows)
     _simplex_bland(tableau, basis, 1000 + 50 * (nrows + ncols))
 
-    total = float(tableau[0, -1])
-    if not np.isfinite(total) or total <= PIVOT_TOL:
-        raise GameSolverError(f"degenerate optimum (objective {total:.3e}) on shifted payoffs")
-
-    z = np.zeros(ncols + nrows)
-    z[basis] = tableau[1:, -1]
-    duals = tableau[0, ncols:ncols + nrows]
     # The tableau carries the rounding of every pivot, and pivots on small
     # differences of near-equal payoffs amplify it well past machine
     # precision. Re-solving the final basis against the original data
     # recovers the primal and dual solutions to machine accuracy.
-    constraints = np.hstack([shifted, np.eye(nrows)])
-    basic = constraints[:, basis]
+    basic = np.hstack([shifted, np.eye(nrows)])[:, basis]
     try:
         z_basic = np.linalg.solve(basic, np.ones(nrows))
-        refined = np.linalg.solve(basic.T, (basis < ncols).astype(float))
+        duals = np.linalg.solve(basic.T, (basis < ncols).astype(float))
     except np.linalg.LinAlgError:
-        pass
-    else:
-        if np.all(np.isfinite(z_basic)) and np.all(np.isfinite(refined)):
-            z[basis] = z_basic
-            duals = refined
-            total = float(z_basic[basis < ncols].sum())
-    col_mix = np.maximum(z[:ncols], 0.0)
-    col_mix /= col_mix.sum()
-    duals = np.maximum(duals, 0.0)
-    row_mix = duals / duals.sum()
-    value = 1.0 / total - shift
-    return row_mix, col_mix, float(value)
+        raise GameSolverError("singular final basis") from None
+    total = float(z_basic[basis < ncols].sum())
+    if not (0 < total < np.inf and np.isfinite(duals).all() and duals.max() > 0):
+        raise GameSolverError(f"final basis reads off objective {total:.3e}")
+    z = np.zeros(ncols + nrows)
+    z[basis] = np.maximum(z_basic, 0.0)
+    col_mix = z[:ncols] / z[:ncols].sum()
+    row_mix = np.maximum(duals, 0.0)
+    row_mix /= row_mix.sum()
+    return row_mix, col_mix, 1.0 / total - shift
+
+
+def solve_zero_sum(game: MatrixGame | np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Optimal mixed strategies and value of a zero-sum matrix game.
+
+    Returns (row_mix, col_mix, value): row_mix maximizes the minimum column
+    expectation, col_mix minimizes the maximum row expectation, and both
+    guarantee ``value``. The column ceiling ``max(payoff @ col_mix)`` exceeds
+    the row floor ``min(row_mix @ payoff)`` by at most ``1e-9 * (1 + max -
+    min payoff)``; if the simplex fails or misses that, it solves -payoffᵀ,
+    and GameSolverError names both sides' bounds if that misses too. Ties among
+    optimal bases are resolved by pivot order, so only the value is
+    contract-stable. The solver takes no options: it pivots with tolerance
+    ``PIVOT_TOL`` and gives up after 1000 + 50 (rows + cols) pivots.
+    """
+    if not isinstance(game, MatrixGame):
+        game = MatrixGame(np.asarray(game, dtype=float))
+    payoff = game.payoff
+    tol = 1e-9 * (1.0 + float(payoff.max() - payoff.min()))
+    misses = []
+    for side in (payoff, -payoff.T):
+        try:
+            row_mix, col_mix, value = _solve_lp(side)
+        except GameSolverError as exc:
+            misses.append(str(exc))
+            continue
+        if side is not payoff:  # the players of -payoffᵀ are swapped
+            row_mix, col_mix, value = col_mix, row_mix, -value
+        floor, ceiling = float((row_mix @ payoff).min()), float((payoff @ col_mix).max())
+        if ceiling - floor <= tol:
+            return row_mix, col_mix, value
+        misses.append(f"row floor {floor!r}, column ceiling {ceiling!r}")
+    raise GameSolverError(f"no certified solution of the {payoff.shape[0]}x{payoff.shape[1]} "
+                          f"game: {misses[0]} on the payoff, {misses[1]} on its negated transpose")

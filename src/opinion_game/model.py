@@ -8,12 +8,12 @@ depends on its bias. Nodes are dense 0-based integers.
 
 Arcs stay numpy arrays from the edge-list file to the CSR matrix: a
 ``Topology`` holds ``src``, ``dst`` and ``weight`` arrays, and duplicate and
-range checks and symmetrizing are array operations. The loader finds lines
-and fields with byte masks over the whole file and parses the well-formed
-lines with numpy in one pass; only the other lines go through Python's
-``int()`` and ``float()``, one at a time, and only they word errors.
-Duplicates are found by one plain sort of packed (src, dst) keys; a stable
-lexsort runs only to name the repeat, or when the keys would overflow.
+range checks and symmetrizing are array operations. numpy's ``loadtxt``
+reads an edge-list file in one pass; a file it cannot read, or may read
+otherwise than Python's ``int()`` and ``float()``, goes through those one
+line at a time, which alone word errors. Duplicates are found by one plain
+sort of packed (src, dst) keys; a stable lexsort runs only to name the
+repeat, or when the keys would overflow.
 ``Network.build`` gets its CSR layout from scipy's COO conversion, one
 scatter by row that sums repeats, so a repeat shows as a missing entry.
 """
@@ -99,11 +99,6 @@ def _first_repeat(src: np.ndarray, dst: np.ndarray, n: int) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
-# Bytes a bulk weight may hold; a bulk node id holds ASCII digits only, at
-# most 18 of them, so that it fits in int64.
-_WEIGHT_BYTE = np.zeros(256, dtype=bool)
-_WEIGHT_BYTE[list(b"0123456789.eE+-")] = True
-_BULK_ID_DIGITS = 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -128,129 +123,67 @@ def _parse_line(path, lineno: int, raw: str, default: float) -> tuple[int, int, 
     return i, j, w
 
 
-def _fields(byte: np.ndarray):
-    """[start, stop) of each field, a maximal run of bytes other than space,
-    tab and newline; and whether each field holds a byte that no node id may
-    hold (anything but an ASCII digit), and one that no weight may hold."""
-    # in place, to hold at most three byte-sized temporaries at once
-    word = byte != ord(" ")
-    word &= byte != ord("\t")
-    word &= byte != ord("\n")
-    other = np.subtract(byte, np.uint8(ord("0")))
-    other = np.greater(other, 9, out=other.view(bool))
-    other &= word
-    at = np.flatnonzero(other)
-    del other
-    edge = np.zeros(len(byte) + 1, dtype=np.int8)
-    edge[:-1] = word
-    edge[1:] -= word
-    del word
-    start, stop = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
-    del edge
-    field = np.searchsorted(start, at, side="right") - 1
-    not_digits = np.zeros(len(start), dtype=bool)
-    not_digits[field] = True
-    not_weight = np.zeros(len(start), dtype=bool)
-    not_weight[field[~_WEIGHT_BYTE[byte[at]]]] = True
-    return start, stop, not_digits, not_weight
+def _read_lines(path, default: float):
+    """src, dst and weight arrays and the line numbers of the arcs of an
+    edge-list file, parsed one line at a time by :func:`_parse_line`, which
+    raises on the first malformed line; ValueError if there is no arc."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")  # text mode ends every line in "\n"
+    src, dst, weight, line = [], [], [], []
+    for k, raw in enumerate(lines, start=1):
+        arc = _parse_line(path, k, raw, default)
+        if arc is not None:
+            src.append(arc[0])
+            dst.append(arc[1])
+            weight.append(arc[2])
+            line.append(k)
+    if not line:
+        raise ValueError(f"{path}: no nodes (empty edge list)")
+    return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(weight), line
 
 
-def _span_mask(size: int, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Boolean mask of the bytes inside the disjoint spans [start, stop)."""
-    mask = np.zeros(size + 1, dtype=np.uint8)
-    mask[start], mask[stop] = 1, 255  # uint8 wraps 1 + 255 to 0
-    return np.cumsum(mask, dtype=np.uint8, out=mask)[:-1].view(bool)
+def _inline_hash(path) -> bool:
+    """Whether a '#' follows a non-blank byte on its line, a comment to
+    numpy but not to the format, which has only whole comment lines."""
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r", b"\n")  # a line may end in "\r" alone
+    at = data.find(b"#")
+    while at >= 0:
+        head = data[data.rfind(b"\n", 0, at) + 1:at].lstrip()
+        if head and not head.startswith(b"#"):
+            return True
+        at = data.find(b"#", at + 1)
+    return False
 
 
-def _parse_numbers(text: np.ndarray, dtype, count: int) -> np.ndarray | None:
-    """The ``count`` whitespace-separated numbers in the bytes ``text``, parsed
-    in one pass by numpy, which reads floats as ``float()`` does; None if the
-    text does not hold ``count`` numbers."""
-    try:
-        with warnings.catch_warnings():
-            # older numpy warns about text it could not parse, newer numpy
-            # raises
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(text, dtype=dtype, sep=" ")
-    except (DeprecationWarning, ValueError):
-        return None
-    return values if len(values) == count else None
+def _read_bulk(path, default: float):
+    """(src, dst, weight, None) arrays of the arcs of an edge-list file, read
+    in one pass by numpy's loadtxt, which numbers no lines; None where numpy
+    cannot read the file or may read it otherwise than :func:`_parse_line`.
 
-
-def _bulk_lines(byte: np.ndarray, line_start: np.ndarray):
-    """Field counts of the lines, the bulk lines, which of them have a
-    weight, and the byte spans (start, stop) of those weights."""
-    start, stop, not_digits, not_weight = _fields(byte)
-    first = np.searchsorted(start, line_start)
-    n_fields = np.diff(first, append=len(start))
-    line = np.flatnonzero((n_fields == 2) | (n_fields == 3))
-    ids = first[line]
-    bad_id = not_digits | (stop - start > _BULK_ID_DIGITS)
-    ok = ~(bad_id[ids] | bad_id[ids + 1])
-    weighted = n_fields[line] == 3
-    ok[weighted] &= ~not_weight[ids[weighted] + 2]
-    line, ids, weighted = line[ok], ids[ok], weighted[ok]
-    field = ids[weighted] + 2
-    return n_fields, line, weighted, (start[field], stop[field])
-
-
-def _read_arcs(path, data: bytes, default: float):
-    """src, dst, weight and line-number arrays of the arcs of an edge-list
-    text, in line order.
-
-    Bulk lines, two or three fields of which the first two are node ids of
-    at most 18 ASCII digits and the third a weight of ``0-9 . e E + -``, are
-    parsed all at once by numpy. The other, odd lines are parsed one at a
-    time by :func:`_parse_line`, which alone words errors. A bulk line cannot
-    fail, except for a weight such as ``1e`` that passes the byte filter but
-    not ``float()``; then every line is parsed as odd, so the first bad line
-    in file order is still the one reported.
+    numpy splits fields where ``str.split`` does, and reads a subset of what
+    ``int()`` and ``float()`` read to the same values. Left to check are a
+    '#' after a non-blank on its line, ids the loop refuses, and warnings
+    (on a file without arcs, or from numpy 1.x on an id such as ``3.0``).
+    Given the path, numpy would decompress the file by its suffix.
     """
-    byte = np.frombuffer(data, dtype=np.uint8)
-    line_end = np.flatnonzero(byte == ord("\n"))
-    if len(byte) and byte[-1] != ord("\n"):
-        line_end = np.append(line_end, len(byte))
-    line_start = np.zeros_like(line_end)
-    line_start[1:] = line_end[:-1] + 1
-    n_fields, line, weighted, weight_span = _bulk_lines(byte, line_start)
-    blank = np.uint8(ord(" "))
-    weight = np.full(len(line), default)
-    inside = None
-    if weighted.any():
-        inside = _span_mask(len(byte), *weight_span)
-        values = _parse_numbers(np.where(inside, byte, blank), float, len(weight_span[0]))
-        if values is None:
-            line, weight = line[:0], weight[:0]
-        else:
-            weight[weighted] = values
-    odd = n_fields > 0
-    odd[line] = False
-    odd_start, odd_end = line_start[odd].tolist(), line_end[odd].tolist()
-    odd_src, odd_dst, odd_weight, odd_line = [], [], [], []
-    for k, lo, hi in zip(np.flatnonzero(odd).tolist(), odd_start, odd_end):
-        row = _parse_line(path, k + 1, data[lo:hi + 1].decode("utf-8"), default)
-        if row is not None:
-            odd_src.append(row[0])
-            odd_dst.append(row[1])
-            odd_weight.append(row[2])
-            odd_line.append(k)
-    src = dst = np.zeros(0, dtype=np.int64)
-    if len(line):
-        # the bulk ids are what is left of the file once the weights and the
-        # odd lines are blanked
-        text = byte.copy() if inside is None else np.where(inside, blank, byte)
-        for lo, hi in zip(odd_start, odd_end):
-            text[lo:hi] = blank
-        src, dst = _parse_numbers(text, np.int64, 2 * len(line)).reshape(-1, 2).T
-    del odd_start, odd_end  # before the merge copies the arrays
-    lineno = line + 1
-    if odd_line:
-        # put the odd lines' arcs among the bulk ones, in line order
-        at = np.searchsorted(line, odd_line)
-        src, dst = np.insert(src, at, odd_src), np.insert(dst, at, odd_dst)
-        weight = np.insert(weight, at, odd_weight)
-        lineno = np.insert(lineno, at, np.array(odd_line) + 1)
-    return src, dst, weight, lineno
+    ids = [("src", np.int64), ("dst", np.int64)]
+    for dtype in (ids, ids + [("weight", float)]):
+        try:
+            with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+                warnings.simplefilter("error")
+                arcs = np.loadtxt(fh, dtype=dtype, ndmin=1)
+            break
+        except (ValueError, Warning):
+            pass
+    else:
+        return None
+    src, dst = arcs["src"], arcs["dst"]
+    if (not len(arcs) or min(src.min(), dst.min()) < 0
+            or max(src.max(), dst.max()) >= _INT64_MAX or _inline_hash(path)):
+        return None
+    weight = arcs["weight"] if len(dtype) == 3 else np.full(len(arcs), default)
+    return src, dst, weight, None
 
 
 def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) -> Topology:
@@ -263,30 +196,26 @@ def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) 
     ``default_weight``; duplicate (src, dst) pairs are an error rather than
     being summed.
 
-    The file is decoded as UTF-8 up front, so invalid UTF-8 is reported
-    before any line error. Well-formed lines are parsed in bulk and the
-    others one at a time; the first bad line in file order is reported. Every
-    line is checked before duplicates are looked for, so a malformed line is
-    reported even when a duplicate precedes it.
+    numpy reads a file whose arc lines all have two fields, or all three, in
+    one pass. Any other file, or one whose arcs fail a check, is read again
+    one line at a time, and only that loop words errors: invalid UTF-8
+    first, then the first bad line in file order, even one after a
+    duplicate, and only then the first arc that repeats an earlier one.
     """
     default = float(default_weight)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    data = text.encode("utf-8")
-    del text
-    a, b, weight, line = _read_arcs(path, data, default)
-    if not len(a):
-        raise ValueError(f"{path}: no nodes (empty edge list)")
+    a, b, weight, line = _read_bulk(path, default) or _read_lines(path, default)
     n = int(max(a.max(), b.max())) + 1
     if symmetrize:
         # each line's arc, then its reverse unless it is a self-loop
         keep = np.stack([np.ones(len(a), dtype=bool), a != b], axis=1).ravel()
         a, b = np.stack([a, b], axis=1).ravel()[keep], np.stack([b, a], axis=1).ravel()[keep]
         weight = np.repeat(weight, 2)[keep]
-        line = np.repeat(line, 2)[keep]
     k = _first_repeat(a, b, n)
     if k is not None:
-        raise ValueError(f"{path}: line {line[k]}: duplicate edge ({a[k]}, {b[k]})")
+        # numpy numbers no lines; the loop reads the same arcs and does
+        line = line or _read_lines(path, default)[3]
+        arc = np.flatnonzero(keep)[k] // 2 if symmetrize else k
+        raise ValueError(f"{path}: line {line[arc]}: duplicate edge ({a[k]}, {b[k]})")
     return Topology(n, a, b, weight)
 
 

@@ -70,7 +70,7 @@ class PureProfile:
     k2: float
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k2 < 0:
+        if not (self.k1 >= 0 and self.k2 >= 0):  # also refuses nan
             raise ValueError("phase budgets must be nonnegative")
         if (self.alpha is None) != (self.beta is None):
             raise ValueError("stay-out profiles drop both nodes")

@@ -157,7 +157,7 @@ def multi_election_scores(
 ) -> np.ndarray:
     """Per-node decision scores when the first-phase outcome itself carries
     weight d1 and the final outcome weight d2: d1 * r + d2 * s."""
-    if d1 < 0 or d2 < 0:
+    if not (d1 >= 0 and d2 >= 0):  # also refuses nan
         raise ValueError("weights must be nonnegative")
     prof = _profile(net, profile)
     return d1 * prof.r + d2 * prof.s

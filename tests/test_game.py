@@ -83,6 +83,85 @@ class TestInputChecks:
             game._simplex_bland(tableau, np.arange(4, 8), 1)
 
 
+def certificate(payoff, row_mix, col_mix):
+    """(column ceiling minus row floor, the bound it must meet)."""
+    floor = float((row_mix @ payoff).min())
+    ceiling = float((payoff @ col_mix).max())
+    return ceiling - floor, 1e-9 * (1.0 + float(payoff.max() - payoff.min()))
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("payoff, value", [
+        # Bland's pivots on the payoff land on rounding and leave nan mixes;
+        # the read-out once divided by a zero objective
+        ([[2, -5, 2, -5, -1e-6, -1e-13], [2, 0, -5, -1e-6, -1e-13, 2],
+          [2, 0, 6e-8, 6e-8, 0, -1e-6], [2, 6e-8, -1e-6, 0, 0, -1e-13],
+          [2, -1e-6, 0, 6e-8, 0, 6e-8]], None),
+        # the last column pays -2 to both rows; the value 2.5 once came back
+        ([[1e-6, 5, -6e-8, 1e-13, 1e-13, -2], [0, 0, 1e-6, 5, 1e-13, -2]], -2.0),
+        # the column mix once sat on a column paying 5 to row 4
+        ([[5, 0, -2, 0], [5, 1e-6, 1e-6, 1e-13], [0, 0, -6e-8, 5],
+          [-2, -6e-8, 1e-13, 1e-13], [0, -2, 5, 1e-13], [5, 0, -2, 0]], 1e-6),
+    ])
+    def test_pinned_misses_certify(self, payoff, value):
+        payoff = np.array(payoff, dtype=float)
+        row, col, got = solve_zero_sum(payoff)
+        gap, bound = certificate(payoff, row, col)
+        assert gap <= bound
+        if value is not None:
+            assert got == pytest.approx(value, abs=bound)
+
+    def test_near_tied_levels_certify(self):
+        rng = np.random.default_rng(0)
+        levels = [0.0, 1e-13, -6e-8, 1e-6, -2.0, 5.0]
+        for _ in range(3000):
+            m, k = rng.integers(1, 7, size=2)
+            payoff = rng.choice(levels, size=(m, k))
+            row, col, value = solve_zero_sum(payoff)
+            gap, bound = certificate(payoff, row, col)
+            assert gap <= bound, payoff
+            floor = float((row @ payoff).min())
+            assert floor - bound <= value <= floor + gap + bound
+
+    def test_one_failing_side_still_certifies(self, monkeypatch):
+        payoff = np.array([[2.0, 0.0], [0.0, 1.0]])
+        solve = game._solve_lp
+        for failure in ("raise", "wrong mixes"):
+            calls = []
+
+            def first_fails(side):
+                calls.append(side.shape)
+                if len(calls) > 1:
+                    return solve(side)
+                if failure == "raise":
+                    raise GameSolverError("simplex failed")
+                return np.array([1.0, 0.0]), np.array([1.0, 0.0]), 2.0
+
+            monkeypatch.setattr(game, "_solve_lp", first_fails)
+            row, col, value = solve_zero_sum(payoff)
+            assert len(calls) == 2
+            assert value == pytest.approx(2.0 / 3.0, abs=1e-12)
+            assert_allclose(row, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+            assert_allclose(col, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+
+    def test_two_failing_sides_raise(self, monkeypatch):
+        answers = iter([GameSolverError("singular final basis"),
+                        (np.array([1.0, 0.0]), np.array([1.0, 0.0]), -2.0)])
+
+        def fails(side):
+            answer = next(answers)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        monkeypatch.setattr(game, "_solve_lp", fails)
+        with pytest.raises(GameSolverError, match=(
+            r"^no certified solution of the 2x2 game: singular final basis on the "
+            r"payoff, row floor 0\.0, column ceiling 2\.0 on its negated transpose$"
+        )):
+            solve_zero_sum(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+
 class TestSolverProperties:
     @settings(max_examples=120, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -213,6 +214,66 @@ class TestLoadEdgeList:
                     assert got_arr.dtype == want.dtype
                     assert got_arr.tobytes() == want.tobytes(), text
         assert loaded[7] == 3 and 150 not in loaded and len(loaded) > 60
+
+    @pytest.mark.parametrize("text, message", [
+        # numpy drops a line's tail from any '#'; the format has whole
+        # comment lines only
+        ("0 1\n1 2#x\n", "line 2: could not parse '1 2#x'"),
+        ("0 1\r1 2 #x\r", "line 2: could not parse '1 2 #x'"),
+        ("# a # b\n0 1 0.5\n2 3 #\n", "line 3: could not parse '2 3 #'"),
+    ])
+    def test_hash_after_a_field_is_no_comment(self, tmp_path, text, message):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(text.encode())
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_comment_lines_holding_more_hashes(self, tmp_path):
+        topo = load_edge_list(write(tmp_path, "# a # b\n  ## c\n\t#\n0 1\n1 2\n"))
+        assert arc_list(topo) == [(0, 1, 0.0), (1, 2, 0.0)]
+
+    def test_compressed_suffix_is_plain_text(self, tmp_path):
+        # numpy given a path would decompress it by its suffix
+        text = "# src dst\n0 1\n1 2 0.5\n"
+        plain = load_edge_list(write(tmp_path, text), default_weight=0.25)
+        named_gz = tmp_path / "graph.gz"
+        named_gz.write_text(text)
+        assert arc_list(load_edge_list(named_gz, default_weight=0.25)) == arc_list(plain)
+        named_gz.write_text("0 1\n1 2\n")
+        assert arc_list(load_edge_list(named_gz)) == [(0, 1, 0.0), (1, 2, 0.0)]
+
+    @pytest.mark.parametrize("text", [
+        "0 1\n1 2\n", "0 1 0.5\n1 2 0.25\n", "# c\n", "0 1\n0 1\n", "0 1\n1 x\n",
+    ])
+    def test_numpy_read_that_warns_is_not_used(self, tmp_path, monkeypatch, text):
+        # numpy 1.x reads an id such as 3.0 with a DeprecationWarning, and
+        # every numpy warns on a file without arcs
+        def loadtxt(fh, dtype, ndmin):
+            warnings.warn("read with a warning", DeprecationWarning)
+            return np.zeros(3, dtype=dtype)
+
+        path = write(tmp_path, text)
+        try:
+            expected = loop_load_edge_list(path, False, 0.25)
+        except ValueError as exc:
+            expected = str(exc)
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        try:
+            topo = load_edge_list(path, default_weight=0.25)
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert (topo.n, topo.src.tolist(), topo.dst.tolist(), topo.weight.tolist()) == (
+                expected[0], *(arr.tolist() for arr in expected[1:]))
+
+    def test_numpy_read_without_arcs_is_not_used(self, tmp_path, monkeypatch):
+        # should a numpy version return no rows without a warning
+        monkeypatch.setattr(np, "loadtxt", lambda fh, dtype, ndmin: np.zeros(0, dtype=dtype))
+        path = write(tmp_path, "# src dst\n")
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path)
+        assert str(exc.value) == f"{path}: no nodes (empty edge list)"
 
     def test_load_save_load_idempotent(self, tmp_path):
         first = load_edge_list(write(tmp_path, "0 1 0.5\n1 2 -0.25\n2 0 0.1\n"))

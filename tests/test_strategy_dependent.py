@@ -277,6 +277,12 @@ class TestBudgetChecks:
             with pytest.raises(ValueError, match="^budgets must be finite and nonnegative$"):
                 two_camp_equilibrium(net, kg, kb)
 
+    @pytest.mark.parametrize("k1, k2", [(-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)])
+    def test_negative_or_nan_phase_budgets_refused(self, k1, k2):
+        # nan once passed `k1 < 0`, so PureProfile(0, 1, nan, 1.0) constructed
+        with pytest.raises(ValueError, match="^phase budgets must be nonnegative$"):
+            dep.PureProfile(0, 1, k1, k2)
+
 
 class TestProfileUtility:
     def test_both_out_is_idle_total(self):

@@ -228,6 +228,12 @@ class TestMultiElectionScores:
         with pytest.raises(ValueError):
             multi_election_scores(two_node_net(), -0.1, 1.0)
 
+    @pytest.mark.parametrize("d1, d2", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_nan_weights_rejected(self, d1, d2):
+        # nan once passed `d1 < 0` and returned nan scores
+        with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+            multi_election_scores(two_node_net(), d1, d2)
+
 
 class TestEvaluateTwoPhase:
     def test_no_investment_baseline(self):
