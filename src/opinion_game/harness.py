@@ -119,6 +119,12 @@ def sweep_point(
 ) -> dict:
     """One sweep row: generate weights at w0, run the mode's optimizer, and
     report the phase budgets and objective (columns in SWEEP_COLUMNS)."""
+    return _sweep_point(topology, w0, scheme, mode, budgets, bounded_cap, None)[0]
+
+
+def _sweep_point(topology, w0, scheme, mode, budgets, bounded_cap, start):
+    """:func:`sweep_point`'s row and, in the dependency2 mode, the
+    equilibrium behind it (otherwise None); ``start`` seeds that solve."""
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     budgets = budgets if budgets is not None else Budgets(100.0, 100.0)
@@ -136,7 +142,7 @@ def sweep_point(
             "k2_bad": float(bad.x2.sum()),
             "objective": objective,
             "myopic_loss": myopic_loss(net, budgets.kb, profile=prof),
-        }
+        }, None
     if mode == "dependency1":
         profile, value = single_camp_optimal(net, budgets.kg)
         return {
@@ -147,8 +153,8 @@ def sweep_point(
             "k2_bad": 0.0,
             "objective": value,
             "myopic_loss": None,
-        }
-    solution = two_camp_equilibrium(net, budgets.kg, budgets.kb)
+        }, None
+    solution = two_camp_equilibrium(net, budgets.kg, budgets.kb, start=start)
     eg1, eb1 = _expected_splits(solution)
     return {
         "w0": w0,
@@ -158,7 +164,7 @@ def sweep_point(
         "k2_bad": budgets.kb - eb1,
         "objective": solution.value,
         "myopic_loss": None,
-    }
+    }, solution
 
 
 def sweep_w0(
@@ -169,9 +175,13 @@ def sweep_w0(
     *,
     bounded_cap: float = 1.0,
 ) -> list[dict]:
-    """Run :func:`sweep_point` for every grid value; one row per w0."""
+    """Run :func:`sweep_point` for every grid value; one row per w0. In the
+    dependency2 mode each point's double oracle starts from the supports of
+    the previous point's equilibrium, which neighbouring bias weights mostly
+    share."""
     scheme = scheme if scheme is not None else WeightScheme()
-    return [
-        sweep_point(topology, w0, scheme, mode, budgets, bounded_cap=bounded_cap)
-        for w0 in scheme.w0_grid
-    ]
+    rows, solution = [], None
+    for w0 in scheme.w0_grid:
+        row, solution = _sweep_point(topology, w0, scheme, mode, budgets, bounded_cap, solution)
+        rows.append(row)
+    return rows

@@ -20,9 +20,12 @@ pair's own entry, without the saddle kernel. With two camps the game over
 the (n^2+1) x (n^2+1) payoff of saddle values is solved by a double oracle:
 both camps' strategy sets grow by best responses, each restricted game going
 to the zero-sum solver in :mod:`opinion_game.game`, and only the rows and
-columns of the strategies added are scored. Networks above
-``MAX_GAME_NODES`` nodes are refused. Every saddle value comes from a
-vectorized kernel that finds each box saddle exactly. The good camp's
+columns of the strategies added are scored, all those joining at once in
+one kernel call. A solve may start from the supports of an earlier solution
+over the same profiles, as each point of a bias-weight sweep starts from the
+previous point's. Networks above ``MAX_GAME_NODES`` nodes are refused.
+Every saddle value comes from a vectorized kernel that finds each box
+saddle exactly. The good camp's
 maximin split is a box endpoint, a piece breakpoint or a piece stationary
 point of its outer problem, so only those candidates are scored. By Sion's
 minimax theorem the bad camp's split is then its best reply to that split,
@@ -264,11 +267,14 @@ def _camp_terms(coef, node1, node2, rows, budget: float, sign: float):
 
 
 def _coefficient_block(coef, b_rows: np.ndarray, good, bad):
-    """Quadratic coefficients and budgets of every good profile in ``good``
-    (rows) against every bad profile in ``bad`` (columns), both given as
-    :func:`_camp_terms`; ``b_rows`` holds the coupling rows b[j, :] of the
-    phase-2 nodes."""
-    g1, g2, gain_beta, kg, alpha, beta = (x[:, None] for x in good)
+    """Quadratic coefficients and budgets of the good profiles in ``good``
+    against the bad profiles in ``bad``, both given as :func:`_camp_terms`
+    whose arrays broadcast against each other: a column of good profiles
+    against a row of bad ones for a block, or two equal-length vectors for
+    a list of pairs. Every entry comes from the same elementwise formulas,
+    so it is bitwise equal in any layout. ``b_rows`` holds the coupling
+    rows b[j, :] of the phase-2 nodes."""
+    g1, g2, gain_beta, kg, alpha, beta = good
     h1, h2, gain_delta, kb, gamma, delta = bad
     b_ba = b_rows[beta, alpha]
     b_dg = b_rows[delta, gamma]
@@ -317,7 +323,7 @@ def profile_utility(
         coef, b_rows, side(good, 0, kg, 1.0), side(bad, len(present) - 1, kb, -1.0)
     )
     value, a, b = _box_saddle(*block)
-    return float(value[0, 0]), float(a[0, 0]), float(b[0, 0])
+    return float(value[0]), float(a[0]), float(b[0])
 
 
 def _split_values(s_total: float, kg: float, first_gain, second_gain, coupling):
@@ -399,7 +405,7 @@ def _full_game(coef, b_mat, good, bad) -> tuple[np.ndarray, np.ndarray, np.ndarr
     payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
     for start in range(0, m, n):
         rows = slice(start, start + n)
-        block = _coefficient_block(coef, b_mat, [x[rows] for x in good], bad)
+        block = _coefficient_block(coef, b_mat, [x[rows, None] for x in good], bad)
         payoff[rows], kg1[rows], kb1[rows] = _box_saddle(*block)
     return payoff, kg1, kb1
 
@@ -409,17 +415,23 @@ def two_camp_equilibrium(
     kg: float,
     kb: float,
     coefficients: DependencyCoefficients | None = None,
+    start: GameSolution | None = None,
 ) -> GameSolution:
     """Equilibrium of the zero-sum game over the n^2 + 1 pure profiles of
     each camp, by the double oracle of McMahan, Gordon & Blum (ICML 2003).
 
-    The column set starts as the bad camp's stay-out strategy and the row
-    set as the good camp's best reply to it. Each round solves the game
-    restricted to the two sets with :func:`~opinion_game.game.solve_zero_sum`,
-    then scores both camps' best responses to the restricted mixes against
-    every profile, from the full rows and columns of the payoff cached as
-    their profiles joined a set (one call of the exact saddle kernel each).
-    A best response joins its set when it is not in it yet and beats the
+    Given ``start``, an earlier solution of a game over the same n^2 + 1
+    profiles (the previous point of a bias-weight sweep, say), the row and
+    column sets start as its supports: the profiles its mixes play with
+    positive probability. Otherwise the column set starts as the bad camp's
+    stay-out strategy and the row set as the good camp's best reply to it.
+    Each round solves the game restricted to the two sets with
+    :func:`~opinion_game.game.solve_zero_sum`, then scores both camps' best
+    responses to the restricted mixes against every profile, from the full
+    rows and columns of the payoff cached as their profiles joined a set.
+    All strategies joining at once, the seeded ones or a round's best
+    responses, are scored in one call of the exact saddle kernel. A best
+    response joins its set when it is not in it yet and beats the
     restricted value by more than ``PIVOT_TOL * (1 + |value|)``; ties go to
     the first profile. The loop ends when neither set grows. The best row
     response's value minus the best column response's value is the
@@ -427,7 +439,8 @@ def two_camp_equilibrium(
     mixes on the full payoff, and a gap above ``1e-9 * (1 + |value|)`` raises
     GameSolverError. The full payoff is never formed here; reading
     ``payoff``, ``kg1`` or ``kb1`` of the solution builds it. Networks above
-    ``MAX_GAME_NODES`` nodes are refused outright, before any solve.
+    ``MAX_GAME_NODES`` nodes, and a ``start`` over another number of
+    profiles, are refused outright, before any solve.
     """
     n = net.n
     m = n * n + 1
@@ -438,23 +451,37 @@ def two_camp_equilibrium(
         )
     if not (0 <= kg < np.inf and 0 <= kb < np.inf):  # also refuses nan
         raise ValueError("budgets must be finite and nonnegative")
+    if start is not None and {len(start.profiles), start.row_mix.size, start.col_mix.size} != {m}:
+        raise ValueError(
+            f"start is a game over {len(start.profiles)} profiles per camp, with mixes over "
+            f"{start.row_mix.size} and {start.col_mix.size}; this {n}-node network has "
+            f"n^2 + 1 = {m}"
+        )
     coef = coefficients if coefficients is not None else DependencyCoefficients(net)
     b_mat = coef.scale[:, None] * delta_matrix(net)
     node1, node2 = np.divmod(np.arange(n * n), n)
     good = _camp_terms(coef, node1, node2, node2, kg, 1.0)
     bad = _camp_terms(coef, node1, node2, node2, kb, -1.0)
+    row_of, col_of = {}, {}
 
-    def row(i):  # (payoff, kg1, kb1) of good profile i against every bad one
-        return [x[0] for x in _box_saddle(*_coefficient_block(
-            coef, b_mat, [t[i:i + 1] for t in good], bad))]
+    def grow(rows, cols):
+        # one kernel call over the pairs (i, every profile) for i in rows and
+        # (every profile, j) for j in cols: (payoff, kg1, kb1) rows and payoff
+        # columns
+        rows, cols, every = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int), np.arange(m)
+        gi = np.concatenate([np.repeat(rows, m), np.tile(every, cols.size)])
+        bj = np.concatenate([np.tile(every, rows.size), np.repeat(cols, m)])
+        scored = _box_saddle(*_coefficient_block(
+            coef, b_mat, [t[gi] for t in good], [t[bj] for t in bad]))
+        head = rows.size * m
+        row_of.update(zip(rows.tolist(), zip(*(x[:head].reshape(-1, m) for x in scored))))
+        col_of.update(zip(cols.tolist(), scored[0][head:].reshape(-1, m)))
 
-    def col(j):  # payoff of every good profile against bad profile j
-        return _box_saddle(*_coefficient_block(
-            coef, b_mat, good, [t[j:j + 1] for t in bad]))[0][:, 0]
-
-    col_of = {m - 1: col(m - 1)}
-    first = int(np.argmax(col_of[m - 1]))
-    row_of = {first: row(first)}
+    if start is None:
+        grow([], [m - 1])
+        grow([int(np.argmax(col_of[m - 1]))], [])
+    else:
+        grow(np.flatnonzero(start.row_mix > 0), np.flatnonzero(start.col_mix > 0))
     while True:
         rows, cols = sorted(row_of), sorted(col_of)
         restricted = np.array([row_of[i][0][cols] for i in rows])
@@ -464,15 +491,11 @@ def two_camp_equilibrium(
         i, j = int(np.argmax(row_scores)), int(np.argmin(col_scores))
         upper, lower = float(row_scores[i]), float(col_scores[j])
         tol = PIVOT_TOL * (1.0 + abs(value))
-        grew = False
-        if i not in row_of and upper > value + tol:
-            row_of[i] = row(i)
-            grew = True
-        if j not in col_of and lower < value - tol:
-            col_of[j] = col(j)
-            grew = True
-        if not grew:
+        new_rows = [i] if i not in row_of and upper > value + tol else []
+        new_cols = [j] if j not in col_of and lower < value - tol else []
+        if not (new_rows or new_cols):
             break
+        grow(new_rows, new_cols)
     gap = upper - lower
     if gap > 1e-9 * (1.0 + abs(value)):
         raise GameSolverError(

@@ -243,7 +243,7 @@ def full_game_solution(net: Network, kg: float, kb: float) -> FullGame:
     payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
     for start in range(0, m, n):
         rows = slice(start, start + n)
-        block = _coefficient_block(coef, b_mat, [x[rows] for x in good], bad)
+        block = _coefficient_block(coef, b_mat, [x[rows, None] for x in good], bad)
         payoff[rows], kg1[rows], kb1[rows] = _box_saddle(*block)
     row_mix, col_mix, value = solve_zero_sum(payoff)
     return FullGame(payoff, kg1, kb1, row_mix, col_mix, value)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import opinion_game.harness as harness
 from opinion_game import (
     Budgets,
     Topology,
@@ -12,6 +13,7 @@ from opinion_game import (
     generate_weights,
     sweep_point,
     sweep_w0,
+    two_camp_equilibrium,
     validate,
 )
 from opinion_game.harness import DEFAULT_W0_GRID, SWEEP_COLUMNS
@@ -172,6 +174,25 @@ class TestSweep:
         assert row["k1_bad"] + row["k2_bad"] == pytest.approx(2.0)
         # symmetric instance: camps cancel and the value stays at the idle level
         assert row["objective"] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_warm_two_camp_sweep_matches_cold_solves(self, monkeypatch, seed):
+        starts = []
+
+        def recording(*args, start=None, **kwargs):
+            starts.append(start)
+            return two_camp_equilibrium(*args, start=start, **kwargs)
+
+        monkeypatch.setattr(harness, "two_camp_equilibrium", recording)
+        topo = ba_graph(12, 2, seed)
+        budgets = Budgets(100.0, 50.0)
+        rows = sweep_w0(topo, mode="dependency2", budgets=budgets)
+        assert [row["w0"] for row in rows] == list(DEFAULT_W0_GRID)
+        assert starts[0] is None and all(start is not None for start in starts[1:])
+        for row in rows:
+            assert tuple(row) == SWEEP_COLUMNS
+            cold = two_camp_equilibrium(generate_weights(topo, row["w0"]), budgets.kg, budgets.kb)
+            assert abs(row["objective"] - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -611,8 +611,8 @@ class TestDoubleOracle:
     # the oracle solves the game whole: every payoff entry, then one LP
 
     @staticmethod
-    def check_against_full_game(net, kg, kb):
-        solution = two_camp_equilibrium(net, kg, kb)
+    def check_against_full_game(net, kg, kb, start=None):
+        solution = two_camp_equilibrium(net, kg, kb, start=start)
         full = full_game_solution(net, kg, kb)
         value = solution.value
         assert value == pytest.approx(full.value, abs=1e-9)
@@ -648,8 +648,20 @@ class TestDoubleOracle:
                              + [(20, seed) for seed in range(3)])
     @pytest.mark.parametrize("w0", [0.3, 0.7])
     def test_preferential_attachment_matches_the_full_game(self, n, seed, w0):
-        net = generate_weights(ba_graph(n, 2, seed), w0)
-        self.check_against_full_game(net, 100.0, 50.0)
+        topology = ba_graph(n, 2, seed)
+        net = generate_weights(topology, w0)
+        # seeded from the supports of the other bias weight's equilibrium
+        other = two_camp_equilibrium(generate_weights(topology, 1.0 - w0), 100.0, 50.0)
+        for start in (None, other):
+            self.check_against_full_game(net, 100.0, 50.0, start)
+
+    def test_start_from_another_strategy_space_is_refused(self):
+        start = two_camp_equilibrium(generate_weights(ba_graph(12, 2, 0), 0.3), 100.0, 50.0)
+        net = generate_weights(ba_graph(13, 2, 0), 0.3)
+        with pytest.raises(ValueError, match=r"over 145 profiles per camp, .* this 13-node "
+                                             r"network has n\^2 \+ 1 = 170"):
+            two_camp_equilibrium(net, 100.0, 50.0, start=start)
+        assert "resolvent" not in vars(net)  # refused before any solve
 
     def test_wrong_restricted_mix_fails_the_certificate(self, monkeypatch):
         solve = dep.solve_zero_sum
