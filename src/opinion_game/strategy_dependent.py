@@ -91,9 +91,9 @@ class GameSolution:
     ``restricted_kb1[a, b]`` are the phase-1 budgets of the saddle of good
     profile ``row_set[a]`` against bad profile ``col_set[b]``.
 
-    ``payoff``, ``kg1`` and ``kb1`` are the full (n^2+1) x (n^2+1) payoff
-    and splits, built on first read from the same kernel, so bitwise equal
-    to the entries the solve used."""
+    ``payoff`` is the full (n^2+1) x (n^2+1) payoff, scored on first read
+    from ``_terms`` in blocks of n rows by the scorer the solve used, so
+    bitwise equal to the entries the solve used."""
 
     row_mix: np.ndarray
     col_mix: np.ndarray
@@ -107,20 +107,12 @@ class GameSolution:
     _terms: tuple = field(repr=False)
 
     @cached_property
-    def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _full_game(*self._terms)
-
-    @cached_property
     def payoff(self) -> np.ndarray:
-        return self._full[0]
-
-    @cached_property
-    def kg1(self) -> np.ndarray:
-        return self._full[1]
-
-    @cached_property
-    def kb1(self) -> np.ndarray:
-        return self._full[2]
+        m, n = len(self.profiles), self._terms[0].r.size
+        return np.vstack([
+            _score(self._terms, range(i, min(i + n, m)), [])[0].reshape(-1, m)
+            for i in range(0, m, n)
+        ])
 
 
 def camp_weights(net: Network, v_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -138,12 +130,11 @@ class DependencyCoefficients:
     phase through node j's bias; its row sums over j reproduce s, and
     cb = b c = scale o (I - w)^{-1} c holds the c-weighted sums of its rows.
     s_total = sum_ij c_i b_ji is the objective when nobody invests. r, s and
-    cb are solved once, when the instance is made; rows come from
-    :func:`~opinion_game.centrality.delta_row` on demand, cached per node.
+    cb are solved once, when the instance is made; no row of b is kept:
+    callers form row j as ``scale[j] * delta_row(net, j)``.
     """
 
     def __init__(self, net: Network):
-        self.net = net
         self.r = katz_r(net)
         self.s = katz_s(net, self.r)
         self.c = net.w0 * net.v0
@@ -151,16 +142,6 @@ class DependencyCoefficients:
         self.scale = self.r * net.w0
         self.cb = self.scale * solve_linear(net, self.c)
         self.s_total = float(self.c @ self.s)
-        self._rows: dict[int, np.ndarray] = {}
-
-    def b_row(self, j: int) -> np.ndarray:
-        """Row j of b, read-only, cached per node."""
-        row = self._rows.get(j)
-        if row is None:
-            row = self.scale[j] * delta_row(self.net, j)
-            row.setflags(write=False)
-            self._rows[j] = row
-        return row
 
 
 def _outer_split(px, py, pxx, pyy, pxy, kx, ky):
@@ -295,7 +276,6 @@ def profile_utility(
     bad: Optional[Pair],
     kg: float,
     kb: float,
-    coefficients: DependencyCoefficients | None = None,
 ) -> tuple[float, float, float]:
     """Saddle value and phase-1 budgets for one pure node-profile pair.
 
@@ -305,13 +285,18 @@ def profile_utility(
     the bad camp's minimizes the quadratic objective over the budget box.
     This is one entry of the payoff whose rows and columns
     :func:`two_camp_equilibrium` scores, solved by the same exact saddle
-    kernel (:func:`_box_saddle`).
+    kernel (:func:`_box_saddle`). Each call forms its own coefficients and
+    solves the one or two coupling rows it needs. A node outside [0, n) in
+    either profile is refused before any solve.
     """
     if not (0 <= kg < np.inf and 0 <= kb < np.inf):  # also refuses nan
         raise ValueError("budgets must be finite and nonnegative")
-    coef = coefficients if coefficients is not None else DependencyCoefficients(net)
+    for camp, profile in (("good", good), ("bad", bad)):
+        if profile is not None and not all(0 <= node < net.n for node in profile):
+            raise ValueError(f"{camp} profile {profile} names a node outside [0, {net.n})")
+    coef = DependencyCoefficients(net)
     present = [p for p in (good, bad) if p is not None]
-    b_rows = np.array([coef.b_row(p[1]) for p in present] or [np.zeros(net.n)])
+    b_rows = np.array([coef.scale[j] * delta_row(net, j) for _, j in present] or [np.zeros(net.n)])
 
     def side(profile, row, budget, sign):
         # the profile's terms, or the stay-out terms when it is None
@@ -346,9 +331,7 @@ def _split_values(s_total: float, kg: float, first_gain, second_gain, coupling):
     return values, k1
 
 
-def single_camp_optimal(
-    net: Network, kg: float, coefficients: DependencyCoefficients | None = None
-) -> tuple[PureProfile, float]:
+def single_camp_optimal(net: Network, kg: float) -> tuple[PureProfile, float]:
     """Best two-phase schedule for the good camp alone (bad camp absent).
 
     Scans every (phase-1 node, phase-2 node) pair; per pair the objective is
@@ -363,7 +346,7 @@ def single_camp_optimal(
     """
     if not 0 <= kg < np.inf:  # also refuses nan
         raise ValueError("budget must be finite and nonnegative")
-    coef = coefficients if coefficients is not None else DependencyCoefficients(net)
+    coef = DependencyCoefficients(net)
     stay_out = (PureProfile(None, None, 0.0, 0.0), coef.s_total)
     if kg == 0 or net.n == 0:
         return stay_out
@@ -395,26 +378,25 @@ def game_profiles(n: int) -> tuple[Optional[Pair], ...]:
     return tuple((a, b) for a in range(n) for b in range(n)) + (None,)
 
 
-def _full_game(coef, b_mat, good, bad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(payoff, kg1, kb1) over every pair of pure profiles, built in blocks of
-    rows, one per phase-1 node of the good camp (n x (n^2+1) entries) plus
-    the stay-out row; ``good`` and ``bad`` are :func:`_camp_terms` of every
-    profile."""
-    n = coef.net.n
+def _score(terms, rows, cols):
+    """Flat (value, kg1, kb1) of the pairs (i, every profile) for each good
+    profile i in ``rows``, then (every profile, j) for each bad profile j in
+    ``cols``, from one kernel call. ``terms`` is (coefficients, the dense
+    coupling matrix b, the good and the bad camp's :func:`_camp_terms` of
+    every profile)."""
+    coef, b_mat, good, bad = terms
     m = len(good[0])
-    payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
-    for start in range(0, m, n):
-        rows = slice(start, start + n)
-        block = _coefficient_block(coef, b_mat, [x[rows, None] for x in good], bad)
-        payoff[rows], kg1[rows], kb1[rows] = _box_saddle(*block)
-    return payoff, kg1, kb1
+    rows, cols, every = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int), np.arange(m)
+    gi = np.concatenate([np.repeat(rows, m), np.tile(every, cols.size)])
+    bj = np.concatenate([np.tile(every, rows.size), np.repeat(cols, m)])
+    block = _coefficient_block(coef, b_mat, [t[gi] for t in good], [t[bj] for t in bad])
+    return _box_saddle(*block)
 
 
 def two_camp_equilibrium(
     net: Network,
     kg: float,
     kb: float,
-    coefficients: DependencyCoefficients | None = None,
     start: GameSolution | None = None,
 ) -> GameSolution:
     """Equilibrium of the zero-sum game over the n^2 + 1 pure profiles of
@@ -437,10 +419,10 @@ def two_camp_equilibrium(
     response's value minus the best column response's value is the
     certificate ``gap``: up to rounding it bounds the exploitability of the
     mixes on the full payoff, and a gap above ``1e-9 * (1 + |value|)`` raises
-    GameSolverError. The full payoff is never formed here; reading
-    ``payoff``, ``kg1`` or ``kb1`` of the solution builds it. Networks above
-    ``MAX_GAME_NODES`` nodes, and a ``start`` over another number of
-    profiles, are refused outright, before any solve.
+    GameSolverError. The full payoff is never formed here; reading the
+    solution's ``payoff`` scores it. Networks above ``MAX_GAME_NODES``
+    nodes, and a ``start`` over another number of profiles, are refused
+    outright, before any solve.
     """
     n = net.n
     m = n * n + 1
@@ -457,25 +439,22 @@ def two_camp_equilibrium(
             f"{start.row_mix.size} and {start.col_mix.size}; this {n}-node network has "
             f"n^2 + 1 = {m}"
         )
-    coef = coefficients if coefficients is not None else DependencyCoefficients(net)
-    b_mat = coef.scale[:, None] * delta_matrix(net)
+    coef = DependencyCoefficients(net)
     node1, node2 = np.divmod(np.arange(n * n), n)
-    good = _camp_terms(coef, node1, node2, node2, kg, 1.0)
-    bad = _camp_terms(coef, node1, node2, node2, kb, -1.0)
+    terms = (
+        coef,
+        coef.scale[:, None] * delta_matrix(net),
+        _camp_terms(coef, node1, node2, node2, kg, 1.0),
+        _camp_terms(coef, node1, node2, node2, kb, -1.0),
+    )
     row_of, col_of = {}, {}
 
     def grow(rows, cols):
-        # one kernel call over the pairs (i, every profile) for i in rows and
-        # (every profile, j) for j in cols: (payoff, kg1, kb1) rows and payoff
-        # columns
-        rows, cols, every = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int), np.arange(m)
-        gi = np.concatenate([np.repeat(rows, m), np.tile(every, cols.size)])
-        bj = np.concatenate([np.tile(every, rows.size), np.repeat(cols, m)])
-        scored = _box_saddle(*_coefficient_block(
-            coef, b_mat, [t[gi] for t in good], [t[bj] for t in bad]))
-        head = rows.size * m
-        row_of.update(zip(rows.tolist(), zip(*(x[:head].reshape(-1, m) for x in scored))))
-        col_of.update(zip(cols.tolist(), scored[0][head:].reshape(-1, m)))
+        # (payoff, kg1, kb1) rows and payoff columns of the strategies joining
+        scored = _score(terms, rows, cols)
+        head = len(rows) * m
+        row_of.update(zip(map(int, rows), zip(*(x[:head].reshape(-1, m) for x in scored))))
+        col_of.update(zip(map(int, cols), scored[0][head:].reshape(-1, m)))
 
     if start is None:
         grow([], [m - 1])
@@ -514,5 +493,5 @@ def two_camp_equilibrium(
         col_set=np.array(cols),
         restricted_kg1=np.array([row_of[i][1][cols] for i in rows]),
         restricted_kb1=np.array([row_of[i][2][cols] for i in rows]),
-        _terms=(coef, b_mat, good, bad),
+        _terms=terms,
     )

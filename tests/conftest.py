@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 
 from opinion_game import GOOD, DependencyCoefficients, Network, Topology, compute_profile
-from opinion_game.centrality import delta_matrix
+from opinion_game.centrality import delta_matrix, delta_row
 from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot, solve_zero_sum
 from opinion_game.strategy_dependent import _box_saddle, _camp_terms, _coefficient_block
 
@@ -113,7 +113,7 @@ def dependency_two_phase_sum(net: Network, x1, x2, y1, y2) -> float:
     return float(v2.sum())
 
 
-def quad_coefficients(coef, good, bad, kg: float, kb: float):
+def quad_coefficients(net: Network, coef, good, bad, kg: float, kb: float):
     """Coefficients (u00, qa, qb, qaa, qbb, qab) of the final-phase objective
 
         u(a, b) = u00 + qa a + qb b + qaa a^2 + qbb b^2 + qab a b
@@ -124,11 +124,15 @@ def quad_coefficients(coef, good, bad, kg: float, kb: float):
     zero. Under the dependency assumptions qaa <= 0 and qbb >= 0, making u
     concave in a and convex in b. Entry by entry this is what
     ``strategy_dependent._coefficient_block`` assembles in blocks; here each
-    coefficient comes from the scalar formulas.
+    coefficient comes from the scalar formulas, with ``coef`` the network's
+    ``DependencyCoefficients`` and row j of b read as scale[j] * delta[j, :].
     """
 
+    def b_row(j):
+        return coef.scale[j] * delta_row(net, j)
+
     def cb(j):
-        return float(coef.b_row(j) @ coef.c)
+        return float(b_row(j) @ coef.c)
 
     u00 = coef.s_total
     qa = qb = qaa = qbb = qab = 0.0
@@ -138,7 +142,7 @@ def quad_coefficients(coef, good, bad, kg: float, kb: float):
         g1 = 0.5 * coef.theta[alpha] * (1.0 + coef.c[alpha])
         g2 = 0.5 * coef.theta[beta]
         gain_beta = cb(beta) + coef.r[beta]
-        b_ba = coef.b_row(beta)[alpha]
+        b_ba = b_row(beta)[alpha]
         u00 += kg * g2 * gain_beta
         qa = g1 * (coef.s[alpha] + kg * g2 * b_ba) - g2 * gain_beta
         qaa = -g1 * g2 * b_ba
@@ -147,13 +151,13 @@ def quad_coefficients(coef, good, bad, kg: float, kb: float):
         h1 = 0.5 * coef.theta[gamma] * (1.0 - coef.c[gamma])
         h2 = 0.5 * coef.theta[delta]
         gain_delta = cb(delta) - coef.r[delta]
-        b_dg = coef.b_row(delta)[gamma]
+        b_dg = b_row(delta)[gamma]
         u00 += kb * h2 * gain_delta
         qb = -h1 * (coef.s[gamma] + kb * h2 * b_dg) - h2 * gain_delta
         qbb = h1 * h2 * b_dg
         if good is not None:
-            b_da = coef.b_row(delta)[alpha]
-            b_bg = coef.b_row(beta)[gamma]
+            b_da = b_row(delta)[alpha]
+            b_bg = b_row(beta)[gamma]
             qa += g1 * kb * h2 * b_da
             qb -= h1 * kg * g2 * b_bg
             qab = -g1 * h2 * b_da + h1 * g2 * b_bg

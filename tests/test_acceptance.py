@@ -219,7 +219,7 @@ def test_criterion_7_dependency_two_camps():
         # saddle strictly inside the budget box
         kg, kb = float(rng.uniform(10.0, 60.0)), float(rng.uniform(10.0, 60.0))
         coef = DependencyCoefficients(net)
-        solution = two_camp_equilibrium(net, kg, kb, coefficients=coef)
+        solution = two_camp_equilibrium(net, kg, kb)
         payoff = solution.payoff
         maximin = float(payoff.min(axis=1).max())
         minimax = float(payoff.max(axis=0).min())
@@ -238,7 +238,7 @@ def test_criterion_7_dependency_two_camps():
             for bad in solution.profiles:
                 if good is None or bad is None:
                     continue
-                u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
+                u00, qa, qb, qaa, qbb, qab = quad_coefficients(net, coef, good, bad, kg, kb)
                 interior = interior_saddle(qa, qb, qaa, qbb, qab)
                 if interior is None:
                     continue

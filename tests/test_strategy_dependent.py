@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -81,29 +83,9 @@ class TestDependencyCoefficients:
         for _ in range(5):
             net = random_network(rng, int(rng.integers(2, 10)), dependency=True)
             coef = DependencyCoefficients(net)
-            stacked = np.array([coef.b_row(j) for j in range(net.n)])
-            for j in range(net.n):
-                assert_allclose(
-                    coef.b_row(j), coef.r[j] * net.w0[j] * delta_row(net, j), atol=0
-                )
+            assert np.array_equal(coef.scale, coef.r * net.w0)
+            stacked = np.array([coef.scale[j] * delta_row(net, j) for j in range(net.n)])
             assert np.max(np.abs(stacked.sum(axis=0) - katz_s(net))) < 1e-8
-
-    def test_rows_solved_once_per_node(self, monkeypatch):
-        # on the iterative path each row is one transposed solve
-        net = random_network(np.random.default_rng(131), 6, dependency=True)
-        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
-        coef = DependencyCoefficients(net)
-        solved = []
-        solve = centrality.solve_linear
-        monkeypatch.setattr(
-            centrality, "solve_linear", lambda *a, **k: solved.append(a[1]) or solve(*a, **k)
-        )
-        profile_utility(net, (0, 1), (2, 3), 2.0, 1.5, coef)
-        profile_utility(net, (3, 1), (1, 3), 2.0, 1.5, coef)
-        profile_utility(net, (2, 3), None, 2.0, 0.0, coef)
-        assert len(solved) == 2
-        assert not coef.b_row(1).flags.writeable
-        assert coef.b_row(3) is coef.b_row(3)
 
     def test_idle_total_is_bias_weighted_s(self):
         net = dep_pair(theta=0.0, v0=1.0)
@@ -138,8 +120,7 @@ class TestSingleCampOptimal:
             n = int(rng.integers(2, 4))
             net = random_network(rng, n, dependency=True)
             kg = float(rng.uniform(1.0, 8.0))
-            coef = DependencyCoefficients(net)
-            _, value = single_camp_optimal(net, kg, coef)
+            _, value = single_camp_optimal(net, kg)
             grid = np.linspace(0.0, kg, 201)
             for alpha in range(n):
                 for beta in range(n):
@@ -220,7 +201,7 @@ class TestSingleCampOptimal:
             raise AssertionError("the single-camp scan left its closed form")
 
         monkeypatch.setattr(dep, "profile_utility", refused)
-        monkeypatch.setattr(DependencyCoefficients, "b_row", refused)
+        monkeypatch.setattr(dep, "delta_row", refused)
         profile, _ = single_camp_optimal(net, 4.0)
         assert profile.alpha is not None
         assert transposed.count(True) == 2
@@ -233,7 +214,7 @@ class TestSingleCampOptimal:
             net = random_network(rng, n, dependency=True)
             kg = float(rng.uniform(0.5, 50.0))
             coef = DependencyCoefficients(net)
-            profile, value = single_camp_optimal(net, kg, coef)
+            profile, value = single_camp_optimal(net, kg)
             if profile.alpha is None:
                 continue
             a, b, k1, k2 = profile.alpha, profile.beta, profile.k1, profile.k2
@@ -241,7 +222,7 @@ class TestSingleCampOptimal:
             second = 0.5 * coef.theta[b]
             closed = (
                 coef.s_total + first * coef.s[a] * k1 + second * (coef.cb[b] + coef.r[b]) * k2
-                + first * second * coef.b_row(b)[a] * k1 * k2
+                + first * second * coef.scale[b] * delta_row(net, b)[a] * k1 * k2
             )
             assert value == pytest.approx(closed, rel=1e-12)
             kernel_value, kernel_k1, _ = profile_utility(net, (a, b), None, kg, 0.0)
@@ -288,7 +269,7 @@ class TestProfileUtility:
     def test_both_out_is_idle_total(self):
         net = dep_pair(v0=1.0)
         coef = DependencyCoefficients(net)
-        value, kg1, kb1 = profile_utility(net, None, None, 5.0, 5.0, coef)
+        value, kg1, kb1 = profile_utility(net, None, None, 5.0, 5.0)
         assert value == pytest.approx(coef.s_total)
         assert kg1 == 0.0 and kb1 == 0.0
 
@@ -320,8 +301,8 @@ class TestProfileUtility:
             good = tuple(int(v) for v in rng.integers(0, n, 2))
             bad = tuple(int(v) for v in rng.integers(0, n, 2))
             coef = DependencyCoefficients(net)
-            value, kg1, kb1 = profile_utility(net, good, bad, kg, kb, coef)
-            u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
+            value, kg1, kb1 = profile_utility(net, good, bad, kg, kb)
+            u00, qa, qb, qaa, qbb, qab = quad_coefficients(net, coef, good, bad, kg, kb)
 
             def u(a, b):
                 return u00 + qa * a + qb * b + qaa * a * a + qbb * b * b + qab * a * b
@@ -333,17 +314,16 @@ class TestProfileUtility:
     def test_single_sided_profiles_reduce_cleanly(self):
         rng = np.random.default_rng(131)
         net = random_network(rng, 4, dependency=True)
-        coef = DependencyCoefficients(net)
-        value_good, kg1, kb1 = profile_utility(net, (1, 2), None, 4.0, 9.0, coef)
+        value_good, kg1, kb1 = profile_utility(net, (1, 2), None, 4.0, 9.0)
         assert kb1 == 0.0
         plans = profile_to_plans(4, (1, 2), None, kg1, 4.0 - kg1, 0, 0)
         assert value_good == pytest.approx(dependency_two_phase_sum(net, *plans), abs=1e-9)
-        value_bad, kg1, kb1 = profile_utility(net, None, (0, 3), 4.0, 9.0, coef)
+        value_bad, kg1, kb1 = profile_utility(net, None, (0, 3), 4.0, 9.0)
         assert kg1 == 0.0
         plans = profile_to_plans(4, None, (0, 3), 0, 0, kb1, 9.0 - kb1)
         assert value_bad == pytest.approx(dependency_two_phase_sum(net, *plans), abs=1e-9)
         # the bad camp minimizes: staying in can only lower the objective
-        assert value_bad <= profile_utility(net, None, None, 4.0, 9.0, coef)[0] + 1e-12
+        assert value_bad <= profile_utility(net, None, None, 4.0, 9.0)[0] + 1e-12
 
     def test_closed_form_agrees_with_kernel_when_interior(self):
         rng = np.random.default_rng(137)
@@ -355,7 +335,7 @@ class TestProfileUtility:
             good = tuple(int(v) for v in rng.integers(0, n, 2))
             bad = tuple(int(v) for v in rng.integers(0, n, 2))
             coef = DependencyCoefficients(net)
-            u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
+            u00, qa, qb, qaa, qbb, qab = quad_coefficients(net, coef, good, bad, kg, kb)
             interior = interior_saddle(qa, qb, qaa, qbb, qab)
             if interior is None:
                 continue
@@ -451,6 +431,24 @@ class TestProfileUtility:
         with pytest.raises(ValueError):
             profile_utility(dep_pair(), (0, 0), None, -1.0, 0.0)
 
+    def test_out_of_range_nodes_refused(self):
+        # (-1, 0) was scored as (5, 0) by numpy's index wrap, (6, 0) and
+        # (0, 6) raised a bare IndexError and (0, -1) a ValueError from
+        # delta_row
+        net = generate_weights(ba_graph(6, 2, 0), 0.3)
+        for profile in ((-1, 0), (6, 0), (0, 6), (0, -1)):
+            for good, bad in ((profile, (2, 3)), ((2, 3), profile), (None, profile)):
+                camp = "good" if good == profile else "bad"
+                message = (rf"^{camp} profile \({profile[0]}, {profile[1]}\) "
+                           r"names a node outside \[0, 6\)$")
+                with pytest.raises(ValueError, match=message):
+                    profile_utility(net, good, bad, 10.0, 5.0)
+        assert "resolvent" not in vars(net)  # refused before any solve
+        ids = (np.int64(5), np.int32(0))
+        assert profile_utility(net, ids, (2, 3), 10.0, 5.0) == profile_utility(
+            net, (5, 0), (2, 3), 10.0, 5.0
+        )
+
 
 class TestObjectiveStructure:
     def test_multilinearity_in_each_investment_block(self):
@@ -518,7 +516,7 @@ class TestTwoCampEquilibrium:
     def test_zero_budgets_give_idle_value(self):
         net = dep_pair(v0=1.0)
         coef = DependencyCoefficients(net)
-        solution = two_camp_equilibrium(net, 0.0, 0.0, coefficients=coef)
+        solution = two_camp_equilibrium(net, 0.0, 0.0)
         assert solution.value == pytest.approx(coef.s_total, abs=1e-9)
 
     def test_equilibrium_sandwich_and_deviations(self):
@@ -541,14 +539,13 @@ class TestTwoCampEquilibrium:
             n = 3
             net = random_network(rng, n, dependency=True)
             kg, kb = float(rng.uniform(1, 6)), float(rng.uniform(1, 6))
-            coef = DependencyCoefficients(net)
-            solution = two_camp_equilibrium(net, kg, kb, coefficients=coef)
+            solution = two_camp_equilibrium(net, kg, kb)
             i = int(np.argmax(solution.row_mix))
             j = int(np.argmax(solution.col_mix))
             if solution.row_mix[i] < 1.0 - 1e-9 or solution.col_mix[j] < 1.0 - 1e-9:
                 continue
             good, bad = solution.profiles[i], solution.profiles[j]
-            value, kg1, kb1 = profile_utility(net, good, bad, kg, kb, coef)
+            value, kg1, kb1 = profile_utility(net, good, bad, kg, kb)
             plans = profile_to_plans(
                 n, good, bad, kg1, (kg - kg1) if good else 0.0, kb1, (kb - kb1) if bad else 0.0
             )
@@ -577,10 +574,11 @@ class TestTwoCampEquilibrium:
             )
             kg, kb = float(rng.uniform(1, 40)), float(rng.uniform(1, 40))
             coef = DependencyCoefficients(net)
-            solution = two_camp_equilibrium(net, kg, kb, coefficients=coef)
+            solution = two_camp_equilibrium(net, kg, kb)
+            full = full_game_solution(net, kg, kb)
             for i, good in enumerate(solution.profiles):
                 for j, bad in enumerate(solution.profiles):
-                    u00, qa, qb, qaa, qbb, qab = quad_coefficients(coef, good, bad, kg, kb)
+                    u00, qa, qb, qaa, qbb, qab = quad_coefficients(net, coef, good, bad, kg, kb)
                     if good is not None and bad is not None:
                         degenerate += qaa == 0.0 or qbb == 0.0
 
@@ -588,14 +586,14 @@ class TestTwoCampEquilibrium:
                         return u00 + qa * t + qb * s + qaa * t * t + qbb * s * s + qab * t * s
 
                     value = solution.payoff[i, j]
-                    a, b = solution.kg1[i, j], solution.kb1[i, j]
+                    a, b = full.kg1[i, j], full.kb1[i, j]
                     ka = kg if good is not None else 0.0
                     kd = kb if bad is not None else 0.0
                     assert 0.0 <= a <= ka and 0.0 <= b <= kd
                     assert u(a, b) == pytest.approx(value, abs=1e-9)
                     assert np.max(u(grid * ka, b)) <= value + 1e-8
                     assert np.min(u(a, grid * kd)) >= value - 1e-8
-                    single = profile_utility(net, good, bad, kg, kb, coef)
+                    single = profile_utility(net, good, bad, kg, kb)
                     assert single == pytest.approx((value, a, b), abs=1e-9)
         assert degenerate > 0
 
@@ -624,8 +622,6 @@ class TestDoubleOracle:
         assert exploit <= 1e-9
         assert exploit <= solution.gap + rounding
         assert np.array_equal(solution.payoff, full.payoff)
-        assert np.array_equal(solution.kg1, full.kg1)
-        assert np.array_equal(solution.kb1, full.kb1)
         rows, cols = np.ix_(solution.row_set, solution.col_set)
         assert np.array_equal(solution.restricted_kg1, full.kg1[rows, cols])
         assert np.array_equal(solution.restricted_kb1, full.kb1[rows, cols])
@@ -679,6 +675,13 @@ class TestDoubleOracle:
                                                   rf"and best column response {number}"):
             two_camp_equilibrium(net, 5.0, 4.0)
 
+    def test_solution_pickles(self):
+        solution = two_camp_equilibrium(generate_weights(ba_graph(8, 2, 0), 0.3), 100.0, 50.0)
+        copy = pickle.loads(pickle.dumps(solution))
+        assert "payoff" not in vars(copy)
+        assert np.array_equal(copy.payoff, solution.payoff)
+        assert copy.payoff.tobytes() == solution.payoff.tobytes()
+
     def test_sweep_and_cli_leave_the_full_payoff_unbuilt(self, monkeypatch, tmp_path):
         solutions = []
 
@@ -697,4 +700,4 @@ class TestDoubleOracle:
         assert len(solutions) == 2
         for solution in solutions:
             assert np.count_nonzero(solution.col_mix) > 1  # a mixed equilibrium
-            assert not {"payoff", "kg1", "kb1"} & set(vars(solution))
+            assert "payoff" not in vars(solution)
