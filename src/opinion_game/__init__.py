@@ -15,6 +15,9 @@ Library layout:
 * :mod:`opinion_game.game` is a generic zero-sum matrix-game solver;
 * :mod:`opinion_game.harness` generates weights and sweeps the bias-weight
   grid, mirroring the desk-scale experiment protocol.
+
+``__all__`` is the public surface, each name listed once; other names may
+change without notice.
 """
 
 from .model import (
@@ -40,7 +43,6 @@ from .dynamics import (
 )
 from .centrality import (
     CentralityProfile,
-    apply_delta,
     compute_profile,
     delta_matrix,
     delta_row,
@@ -61,13 +63,12 @@ from .strategy_dependent import (
     DependencyCoefficients,
     GameSolution,
     PureProfile,
-    camp_weights,
     game_profiles,
     profile_utility,
     single_camp_optimal,
     two_camp_equilibrium,
 )
-from .game import GameSolverError, MatrixGame, solve_zero_sum
+from .game import GameSolverError, solve_zero_sum
 from .harness import (
     DEFAULT_W0_GRID,
     SWEEP_COLUMNS,
@@ -92,7 +93,6 @@ __all__ = [
     "GameSolution",
     "GameSolverError",
     "InvestmentPlan",
-    "MatrixGame",
     "Network",
     "OpinionState",
     "PureInvestment",
@@ -102,10 +102,8 @@ __all__ = [
     "Topology",
     "Violation",
     "WeightScheme",
-    "apply_delta",
     "ba_graph",
     "bounded_greedy",
-    "camp_weights",
     "compute_profile",
     "delta_matrix",
     "delta_row",

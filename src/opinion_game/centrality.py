@@ -12,6 +12,7 @@ per set of columns.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,17 +72,28 @@ def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:
     return CentralityProfile(r=vecs[0], s=vecs[1], higher=tuple(vecs[2:]))
 
 
+def _node_index(net: Network, j) -> int | None:
+    """j as a node index of ``net``, or None where j is outside [0, n) or
+    :func:`operator.index` refuses it (1.5 is refused, numpy integers not)."""
+    try:
+        j = operator.index(j)
+    except TypeError:
+        return None
+    return j if 0 <= j < net.n else None
+
+
 def delta_row(net: Network, j: int) -> np.ndarray:
     """Row j of (I - w)^{-1}, read-only: entry i tells how much of node j's
     converged opinion is sourced from the static input at node i. A row of
     the cached inverse on the dense path, otherwise the transposed solve
-    (I - w)^T z = e_j."""
-    if not 0 <= j < net.n:
+    (I - w)^T z = e_j. An id that is not a node is refused."""
+    node = _node_index(net, j)
+    if node is None:
         raise ValueError(f"node {j} out of range")
     delta = dense_resolvent(net)
     if delta is not None:
-        return delta[j]
-    row = solve_linear(net, np.eye(1, net.n, j)[0], transpose=True)
+        return delta[node]
+    row = solve_linear(net, np.eye(1, net.n, node)[0], transpose=True)
     row.setflags(write=False)
     return row
 
@@ -103,8 +115,3 @@ def delta_matrix(net: Network) -> np.ndarray:
     if delta is None:
         raise ValueError(f"dense resolvent refused for n={net.n}: its solves are iterative")
     return delta
-
-
-def apply_delta(net: Network, vec) -> np.ndarray:
-    """(I - w)^{-1} @ vec through the shared solver."""
-    return solve_linear(net, vec)

@@ -1,8 +1,8 @@
 """Finite two-player zero-sum matrix games solved by the minimax linear program.
 
-For a payoff matrix M (row player maximizes) the payoffs are first shifted to
-be strictly positive, M' = M - min(M) + 1. The column player's normalized
-program
+A game is its payoff matrix M, a plain array (row player maximizes). The
+payoffs are first shifted to be strictly positive, M' = M - min(M) + 1. The
+column player's normalized program
 
     maximize sum(z)  subject to  M' z <= 1,  z >= 0
 
@@ -17,8 +17,6 @@ certified, and the game -M^T, with the players swapped, is the fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 #: reduced costs below -PIVOT_TOL improve; pivot entries must exceed it
@@ -27,22 +25,6 @@ PIVOT_TOL = 1e-12
 
 class GameSolverError(RuntimeError):
     """No certified solution was found; the message carries diagnostics."""
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixGame:
-    """A zero-sum game: the row player maximizes ``payoff``, the column player
-    minimizes it."""
-
-    payoff: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.payoff, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
-            raise ValueError(f"payoff must be a nonempty 2-D matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("payoff matrix has non-finite entries")
-        object.__setattr__(self, "payoff", mat)
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -118,22 +100,25 @@ def _solve_lp(payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return row_mix, col_mix, 1.0 / total - shift
 
 
-def solve_zero_sum(game: MatrixGame | np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def solve_zero_sum(game) -> tuple[np.ndarray, np.ndarray, float]:
     """Optimal mixed strategies and value of a zero-sum matrix game.
 
-    Returns (row_mix, col_mix, value): row_mix maximizes the minimum column
-    expectation, col_mix minimizes the maximum row expectation, and both
-    guarantee ``value``. The column ceiling ``max(payoff @ col_mix)`` exceeds
-    the row floor ``min(row_mix @ payoff)`` by at most ``1e-9 * (1 + max -
-    min payoff)``; if the simplex fails or misses that, it solves -payoffᵀ,
-    and GameSolverError names both sides' bounds if that misses too. Ties among
+    ``game`` is the nonempty, finite 2-D payoff matrix. Returns (row_mix,
+    col_mix, value): row_mix maximizes the minimum column expectation,
+    col_mix minimizes the maximum row expectation, and both guarantee
+    ``value``. The column ceiling ``max(payoff @ col_mix)`` exceeds the row
+    floor ``min(row_mix @ payoff)`` by at most ``1e-9 * (1 + max - min
+    payoff)``; if the simplex fails or misses that, it solves -payoffᵀ, and
+    GameSolverError names both sides' bounds if that misses too. Ties among
     optimal bases are resolved by pivot order, so only the value is
     contract-stable. The solver takes no options: it pivots with tolerance
     ``PIVOT_TOL`` and gives up after 1000 + 50 (rows + cols) pivots.
     """
-    if not isinstance(game, MatrixGame):
-        game = MatrixGame(np.asarray(game, dtype=float))
-    payoff = game.payoff
+    payoff = np.asarray(game, dtype=float)
+    if payoff.ndim != 2 or payoff.shape[0] < 1 or payoff.shape[1] < 1:
+        raise ValueError(f"payoff must be a nonempty 2-D matrix, got shape {payoff.shape}")
+    if not np.all(np.isfinite(payoff)):
+        raise ValueError("payoff matrix has non-finite entries")
     tol = 1e-9 * (1.0 + float(payoff.max() - payoff.min()))
     misses = []
     for side in (payoff, -payoff.T):

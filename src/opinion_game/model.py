@@ -402,18 +402,3 @@ class InvestmentPlan:
             if np.any(vec < 0):
                 raise ValueError(f"{name} has negative entries")
             object.__setattr__(self, name, vec)
-
-    def total(self) -> float:
-        return float(self.x1.sum() + self.x2.sum())
-
-    def violations(self, budget: float, cap: float | None = None) -> list[str]:
-        """Budget and per-node-cap checks, reported as messages."""
-        out = []
-        if self.total() > budget + TOLERANCE:
-            out.append(f"total investment {self.total():.6g} exceeds budget {budget:.6g}")
-        if cap is not None:
-            for name, vec in (("x1", self.x1), ("x2", self.x2)):
-                over = np.nonzero(vec > cap + TOLERANCE)[0]
-                for i in over:
-                    out.append(f"{name}[{i}] = {vec[i]:.6g} exceeds the per-node cap {cap:.6g}")
-        return out

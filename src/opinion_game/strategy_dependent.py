@@ -45,8 +45,8 @@ from typing import Optional
 
 import numpy as np
 
-from .centrality import delta_columns, delta_matrix, delta_row, katz_r, katz_s
-from .dynamics import dependency_camp_weights, solve_linear
+from .centrality import _node_index, delta_columns, delta_matrix, delta_row, katz_r, katz_s
+from .dynamics import solve_linear
 from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
 from .model import Network
 
@@ -113,12 +113,6 @@ class GameSolution:
             _score(self._terms, range(i, min(i + n, m)), [])[0].reshape(-1, m)
             for i in range(0, m, n)
         ])
-
-
-def camp_weights(net: Network, v_prev) -> tuple[np.ndarray, np.ndarray]:
-    """Effective per-phase camp weights given the entering opinions; the two
-    weights sum to theta elementwise."""
-    return dependency_camp_weights(net.theta, net.w0, np.asarray(v_prev, dtype=float))
 
 
 class DependencyCoefficients:
@@ -286,13 +280,13 @@ def profile_utility(
     This is one entry of the payoff whose rows and columns
     :func:`two_camp_equilibrium` scores, solved by the same exact saddle
     kernel (:func:`_box_saddle`). Each call forms its own coefficients and
-    solves the one or two coupling rows it needs. A node outside [0, n) in
-    either profile is refused before any solve.
+    solves the one or two coupling rows it needs. A node outside [0, n) or
+    not an integer (1.5) in either profile is refused before any solve.
     """
     if not (0 <= kg < np.inf and 0 <= kb < np.inf):  # also refuses nan
         raise ValueError("budgets must be finite and nonnegative")
     for camp, profile in (("good", good), ("bad", bad)):
-        if profile is not None and not all(0 <= node < net.n for node in profile):
+        if profile is not None and any(_node_index(net, node) is None for node in profile):
             raise ValueError(f"{camp} profile {profile} names a node outside [0, {net.n})")
     coef = DependencyCoefficients(net)
     present = [p for p in (good, bad) if p is not None]

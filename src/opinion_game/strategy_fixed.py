@@ -9,6 +9,8 @@ can reach, about budget / cap of them, are ranked: ``np.partition`` finds
 the worth threshold and a stable sort orders the slots at or above it.
 
 Ties are broken deterministically: phase 2 first, then the lowest node id.
+:func:`_slot_worth` sets this rule for every strategy by listing the phase-2
+slots first, so a first maximum or a stable sort on worth alone keeps it.
 """
 
 from __future__ import annotations
@@ -32,16 +34,18 @@ class PureInvestment:
     amount: float
 
 
-def _camp_weights(net: Network, camp: str) -> np.ndarray:
-    if camp == GOOD:
-        return net.wg
-    if camp == BAD:
-        return net.wb
-    raise ValueError(f"camp must be {GOOD!r} or {BAD!r}, got {camp!r}")
-
-
 def _profile(net: Network, profile: CentralityProfile | None) -> CentralityProfile:
     return profile if profile is not None else compute_profile(net)
+
+
+def _slot_worth(net: Network, camp: str, profile: CentralityProfile | None) -> np.ndarray:
+    """Per-unit worth of the camp's 2n slots: entry i is node i's phase-2
+    slot, r_i * w_i, and entry n + i its phase-1 slot, s_i * w_i."""
+    if camp not in (GOOD, BAD):
+        raise ValueError(f"camp must be {GOOD!r} or {BAD!r}, got {camp!r}")
+    w = net.wg if camp == GOOD else net.wb
+    prof = _profile(net, profile)
+    return np.concatenate([prof.r * w, prof.s * w])
 
 
 def farsighted_unbounded(
@@ -55,17 +59,11 @@ def farsighted_unbounded(
     """
     if not budget >= 0:  # also refuses nan
         raise ValueError("budget must be nonnegative")
-    prof = _profile(net, profile)
-    w = _camp_weights(net, camp)
-    first = prof.s * w
-    second = prof.r * w
-    i1 = int(np.argmax(first))
-    i2 = int(np.argmax(second))
-    if budget == 0 or max(first[i1], second[i2]) <= 0:
+    worth = _slot_worth(net, camp, profile)
+    k = int(np.argmax(worth))
+    if budget == 0 or worth[k] <= 0:
         return PureInvestment(None, None, 0.0)
-    if first[i1] > second[i2]:
-        return PureInvestment(i1, 1, float(budget))
-    return PureInvestment(i2, 2, float(budget))
+    return PureInvestment(k % net.n, 2 - k // net.n, float(budget))
 
 
 def myopic_strategy(
@@ -75,9 +73,7 @@ def myopic_strategy(
     the node with the largest r_i * w_i, spent in phase 1."""
     if not budget >= 0:  # also refuses nan
         raise ValueError("budget must be nonnegative")
-    prof = _profile(net, profile)
-    w = _camp_weights(net, camp)
-    worth = prof.r * w
+    worth = _slot_worth(net, camp, profile)[:net.n]
     i = int(np.argmax(worth))
     if budget == 0 or worth[i] <= 0:
         return PureInvestment(None, None, 0.0)
@@ -95,12 +91,10 @@ def myopic_loss(net: Network, kb: float, profile: CentralityProfile | None = Non
     """
     if not kb >= 0:  # also refuses nan
         raise ValueError("kb must be nonnegative")
-    prof = _profile(net, profile)
-    first = prof.s * net.wb
-    second = prof.r * net.wb
-    best = max(float(first.max()), float(second.max()), 0.0)
-    i_hat = int(np.argmax(second))
-    achieved = max(float(first[i_hat]), 0.0)
+    worth = _slot_worth(net, BAD, profile)
+    best = max(float(worth.max()), 0.0)
+    i_hat = int(np.argmax(worth[:net.n]))
+    achieved = max(float(worth[net.n + i_hat]), 0.0)
     return kb * (best - achieved)
 
 
@@ -131,12 +125,8 @@ def bounded_greedy(
         raise ValueError("budget must be nonnegative")
     if not cap > 0:
         raise ValueError("cap must be positive")
-    prof = _profile(net, profile)
-    w = _camp_weights(net, camp)
+    worth = _slot_worth(net, camp, profile)
     n = net.n
-    # phase-2 slots first, so a stable order on worth alone breaks ties by
-    # phase 2 first, then the lowest node id
-    worth = np.concatenate([prof.r * w, prof.s * w])
     # top-k by partition: only the ceil(budget / cap) slots the fill takes,
     # plus slack for rounding in the running remainder, are ranked up front
     reach = budget / cap

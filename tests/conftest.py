@@ -13,6 +13,7 @@ from scipy import sparse
 from opinion_game import GOOD, DependencyCoefficients, Network, Topology, compute_profile
 from opinion_game.centrality import delta_matrix, delta_row
 from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot, solve_zero_sum
+from opinion_game.model import TOLERANCE
 from opinion_game.strategy_dependent import _box_saddle, _camp_terms, _coefficient_block
 
 
@@ -379,6 +380,24 @@ def greedy_oracle(net: Network, budget: float, camp: str, cap: float = 1.0, prof
         x[slot.phase][slot.node] = amount
         remaining -= amount
     return x[1], x[2]
+
+
+def plan_total(plan) -> float:
+    """Total investment of a plan over both phases."""
+    return float(plan.x1.sum() + plan.x2.sum())
+
+
+def plan_violations(plan, budget: float, cap: float | None = None) -> list[str]:
+    """A plan's breaches of its budget and of the per-node cap, each beyond
+    the model's ``TOLERANCE``, as messages."""
+    out = []
+    if plan_total(plan) > budget + TOLERANCE:
+        out.append(f"total investment {plan_total(plan):.6g} exceeds budget {budget:.6g}")
+    if cap is not None:
+        for name, vec in (("x1", plan.x1), ("x2", plan.x2)):
+            for i in np.nonzero(vec > cap + TOLERANCE)[0]:
+                out.append(f"{name}[{i}] = {vec[i]:.6g} exceeds the per-node cap {cap:.6g}")
+    return out
 
 
 def bland_oracle(tableau: np.ndarray, basis, cap: int) -> int:

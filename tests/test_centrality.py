@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from opinion_game import (
     Network,
-    apply_delta,
     compute_profile,
     delta_matrix,
     delta_row,
@@ -12,6 +11,8 @@ from opinion_game import (
     katz_r,
     katz_s,
 )
+
+from opinion_game.dynamics import solve_linear
 
 from conftest import neumann_transpose_apply, random_network, two_node_net
 
@@ -123,13 +124,17 @@ class TestResolventRows:
         for j in range(net.n):
             assert_allclose(delta_row(net, j), full[j], atol=1e-9)
 
-    def test_apply_delta_matches_matrix(self):
+    def test_solve_linear_matches_matrix(self):
         rng = np.random.default_rng(47)
         net = random_network(rng, 9, nonneg=False)
         vec = rng.normal(size=9)
-        assert_allclose(apply_delta(net, vec), delta_matrix(net) @ vec, atol=1e-9)
+        assert_allclose(solve_linear(net, vec), delta_matrix(net) @ vec, atol=1e-9)
 
     def test_row_index_checked(self):
+        # 1.5 raised numpy's bare IndexError, and True read as a boolean mask
         net = two_node_net()
-        with pytest.raises(ValueError):
-            delta_row(net, 2)
+        for j in (2, -1, 1.5, np.float64(1.0)):
+            with pytest.raises(ValueError, match=rf"^node {j} out of range$"):
+                delta_row(net, j)
+        for j in (np.int64(1), np.int32(1), True):
+            assert np.array_equal(delta_row(net, j), delta_row(net, 1))

@@ -62,6 +62,38 @@ class TestImportChain:
         assert result.stdout.strip() == ""
 
 
+class TestPublicSurface:
+    NAMES = [
+        "BAD", "Budgets", "CentralityProfile", "ConvergenceError", "DEFAULT_W0_GRID",
+        "DependencyCoefficients", "GOOD", "GameSolution", "GameSolverError",
+        "InvestmentPlan", "Network", "OpinionState", "PureInvestment", "PureProfile",
+        "SWEEP_COLUMNS", "SWEEP_MODES", "Topology", "Violation", "WeightScheme",
+        "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix", "delta_row",
+        "dependency_camp_weights", "evaluate_two_phase", "farsighted_unbounded",
+        "fixed_point_iterate", "game_profiles", "generate_weights", "iter_phases",
+        "katz_multiphase", "katz_r", "katz_s", "load_edge_list", "multi_election_scores",
+        "myopic_loss", "myopic_strategy", "profile_utility", "run_phases",
+        "save_edge_list", "single_camp_optimal", "solve_zero_sum", "steady_state",
+        "sweep_point", "sweep_w0", "two_camp_equilibrium", "validate",
+    ]
+
+    def test_exports_exactly_these_names(self):
+        assert len(self.NAMES) == 48
+        assert sorted(opinion_game.__all__) == self.NAMES
+        assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
+        for name in opinion_game.__all__:
+            getattr(opinion_game, name)
+
+    def test_removed_aliases_are_gone(self):
+        # each restated another function or served only tests
+        for name in ("apply_delta", "camp_weights", "MatrixGame"):
+            with pytest.raises(AttributeError):
+                getattr(opinion_game, name)
+        for name in ("total", "violations"):
+            with pytest.raises(AttributeError):
+                getattr(opinion_game.InvestmentPlan, name)
+
+
 class TestCentralityCommand:
     def test_matches_library_values(self, capsys, graph_file):
         code, out, _ = run_cli(

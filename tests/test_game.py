@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
 import opinion_game.game as game
-from opinion_game import GameSolverError, MatrixGame, solve_zero_sum
+from opinion_game import GameSolverError, solve_zero_sum
 
 from conftest import bland_oracle
 
@@ -66,11 +66,11 @@ class TestWorkedGames:
 class TestInputChecks:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            MatrixGame(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+            solve_zero_sum(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
     def test_shape_rejected(self):
-        with pytest.raises(ValueError):
-            MatrixGame(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="nonempty 2-D"):
+            solve_zero_sum(np.zeros((0, 3)))
 
     def test_pivot_cap_raises(self):
         # the slack tableau of the 4x4 game eye(4) + 1 needs more than one pivot

@@ -14,7 +14,14 @@ from opinion_game import (
     validate,
 )
 
-from conftest import arc_list, loop_build_weights, loop_load_edge_list, random_network
+from conftest import (
+    arc_list,
+    loop_build_weights,
+    loop_load_edge_list,
+    plan_total,
+    plan_violations,
+    random_network,
+)
 
 
 def write(tmp_path, text):
@@ -510,7 +517,7 @@ class TestBudgetsAndPlans:
 
     def test_plan_budget_violations(self):
         plan = InvestmentPlan("good", [1.0, 2.0], [0.5, 0.0])
-        assert plan.total() == pytest.approx(3.5)
-        assert plan.violations(budget=10.0) == []
-        assert any("exceeds budget" in m for m in plan.violations(budget=3.0))
-        assert any("per-node cap" in m for m in plan.violations(budget=10.0, cap=1.0))
+        assert plan_total(plan) == pytest.approx(3.5)
+        assert plan_violations(plan, budget=10.0) == []
+        assert any("exceeds budget" in m for m in plan_violations(plan, budget=3.0))
+        assert any("per-node cap" in m for m in plan_violations(plan, budget=10.0, cap=1.0))

@@ -15,8 +15,8 @@ from opinion_game import (
     GameSolverError,
     Network,
     ba_graph,
-    camp_weights,
     delta_row,
+    dependency_camp_weights,
     game_profiles,
     generate_weights,
     katz_s,
@@ -60,20 +60,20 @@ def profile_to_plans(n, good, bad, kg1, kg2, kb1, kb2):
 class TestCampWeights:
     def test_neutral_entry_splits_evenly(self):
         net = dep_pair()
-        wg, wb = camp_weights(net, [0.0, 0.0])
+        wg, wb = dependency_camp_weights(net.theta, net.w0, [0.0, 0.0])
         assert_allclose(wg, [0.1, 0.1])
         assert_allclose(wb, [0.1, 0.1])
 
     def test_leaning_entry(self):
         net = dep_pair(w0=0.5)
-        wg, wb = camp_weights(net, [1.0, 0.0])
+        wg, wb = dependency_camp_weights(net.theta, net.w0, [1.0, 0.0])
         assert wg[0] == pytest.approx(0.15)
         assert wb[0] == pytest.approx(0.05)
 
     def test_sum_is_theta(self):
         rng = np.random.default_rng(97)
         net = random_network(rng, 8, dependency=True)
-        wg, wb = camp_weights(net, rng.uniform(-1, 1, 8))
+        wg, wb = dependency_camp_weights(net.theta, net.w0, rng.uniform(-1, 1, 8))
         assert_allclose(wg + wb, net.theta, atol=1e-14)
 
 
@@ -434,9 +434,10 @@ class TestProfileUtility:
     def test_out_of_range_nodes_refused(self):
         # (-1, 0) was scored as (5, 0) by numpy's index wrap, (6, 0) and
         # (0, 6) raised a bare IndexError and (0, -1) a ValueError from
-        # delta_row
+        # delta_row; (1.5, 0) was scored as (1, 0) and (1, 0.5) raised a
+        # bare IndexError
         net = generate_weights(ba_graph(6, 2, 0), 0.3)
-        for profile in ((-1, 0), (6, 0), (0, 6), (0, -1)):
+        for profile in ((-1, 0), (6, 0), (0, 6), (0, -1), (1.5, 0), (1, 0.5)):
             for good, bad in ((profile, (2, 3)), ((2, 3), profile), (None, profile)):
                 camp = "good" if good == profile else "bad"
                 message = (rf"^{camp} profile \({profile[0]}, {profile[1]}\) "

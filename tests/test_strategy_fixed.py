@@ -23,7 +23,15 @@ from opinion_game import (
 
 from opinion_game.strategy_fixed import _by_worth
 
-from conftest import compositions, greedy_oracle, random_network, scored_slots, two_node_net
+from conftest import (
+    compositions,
+    greedy_oracle,
+    plan_total,
+    plan_violations,
+    random_network,
+    scored_slots,
+    two_node_net,
+)
 
 
 def pair_net(w0=0.3, wg=(0.2, 0.1), wb=(0.1, 0.2)):
@@ -154,16 +162,16 @@ class TestBoundedGreedy:
 
     def test_empty_plan_without_budget(self):
         plan = bounded_greedy(pair_net(), 0.0, GOOD)
-        assert plan.total() == 0.0
+        assert plan_total(plan) == 0.0
 
     def test_nonpositive_worth_is_never_filled(self):
         plan = bounded_greedy(pair_net(wg=(0.0, 0.0)), 5.0, GOOD)
-        assert plan.total() == 0.0
+        assert plan_total(plan) == 0.0
 
     def test_partial_unit_on_fractional_budget(self):
         plan = bounded_greedy(pair_net(), 1.5, GOOD)
-        assert plan.total() == pytest.approx(1.5)
-        assert plan.violations(budget=1.5, cap=1.0) == []
+        assert plan_total(plan) == pytest.approx(1.5)
+        assert plan_violations(plan, budget=1.5, cap=1.0) == []
 
     def test_respects_custom_cap(self):
         plan = bounded_greedy(pair_net(), 2.0, GOOD, cap=0.5)
@@ -258,6 +266,42 @@ class TestEvaluateTwoPhase:
             assert abs(closed - sums[1]) < 1e-8
 
 
+class TestSlotWorthTies:
+    """Exact ties between slot worths, on a 4-node cycle whose profile is
+    given as dyadic r and s, so every worth r_i w_i and s_i w_i is exact.
+    Every strategy breaks a tie toward phase 2, then the lowest node id."""
+
+    def cycle(self):
+        n = 4
+        return Network.build(
+            n, [(i, (i + 1) % n, 0.5) for i in range(n)], w0=0.25, wg=0.125, wb=0.125
+        )
+
+    @pytest.mark.parametrize(
+        "r, s, slot, myopic_node, loss",
+        [
+            # node 0's phase-1 slot ties node 1's phase-2 slot at the top
+            ([1, 2, 1, 1], [2, 1, 1, 1], (1, 2), 1, 0.5),
+            # nodes 1 and 3 tie at the top in phase 2
+            ([1, 2, 1, 2], [1, 1, 1, 1], (1, 2), 1, 0.5),
+            # nodes 1 and 3 tie at the top in phase 1, every r ties
+            ([1, 1, 1, 1], [1, 3, 1, 3], (1, 1), 0, 1.0),
+        ],
+    )
+    def test_ties_break_toward_phase_two_then_lowest_id(self, r, s, slot, myopic_node, loss):
+        net = self.cycle()
+        prof = CentralityProfile(r=np.array(r, dtype=float), s=np.array(s, dtype=float))
+        for camp in (GOOD, BAD):
+            far = farsighted_unbounded(net, 3.0, camp, prof)
+            assert (far.node, far.phase, far.amount) == (*slot, 3.0)
+            myo = myopic_strategy(net, 3.0, camp, prof)
+            assert (myo.node, myo.phase, myo.amount) == (myopic_node, 1, 3.0)
+            plan = bounded_greedy(net, 3.0, camp, cap=math.inf, profile=prof)
+            x1, x2 = plan_vectors(net.n, far)
+            assert np.array_equal(plan.x1, x1) and np.array_equal(plan.x2, x2)
+        assert myopic_loss(net, 4.0, prof) == loss
+
+
 class TestScoredSlots:
     """``bounded_greedy`` against the scalar ranking oracle: ``scored_slots``
     sorted by (-worth, -phase, node) and filled in that order."""
@@ -314,8 +358,8 @@ class TestScoredSlots:
         prof = compute_profile(net)
         for budget, cap in ((3.7, 1.0), (0.3, 0.1), (5.0, 1.5), (1e-3, 2.0)):
             plan = self.assert_matches_oracle(net, budget, GOOD, cap, prof)
-            assert plan.total() == pytest.approx(budget)
-            assert plan.violations(budget, cap) == []
+            assert plan_total(plan) == pytest.approx(budget)
+            assert plan_violations(plan, budget, cap) == []
 
     def test_camp_with_no_positive_worth(self):
         rng = np.random.default_rng(181)
@@ -326,7 +370,7 @@ class TestScoredSlots:
         prof = compute_profile(net)
         assert np.all(np.concatenate([prof.s * net.wg, prof.r * net.wg]) <= 0.0)
         plan = self.assert_matches_oracle(net, 7.0, GOOD, 1.0, prof)
-        assert plan.total() == 0.0
+        assert plan_total(plan) == 0.0
 
 
 class TestTopKRanking:
@@ -371,8 +415,8 @@ class TestTopKRanking:
         prof = compute_profile(net)
         for camp in (GOOD, BAD):
             plan = self.assert_matches_oracle(net, budget, camp, cap, prof)
-            assert plan.total() <= budget + 1e-12
-            assert plan.violations(budget, cap) == []
+            assert plan_total(plan) <= budget + 1e-12
+            assert plan_violations(plan, budget, cap) == []
 
     def test_budget_beyond_every_slot(self):
         # budget >= 2n caps: every positive slot fills, from the full order
@@ -390,7 +434,7 @@ class TestTopKRanking:
         n = 50
         prof = CentralityProfile(r=np.arange(n, 0.0, -1.0), s=np.full(n, 1.0))
         plan = self.assert_matches_oracle(self.cycle(n), 0.0, GOOD, 1.0, prof)
-        assert plan.total() == 0.0
+        assert plan_total(plan) == 0.0
 
     def test_no_positive_worth(self):
         # every worth is zero or negative, so nothing fills even though the
@@ -403,7 +447,7 @@ class TestTopKRanking:
         prof = CentralityProfile(r=r, s=s)
         for budget in (0.5, 3.0, 100.0):
             plan = self.assert_matches_oracle(self.cycle(n), budget, GOOD, 1.0, prof)
-            assert plan.total() == 0.0
+            assert plan_total(plan) == 0.0
 
     def test_seeded_sweep_of_budgets_and_caps(self):
         rng = np.random.default_rng(239)
