@@ -57,7 +57,7 @@ def _load_topology(args):
 
 
 def _scheme(args) -> harness.WeightScheme:
-    grid = tuple(args.w0_grid) if args.w0_grid else harness.DEFAULT_W0_GRID
+    grid = harness.DEFAULT_W0_GRID if args.w0_grid is None else tuple(args.w0_grid)
     return harness.WeightScheme(camp_base=args.camp_base, w0_grid=grid)
 
 

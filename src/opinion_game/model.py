@@ -48,12 +48,16 @@ def _as_vector(value, n: int, name: str) -> np.ndarray:
     return out
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Bare directed graph: node count plus weighted arcs, no node parameters.
 
     Arc k runs from ``src[k]`` to ``dst[k]`` with weight ``weight[k]``; the
-    three are read-only arrays of one length (int64, int64, float).
+    three are read-only arrays of one length (int64, int64, float). Ids must
+    come as integers that fit int64; a float id, even 1.0, raises ValueError.
     """
 
     n: int
@@ -63,7 +67,11 @@ class Topology:
 
     def __post_init__(self):
         for name, dtype in (("src", np.int64), ("dst", np.int64), ("weight", float)):
-            arr = np.array(getattr(self, name), dtype=dtype)
+            arr = np.asarray(getattr(self, name))
+            if dtype is np.int64 and arr.size and (
+                    arr.dtype.kind not in "iu" or arr.dtype.kind == "u" and arr.max() > _INT64_MAX):
+                raise ValueError(f"{name} must hold integer node ids that fit int64")
+            arr = np.array(arr, dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.src.ndim != 1 or not self.src.shape == self.dst.shape == self.weight.shape:
@@ -99,10 +107,7 @@ def _first_repeat(src: np.ndarray, dst: np.ndarray, n: int) -> int | None:
     return int(repeats.min()) if repeats.size else None
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def _parse_line(path, lineno: int, raw: str, default: float) -> tuple[int, int, float] | None:
+def _parse_line(path, lineno: int, raw: str) -> tuple[int, int, float] | None:
     """(src, dst, weight) of one edge-list line, or None for a blank or
     comment line; ValueError naming the line if it is malformed."""
     parts = raw.split()
@@ -112,7 +117,7 @@ def _parse_line(path, lineno: int, raw: str, default: float) -> tuple[int, int, 
         raise ValueError(f"{path}: line {lineno}: expected 'src dst [weight]', got {raw.strip()!r}")
     try:
         i, j = int(parts[0]), int(parts[1])
-        w = float(parts[2]) if len(parts) == 3 else default
+        w = float(parts[2]) if len(parts) == 3 else 0.0
     except ValueError:
         raise ValueError(f"{path}: line {lineno}: could not parse {raw.strip()!r}") from None
     if i < 0 or j < 0:
@@ -123,7 +128,7 @@ def _parse_line(path, lineno: int, raw: str, default: float) -> tuple[int, int, 
     return i, j, w
 
 
-def _read_lines(path, default: float):
+def _read_lines(path):
     """src, dst and weight arrays and the line numbers of the arcs of an
     edge-list file, parsed one line at a time by :func:`_parse_line`, which
     raises on the first malformed line; ValueError if there is no arc."""
@@ -131,7 +136,7 @@ def _read_lines(path, default: float):
         lines = fh.read().split("\n")  # text mode ends every line in "\n"
     src, dst, weight, line = [], [], [], []
     for k, raw in enumerate(lines, start=1):
-        arc = _parse_line(path, k, raw, default)
+        arc = _parse_line(path, k, raw)
         if arc is not None:
             src.append(arc[0])
             dst.append(arc[1])
@@ -156,7 +161,7 @@ def _inline_hash(path) -> bool:
     return False
 
 
-def _read_bulk(path, default: float):
+def _read_bulk(path):
     """(src, dst, weight, None) arrays of the arcs of an edge-list file, read
     in one pass by numpy's loadtxt, which numbers no lines; None where numpy
     cannot read the file or may read it otherwise than :func:`_parse_line`.
@@ -182,19 +187,18 @@ def _read_bulk(path, default: float):
     if (not len(arcs) or min(src.min(), dst.min()) < 0
             or max(src.max(), dst.max()) >= _INT64_MAX or _inline_hash(path)):
         return None
-    weight = arcs["weight"] if len(dtype) == 3 else np.full(len(arcs), default)
+    weight = arcs["weight"] if len(dtype) == 3 else np.zeros(len(arcs))
     return src, dst, weight, None
 
 
-def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) -> Topology:
+def load_edge_list(path, symmetrize: bool = False) -> Topology:
     """Read a whitespace-delimited "src dst [weight]" file into a Topology.
 
     Node ids are 0-based integers and the node count is one plus the largest
     id seen. Lines whose first non-blank character is '#' are comments. With
     ``symmetrize`` every listed edge is duplicated in both directions (a
-    self-loop is added once). A missing weight column falls back to
-    ``default_weight``; duplicate (src, dst) pairs are an error rather than
-    being summed.
+    self-loop is added once). A missing weight column reads as 0.0;
+    duplicate (src, dst) pairs are an error rather than being summed.
 
     numpy reads a file whose arc lines all have two fields, or all three, in
     one pass. Any other file, or one whose arcs fail a check, is read again
@@ -202,8 +206,7 @@ def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) 
     first, then the first bad line in file order, even one after a
     duplicate, and only then the first arc that repeats an earlier one.
     """
-    default = float(default_weight)
-    a, b, weight, line = _read_bulk(path, default) or _read_lines(path, default)
+    a, b, weight, line = _read_bulk(path) or _read_lines(path)
     n = int(max(a.max(), b.max())) + 1
     if symmetrize:
         # each line's arc, then its reverse unless it is a self-loop
@@ -213,7 +216,7 @@ def load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0) 
     k = _first_repeat(a, b, n)
     if k is not None:
         # numpy numbers no lines; the loop reads the same arcs and does
-        line = line or _read_lines(path, default)[3]
+        line = line or _read_lines(path)[3]
         arc = np.flatnonzero(keep)[k] // 2 if symmetrize else k
         raise ValueError(f"{path}: line {line[arc]}: duplicate edge ({a[k]}, {b[k]})")
     return Topology(n, a, b, weight)
@@ -258,20 +261,18 @@ class Network:
         theta=0.0,
     ) -> "Network":
         """Network on n nodes from its arcs, a Topology or (src, dst, weight)
-        triples, plus per-node parameters (scalars broadcast to every node).
-        The first arc, in input order, that is out of range or repeats an
-        earlier (src, dst) raises ValueError."""
+        triples, which go through Topology, plus per-node parameters (scalars
+        broadcast to every node). The first arc, in input order, that is out
+        of range or repeats an earlier (src, dst) raises ValueError."""
         if n <= 0:
             raise ValueError("need at least one node")
-        if isinstance(edges, Topology):
-            src, dst, weight = edges.src, edges.dst, edges.weight
-        else:
-            arcs = np.asarray(list(edges), dtype=float)
-            if arcs.size == 0:
-                arcs = arcs.reshape(0, 3)
-            if arcs.ndim != 2 or arcs.shape[1] != 3:
-                raise ValueError(f"edges must be (src, dst, weight) triples, got shape {arcs.shape}")
-            src, dst, weight = arcs[:, 0].astype(np.int64), arcs[:, 1].astype(np.int64), arcs[:, 2]
+        if not isinstance(edges, Topology):
+            arcs = list(edges)
+            for arc in arcs:
+                if np.shape(arc) != (3,):
+                    raise ValueError(f"edges must be (src, dst, weight) triples, got {arc!r}")
+            edges = Topology(n, *zip(*arcs)) if arcs else Topology(n, (), (), ())
+        src, dst, weight = edges.src, edges.dst, edges.weight
         bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
         if not bad.size:
             # scatters the arcs by row, sorts each row's columns and sums

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import CentralityProfile, compute_profile
+from .dynamics import _vec
 from .model import BAD, GOOD, InvestmentPlan, Network
 
 
@@ -162,11 +163,8 @@ def evaluate_two_phase(
         sum_i s_i w0_i v0_i + s . (wg o x1 - wb o y1) + r . (wg o x2 - wb o y2)
     """
     prof = _profile(net, profile)
-    n = net.n
-    x1 = np.zeros(n) if x1 is None else np.asarray(x1, dtype=float)
-    x2 = np.zeros(n) if x2 is None else np.asarray(x2, dtype=float)
-    y1 = np.zeros(n) if y1 is None else np.asarray(y1, dtype=float)
-    y2 = np.zeros(n) if y2 is None else np.asarray(y2, dtype=float)
+    x1, x2 = _vec(x1, net.n, "x1"), _vec(x2, net.n, "x2")
+    y1, y2 = _vec(y1, net.n, "y1"), _vec(y2, net.n, "y2")
     base = float(prof.s @ (net.w0 * net.v0))
     phase1 = float(prof.s @ (net.wg * x1 - net.wb * y1))
     phase2 = float(prof.r @ (net.wg * x2 - net.wb * y2))

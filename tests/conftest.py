@@ -270,7 +270,7 @@ def arc_list(topology: Topology) -> list[tuple[int, int, float]]:
     return list(zip(topology.src.tolist(), topology.dst.tolist(), topology.weight.tolist()))
 
 
-def loop_load_edge_list(path, symmetrize: bool = False, default_weight: float = 0.0):
+def loop_load_edge_list(path, symmetrize: bool = False):
     """(n, src, dst, weight) of an edge-list file read one line at a time:
     the first malformed line raises ValueError, then the first arc, in file
     order, that repeats an earlier (src, dst). Ids of 2**63 - 1 or more are
@@ -280,7 +280,6 @@ def loop_load_edge_list(path, symmetrize: bool = False, default_weight: float = 
     dst: list[int] = []
     wts: list[float] = []
     linenos: list[int] = []
-    default = float(default_weight)
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             parts = raw.split()
@@ -292,7 +291,7 @@ def loop_load_edge_list(path, symmetrize: bool = False, default_weight: float = 
                 )
             try:
                 i, j = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else default
+                w = float(parts[2]) if len(parts) == 3 else 0.0
             except ValueError:
                 raise ValueError(
                     f"{path}: line {lineno}: could not parse {raw.strip()!r}"

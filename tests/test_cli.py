@@ -232,6 +232,19 @@ class TestCapOption:
         assert code == 0
 
 
+class TestW0GridOption:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--w0-grid", ","), ("sweep", "--w0-grid", ""),
+        ("strategy-fixed", "--w0-grid", ","), ("strategy-fixed", "--w0-grid", ""),
+    ])
+    def test_empty_grid_refused_before_any_work(self, capsys, argv):
+        # an empty grid once ran sweep on the 20-point default grid and the
+        # other commands at w0 = 0; the synthetic graph's note on stderr
+        # would show any work done
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: w0_grid must be non-empty\n")
+
+
 class TestBudgetOptions:
     # nan and infinite budgets once ran: strategy-dep printed a nan value and
     # strategy-fixed --bounded put the cap on every slot; every command now

@@ -71,8 +71,8 @@ class TestLoadEdgeList:
         assert arc_list(topo) == [(0, 1, 0.5)]
 
     def test_default_weight_placeholder(self, tmp_path):
-        topo = load_edge_list(write(tmp_path, "0 1\n"), default_weight=0.7)
-        assert arc_list(topo) == [(0, 1, 0.7)]
+        topo = load_edge_list(write(tmp_path, "0 1\n"))
+        assert arc_list(topo) == [(0, 1, 0.0)]
 
     def test_self_loop_symmetrized_once(self, tmp_path):
         topo = load_edge_list(write(tmp_path, "0 0 0.4\n1 0 0.2\n"), symmetrize=True)
@@ -82,12 +82,10 @@ class TestLoadEdgeList:
 
     def test_mixed_two_and_three_column_lines(self, tmp_path):
         path = write(tmp_path, "0 1\n1 2 0.5\n\n2 0\n")
-        assert arc_list(load_edge_list(path, default_weight=0.7)) == [
-            (0, 1, 0.7), (1, 2, 0.5), (2, 0, 0.7),
-        ]
-        topo = load_edge_list(path, symmetrize=True, default_weight=0.7)
+        assert arc_list(load_edge_list(path)) == [(0, 1, 0.0), (1, 2, 0.5), (2, 0, 0.0)]
+        topo = load_edge_list(path, symmetrize=True)
         assert arc_list(topo) == [
-            (0, 1, 0.7), (1, 0, 0.7), (1, 2, 0.5), (2, 1, 0.5), (2, 0, 0.7), (0, 2, 0.7),
+            (0, 1, 0.0), (1, 0, 0.0), (1, 2, 0.5), (2, 1, 0.5), (2, 0, 0.0), (0, 2, 0.0),
         ]
         assert topo.src.dtype == topo.dst.dtype == np.int64
         assert not topo.src.flags.writeable and not topo.weight.flags.writeable
@@ -138,8 +136,8 @@ class TestLoadEdgeList:
 
     def test_odd_arcs_merged_in_line_order(self, tmp_path):
         path = write(tmp_path, "# src dst\n0 1\n+1 2 0.5\n2\t3\n0 2 inf\n3 0 1e-3\n")
-        assert arc_list(load_edge_list(path, default_weight=0.7)) == [
-            (0, 1, 0.7), (1, 2, 0.5), (2, 3, 0.7), (0, 2, float("inf")), (3, 0, 1e-3),
+        assert arc_list(load_edge_list(path)) == [
+            (0, 1, 0.0), (1, 2, 0.5), (2, 3, 0.0), (0, 2, float("inf")), (3, 0, 1e-3),
         ]
 
     def test_header_then_bulk_lines(self, tmp_path):
@@ -205,22 +203,22 @@ class TestLoadEdgeList:
             text = random_edge_list(rng, lines, faults=case == 150 or (case != 7 and rng.random() < 0.6))
             path = tmp_path / f"graph{case}.txt"
             path.write_bytes(text.encode("utf-8"))
-            for symmetrize, default in ((False, 0.0), (False, 0.25), (True, 0.25)):
+            for symmetrize in (False, True):
                 try:
-                    expected = loop_load_edge_list(path, symmetrize, default)
+                    expected = loop_load_edge_list(path, symmetrize)
                 except ValueError as exc:
                     with pytest.raises(type(exc)) as got:
-                        load_edge_list(path, symmetrize, default)
+                        load_edge_list(path, symmetrize)
                     assert type(got.value) is type(exc)
                     assert str(got.value) == str(exc), text
                     continue
-                topo = load_edge_list(path, symmetrize, default)
+                topo = load_edge_list(path, symmetrize)
                 loaded[case] = loaded.get(case, 0) + 1
                 assert topo.n == expected[0], text
                 for got_arr, want in zip((topo.src, topo.dst, topo.weight), expected[1:]):
                     assert got_arr.dtype == want.dtype
                     assert got_arr.tobytes() == want.tobytes(), text
-        assert loaded[7] == 3 and 150 not in loaded and len(loaded) > 60
+        assert loaded[7] == 2 and 150 not in loaded and len(loaded) > 60
 
     @pytest.mark.parametrize("text, message", [
         # numpy drops a line's tail from any '#'; the format has whole
@@ -243,10 +241,10 @@ class TestLoadEdgeList:
     def test_compressed_suffix_is_plain_text(self, tmp_path):
         # numpy given a path would decompress it by its suffix
         text = "# src dst\n0 1\n1 2 0.5\n"
-        plain = load_edge_list(write(tmp_path, text), default_weight=0.25)
+        plain = load_edge_list(write(tmp_path, text))
         named_gz = tmp_path / "graph.gz"
         named_gz.write_text(text)
-        assert arc_list(load_edge_list(named_gz, default_weight=0.25)) == arc_list(plain)
+        assert arc_list(load_edge_list(named_gz)) == arc_list(plain)
         named_gz.write_text("0 1\n1 2\n")
         assert arc_list(load_edge_list(named_gz)) == [(0, 1, 0.0), (1, 2, 0.0)]
 
@@ -262,12 +260,12 @@ class TestLoadEdgeList:
 
         path = write(tmp_path, text)
         try:
-            expected = loop_load_edge_list(path, False, 0.25)
+            expected = loop_load_edge_list(path)
         except ValueError as exc:
             expected = str(exc)
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         try:
-            topo = load_edge_list(path, default_weight=0.25)
+            topo = load_edge_list(path)
         except ValueError as exc:
             assert str(exc) == expected
         else:
@@ -354,6 +352,12 @@ def random_arcs(rng, n, m):
     return [(int(k // n), int(k % n), float(rng.normal())) for k in keys]
 
 
+def arc_topology(n, edges):
+    """A Topology of (src, dst, weight) triples, its ids as integer columns."""
+    src, dst, weight = zip(*edges) if edges else ((), (), ())
+    return Topology(n, src, dst, weight)
+
+
 class TestNetworkBuild:
     def test_matches_loop_oracle_on_random_arc_lists(self):
         rng = np.random.default_rng(191)
@@ -361,7 +365,7 @@ class TestNetworkBuild:
             n = int(rng.integers(1, 40))
             edges = random_arcs(rng, n, int(rng.integers(0, n * n + 1)))
             want = loop_build_weights(n, edges)
-            for source in (edges, Topology(n, *np.array(edges).reshape(-1, 3).T)):
+            for source in (edges, arc_topology(n, edges)):
                 got = Network.build(n, source).weights
                 for name in ("indptr", "indices", "data"):
                     a, b = getattr(got, name), getattr(want, name)
@@ -373,7 +377,7 @@ class TestNetworkBuild:
         edges = random_arcs(rng, n, 20_000)
         edges[::97] = [(i, j, 0.0) for i, j, _ in edges[::97]]
         want = loop_build_weights(n, edges)
-        for source in (edges, Topology(n, *np.array(edges).reshape(-1, 3).T)):
+        for source in (edges, arc_topology(n, edges)):
             got = Network.build(n, source).weights
             assert got.has_canonical_format
             for name in ("indptr", "indices", "data"):
@@ -444,6 +448,66 @@ class TestNetworkBuild:
     def test_scalar_broadcast(self):
         net = Network.build(3, w0=0.25)
         assert net.w0.tolist() == [0.25, 0.25, 0.25]
+
+
+class TestIntegerIds:
+    # ids were cast with np.array(..., dtype=np.int64), which truncated
+    # floats and wrapped ids of 2**63 or more; Network.build parsed triples
+    # through a float array of its own, so (0.7, 1, w) built arc (0, 1)
+    MESSAGE = "{} must hold integer node ids that fit int64"
+
+    @pytest.mark.parametrize("name", ["src", "dst"])
+    @pytest.mark.parametrize("ids", [
+        [0.5], [1.0], [float("nan")], [np.uint64(2**63)], [2**64],
+    ])
+    def test_topology_refuses_non_integer_ids(self, name, ids):
+        arcs = {"src": [0], "dst": [1], "weight": [0.5], name: ids}
+        with pytest.raises(ValueError) as exc:
+            Topology(3, **arcs)
+        assert str(exc.value) == self.MESSAGE.format(name)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
+    def test_topology_takes_integer_dtypes(self, dtype):
+        topo = Topology(3, np.array([0, 2], dtype=dtype), np.array([1, 2], dtype=dtype), [0.5, 1])
+        assert topo.src.dtype == topo.dst.dtype == np.int64
+        assert arc_list(topo) == [(0, 1, 0.5), (2, 2, 1.0)]
+
+    def test_topology_takes_the_largest_id_and_no_ids(self):
+        big = np.array([2**63 - 1], dtype=np.uint64)
+        assert Topology(1, big, big, [0.0]).src.tolist() == [2**63 - 1]
+        empty = Topology(3, [], [], [])
+        assert empty.src.dtype == empty.dst.dtype == np.int64 and empty.src.size == 0
+
+    @pytest.mark.parametrize("edges, name", [
+        ([(0.7, 1, 0.3), (1, 2.9, 0.2)], "src"),
+        ([(0, 1, 0.3), (1, 2.9, 0.2)], "dst"),
+        ([(float("nan"), 1, 0.3)], "src"),
+        ([(0, 1, 0.3), (1, float("nan"), 0.2)], "dst"),
+        ([(2**63, 1, 0.3)], "src"),
+        ([(0, 1, 0.3), (1, 2**63, 0.2)], "dst"),
+    ])
+    def test_build_refuses_non_integer_ids(self, edges, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                Network.build(3, edges)
+        assert str(exc.value) == self.MESSAGE.format(name)
+
+    def test_build_refuses_an_arc_that_is_no_triple(self):
+        with pytest.raises(ValueError) as exc:
+            Network.build(3, [(0, 1, 0.5), (1, 2)])
+        assert str(exc.value) == "edges must be (src, dst, weight) triples, got (1, 2)"
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_numpy_integer_ids_build_the_same_matrix(self, dtype):
+        edges = random_arcs(np.random.default_rng(227), 9, 40)
+        want = Network.build(9, edges).weights
+        typed = [(dtype(i), dtype(j), w) for i, j, w in edges]
+        for source in (typed, arc_topology(9, typed)):
+            got = Network.build(9, source).weights
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestValidate:

@@ -9,10 +9,12 @@ from numpy.testing import assert_allclose
 from opinion_game import (
     BAD,
     GOOD,
+    ba_graph,
     bounded_greedy,
     compute_profile,
     evaluate_two_phase,
     farsighted_unbounded,
+    generate_weights,
     multi_election_scores,
     myopic_loss,
     myopic_strategy,
@@ -254,6 +256,15 @@ class TestEvaluateTwoPhase:
     def test_everything_zero(self):
         net = two_node_net(v0=0.0)
         assert evaluate_two_phase(net, None, None, None, None) == 0.0
+
+    @pytest.mark.parametrize("x1, shape", [([5.0], (1,)), (5.0, ()), ([1.0] * 7, (7,))])
+    def test_plan_vectors_must_have_length_n(self, x1, shape):
+        # [5.0] and 5.0 once broadcast to 5 units at every node (3.2541...)
+        # and a length-7 vector raised numpy's bare broadcast error
+        net = generate_weights(ba_graph(6, 2, 0), 0.3)
+        with pytest.raises(ValueError) as exc:
+            evaluate_two_phase(net, x1, None, None, None)
+        assert str(exc.value) == f"x1 must be a length-6 vector, got shape {shape}"
 
     def test_agrees_with_phase_chaining(self):
         rng = np.random.default_rng(71)
