@@ -143,7 +143,10 @@ def _cmd_strategy_dep(args) -> None:
         _emit(rows, ["alpha", "beta", "kg1", "kg2", "value"], args.out)
         return
     solution = two_camp_equilibrium(net, args.kg, args.kb)
-    rows = []
+    # profiles that differ only in a phase the camp spends nothing in print
+    # one schedule: rows are keyed by every cell but g_prob and b_prob, and
+    # each camp's probability is summed over its distinct profiles in a row
+    schedules = {}
     for a, i in enumerate(solution.row_set):
         p = solution.row_mix[i]
         if p <= 1e-9:
@@ -157,12 +160,12 @@ def _cmd_strategy_dep(args) -> None:
             kg1 = float(solution.restricted_kg1[a, b])
             kb1 = float(solution.restricted_kb1[a, b])
             kg2, kb2 = args.kg - kg1, args.kb - kb1
-            rows.append([
-                solution.value,
-                node(good[0], kg1), node(good[1], kg2), float(p),
-                node(bad[0], kb1), node(bad[1], kb2), float(q),
-                kg1, kg2, kb1, kb2,
-            ])
+            cells = [solution.value, node(good[0], kg1), node(good[1], kg2),
+                     node(bad[0], kb1), node(bad[1], kb2), kg1, kg2, kb1, kb2]
+            _, goods, bads = schedules.setdefault(tuple(map(_fmt, cells)), (cells, {}, {}))
+            goods[i], bads[j] = float(p), float(q)
+    rows = [cells[:3] + [sum(goods.values())] + cells[3:5] + [sum(bads.values())] + cells[5:]
+            for cells, goods, bads in schedules.values()]
     header = ["value", "g_alpha", "g_beta", "g_prob",
               "b_gamma", "b_delta", "b_prob", "kg1", "kg2", "kb1", "kb2"]
     _emit(rows, header, args.out)

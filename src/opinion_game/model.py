@@ -7,13 +7,13 @@ and ``theta[i]`` the total camp weight a node grants when camp influence
 depends on its bias. Nodes are dense 0-based integers.
 
 Arcs stay numpy arrays from the edge-list file to the CSR matrix: a
-``Topology`` holds ``src``, ``dst`` and ``weight`` arrays, and duplicate and
-range checks and symmetrizing are array operations. numpy's ``loadtxt``
-reads an edge-list file in one pass; a file it cannot read, or may read
-otherwise than Python's ``int()`` and ``float()``, goes through those one
-line at a time, which alone word errors. Duplicates are found by one plain
-sort of packed (src, dst) keys; a stable lexsort runs only to name the
-repeat, or when the keys would overflow.
+``Topology`` holds ``src``, ``dst`` and ``weight`` arrays with ids in [0, n),
+and range and duplicate checks and symmetrizing are array operations.
+numpy's ``loadtxt`` reads an edge-list file in one pass; a file it cannot
+read, or may read otherwise than Python's ``int()`` and ``float()``, goes
+through those one line at a time, which alone word errors. Duplicates are
+found by one plain sort of packed (src, dst) keys; a stable lexsort runs
+only to name the repeat, or when the keys would overflow.
 ``Network.build`` gets its CSR layout from scipy's COO conversion, one
 scatter by row that sums repeats, so a repeat shows as a missing entry.
 """
@@ -57,7 +57,7 @@ class Topology:
 
     Arc k runs from ``src[k]`` to ``dst[k]`` with weight ``weight[k]``; the
     three are read-only arrays of one length (int64, int64, float). Ids must
-    come as integers that fit int64; a float id, even 1.0, raises ValueError.
+    come as integers in [0, n); any other id, even 1.0, raises ValueError.
     """
 
     n: int
@@ -79,6 +79,9 @@ class Topology:
                 "src, dst and weight must be 1-d arrays of one length, got shapes "
                 f"{self.src.shape}, {self.dst.shape}, {self.weight.shape}"
             )
+        bad = np.flatnonzero((self.src < 0) | (self.src >= self.n) | (self.dst < 0) | (self.dst >= self.n))
+        if bad.size:
+            raise ValueError(f"edge ({self.src[bad[0]]}, {self.dst[bad[0]]}) out of range for n={self.n}")
 
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.n)
@@ -260,32 +263,28 @@ class Network:
         wb=0.0,
         theta=0.0,
     ) -> "Network":
-        """Network on n nodes from its arcs, a Topology or (src, dst, weight)
-        triples, which go through Topology, plus per-node parameters (scalars
-        broadcast to every node). The first arc, in input order, that is out
-        of range or repeats an earlier (src, dst) raises ValueError."""
+        """Network on n nodes from its arcs, a Topology on n nodes or
+        (src, dst, weight) triples, which go through Topology and its checks,
+        plus per-node parameters (scalars broadcast to every node). A Topology
+        on another n, or the first arc repeating an earlier (src, dst), raises ValueError."""
         if n <= 0:
             raise ValueError("need at least one node")
         if not isinstance(edges, Topology):
             arcs = list(edges)
             for arc in arcs:
-                if np.shape(arc) != (3,):
+                try:
+                    triple = np.shape(arc) == (3,)
+                except ValueError:  # numpy refuses a ragged arc such as (0, (1, 2), 0.5)
+                    triple = False
+                if not triple:
                     raise ValueError(f"edges must be (src, dst, weight) triples, got {arc!r}")
             edges = Topology(n, *zip(*arcs)) if arcs else Topology(n, (), (), ())
-        src, dst, weight = edges.src, edges.dst, edges.weight
-        bad = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
-        if not bad.size:
-            # scatters the arcs by row, sorts each row's columns and sums
-            # repeats, so a repeat shows as a missing entry
-            mat = sparse.csr_array((weight, (src, dst)), shape=(n, n))
-        if bad.size or mat.nnz < len(src):
-            # errors name the first bad arc in input order: the first arc out
-            # of range, unless an arc before it repeats an earlier one
-            stop = int(bad[0]) if bad.size else len(src)
-            k = _first_repeat(src[:stop], dst[:stop], n)
-            if k is not None:
-                raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
-            raise ValueError(f"edge ({src[stop]}, {dst[stop]}) out of range for n={n}")
+        if edges.n != n:
+            raise ValueError(f"topology has n={edges.n}, not n={n}")
+        mat = sparse.csr_array((edges.weight, (edges.src, edges.dst)), shape=(n, n))
+        if mat.nnz < len(edges.src):
+            k = _first_repeat(edges.src, edges.dst, n)
+            raise ValueError(f"duplicate edge ({edges.src[k]}, {edges.dst[k]})")
         mat.data.setflags(write=False)
         return cls(
             n=n,

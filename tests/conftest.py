@@ -325,15 +325,17 @@ def loop_load_edge_list(path, symmetrize: bool = False):
 
 def loop_build_weights(n: int, edges) -> sparse.csr_array:
     """The weight matrix ``Network.build`` makes, one arc at a time: the first
-    arc out of range or repeating an earlier (src, dst) raises ValueError."""
+    arc out of range raises ValueError, and only then, when every arc is in
+    range, the first arc repeating an earlier (src, dst)."""
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
     seen: set[tuple[int, int]] = set()
+    for i, j, _ in edges:
+        if not (0 <= int(i) < n and 0 <= int(j) < n):
+            raise ValueError(f"edge ({int(i)}, {int(j)}) out of range for n={n}")
     for i, j, w in edges:
         i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
         if (i, j) in seen:
             raise ValueError(f"duplicate edge ({i}, {j})")
         seen.add((i, j))

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import opinion_game
 from opinion_game import (
     Network, ba_graph, generate_weights, katz_r, katz_s, load_edge_list, save_edge_list,
 )
+from opinion_game import cli
 from opinion_game.cli import _network, build_parser, main
 
 
@@ -291,20 +293,35 @@ class TestStrategyDepCommand:
 
     def test_phase_without_spending_names_no_node(self, capsys, tmp_path):
         # the bad camp spends its whole budget in phase 1, so its phase-2
-        # node, once picked by rounding (0 in one row, 3 in the other), is blank
+        # node, once picked by rounding (0 in one row, 3 in the other), is
+        # blank, and the two profiles print one schedule in one row with
+        # their probabilities, 0.865774187022 and 0.134225812978, summed
         graph = str(tmp_path / "pa20.txt")
         save_edge_list(ba_graph(20, 2, 0), graph)
         code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph, "--w0-grid", "0.3",
                                "--kg", "100", "--kb", "50")
         assert code == 0
-        _, rows = read_csv(out)
-        cells = [row[1:3] + row[4:6] + row[9:] for row in rows]
-        assert cells == [["3", "3", "3", "", "50", "0"]] * 2
-        assert [float(row[6]) for row in rows] == pytest.approx([0.865774187022, 0.134225812978])
+        assert out.splitlines()[1:] == ["33.8923953089,3,3,1,3,,1,72.56354619,27.43645381,50,0"]
         # at w0 = 0 phase-1 spending never reaches the final phase
         code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph, "--w0-grid", "0",
                                "--mode", "dependency1")
         assert (code, read_csv(out)[1]) == (0, [["", "3", "0", "100", "133.384841721"]])
+
+    def test_tied_profiles_on_both_sides_print_one_row(self, capsys, graph_file, monkeypatch):
+        # good profiles 1 and 2, and bad profiles 3 and 4, spend everything in
+        # phase 1: their four support pairs print one schedule, whose
+        # probabilities count each profile once; good profile 5 prints its own
+        profiles = [None, (0, 1), (0, 2), (1, 0), (1, 2), (2, 2)]
+        solution = SimpleNamespace(
+            value=0.5, profiles=profiles, row_set=[1, 2, 5], col_set=[3, 4],
+            row_mix=np.array([0, 0.25, 0.25, 0, 0, 0.5]), col_mix=np.array([0, 0, 0, 0.5, 0.5, 0]),
+            restricted_kg1=np.array([[2.0, 2.0], [2.0, 2.0], [1.0, 1.0]]),
+            restricted_kb1=np.full((3, 2), 2.0),
+        )
+        monkeypatch.setattr(cli, "two_camp_equilibrium", lambda net, kg, kb: solution)
+        code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph_file, "--kg", "2", "--kb", "2")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0.5,0,,0.5,1,,1,2,0,2,0", "0.5,2,2,0.5,1,,1,1,1,2,0"]
 
     def test_guard_refuses_synthetic_scale(self, capsys):
         code, _, err = run_cli(capsys, "strategy-dep", "--seed", "0")

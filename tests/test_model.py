@@ -413,8 +413,8 @@ class TestNetworkBuild:
                 assert not weights.data.flags.writeable
 
     def test_errors_match_loop_oracle(self):
-        # an injected duplicate and/or out-of-range arc: the first one in
-        # input order is reported, with the loop's message
+        # an injected duplicate and/or out-of-range arc: the first arc out of
+        # range is reported, or else the first repeat, with the loop's message
         rng = np.random.default_rng(193)
         for trial in range(60):
             n = int(rng.integers(1, 20))
@@ -439,6 +439,17 @@ class TestNetworkBuild:
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
             Network.build(2, [(0, 2, 0.1)])
+
+    def test_out_of_range_reported_before_an_earlier_repeat(self):
+        # as in load_edge_list: every bad id before any repeat
+        with pytest.raises(ValueError) as exc:
+            Network.build(3, [(0, 1, .5), (0, 1, .5), (0, 3, .5)])
+        assert str(exc.value) == "edge (0, 3) out of range for n=3"
+
+    def test_topology_on_another_node_count_refused(self):
+        with pytest.raises(ValueError) as exc:
+            Network.build(5, Topology(3, [0], [1], [0.5]))
+        assert str(exc.value) == "topology has n=3, not n=5"
 
     def test_vectors_are_read_only(self):
         net = Network.build(2, [(0, 1, 0.5)], w0=0.2)
@@ -466,6 +477,12 @@ class TestIntegerIds:
             Topology(3, **arcs)
         assert str(exc.value) == self.MESSAGE.format(name)
 
+    @pytest.mark.parametrize("src, dst, arc", [([-1], [0], (-1, 0)), ([0], [3], (0, 3))])
+    def test_topology_refuses_ids_out_of_range(self, src, dst, arc):
+        with pytest.raises(ValueError) as exc:
+            Topology(3, src, dst, [0.0])
+        assert str(exc.value) == f"edge {arc} out of range for n=3"
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint8, np.uint64])
     def test_topology_takes_integer_dtypes(self, dtype):
         topo = Topology(3, np.array([0, 2], dtype=dtype), np.array([1, 2], dtype=dtype), [0.5, 1])
@@ -474,7 +491,7 @@ class TestIntegerIds:
 
     def test_topology_takes_the_largest_id_and_no_ids(self):
         big = np.array([2**63 - 1], dtype=np.uint64)
-        assert Topology(1, big, big, [0.0]).src.tolist() == [2**63 - 1]
+        assert Topology(2**63, big, big, [0.0]).src.tolist() == [2**63 - 1]
         empty = Topology(3, [], [], [])
         assert empty.src.dtype == empty.dst.dtype == np.int64 and empty.src.size == 0
 
@@ -497,6 +514,11 @@ class TestIntegerIds:
         with pytest.raises(ValueError) as exc:
             Network.build(3, [(0, 1, 0.5), (1, 2)])
         assert str(exc.value) == "edges must be (src, dst, weight) triples, got (1, 2)"
+
+    def test_ragged_arc_refused_as_no_triple(self):
+        with pytest.raises(ValueError) as exc:
+            Network.build(3, [(0, (1, 2), 0.5)])
+        assert str(exc.value) == "edges must be (src, dst, weight) triples, got (0, (1, 2), 0.5)"
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_numpy_integer_ids_build_the_same_matrix(self, dtype):
