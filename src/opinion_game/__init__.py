@@ -7,7 +7,7 @@ Library layout:
 * :mod:`opinion_game.dynamics` computes per-phase steady-state opinions and
   chains phases;
 * :mod:`opinion_game.centrality` computes the one-phase and look-ahead Katz
-  influence vectors and resolvent rows;
+  influence vectors (:func:`compute_profile`) and resolvent rows;
 * :mod:`opinion_game.strategy_fixed` derives camp strategies when camp
   weights are fixed (unbounded, per-node-capped, myopic, multiple-elections);
 * :mod:`opinion_game.strategy_dependent` handles the setting where camp
@@ -34,7 +34,6 @@ from .model import (
 )
 from .dynamics import (
     ConvergenceError,
-    OpinionState,
     dependency_camp_weights,
     fixed_point_iterate,
     iter_phases,
@@ -46,9 +45,6 @@ from .centrality import (
     compute_profile,
     delta_matrix,
     delta_row,
-    katz_multiphase,
-    katz_r,
-    katz_s,
 )
 from .strategy_fixed import (
     PureInvestment,
@@ -94,7 +90,6 @@ __all__ = [
     "GameSolverError",
     "InvestmentPlan",
     "Network",
-    "OpinionState",
     "PureInvestment",
     "PureProfile",
     "SWEEP_COLUMNS",
@@ -114,9 +109,6 @@ __all__ = [
     "game_profiles",
     "generate_weights",
     "iter_phases",
-    "katz_multiphase",
-    "katz_r",
-    "katz_s",
     "load_edge_list",
     "multi_election_scores",
     "myopic_loss",

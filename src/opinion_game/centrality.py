@@ -23,50 +23,20 @@ from .model import Network
 
 @dataclass(frozen=True)
 class CentralityProfile:
-    """The influence vectors of a network: r, s, and optional higher orders."""
+    """The influence vectors of a network: r, s, and the optional higher
+    orders 3, 4, ... in ``higher``."""
 
     r: np.ndarray
     s: np.ndarray
     higher: tuple[np.ndarray, ...] = ()
 
-    def order(self, q: int) -> np.ndarray:
-        """Look-ahead vector for q phases (1 -> r, 2 -> s, 3+ -> higher)."""
-        if q < 1:
-            raise ValueError("q must be at least 1")
-        if q == 1:
-            return self.r
-        if q == 2:
-            return self.s
-        if q - 3 < len(self.higher):
-            return self.higher[q - 3]
-        raise ValueError(f"profile only holds orders up to {2 + len(self.higher)}")
-
-
-def katz_r(net: Network) -> np.ndarray:
-    """One-phase influence vector: solves (I - w^T) r = 1."""
-    return solve_linear(net, np.ones(net.n), transpose=True)
-
-
-def katz_s(net: Network, r: np.ndarray | None = None) -> np.ndarray:
-    """Two-phase influence vector: solves (I - w^T) s = r o w0."""
-    if r is None:
-        r = katz_r(net)
-    return solve_linear(net, r * net.w0, transpose=True)
-
-
-def katz_multiphase(net: Network, q: int) -> np.ndarray:
-    """q-phase influence vector; order 1 is r, each further order solves
-    (I - w^T) r_q = r_{q-1} o w0."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    return katz_r(net) if q == 1 else compute_profile(net, q).order(q)
-
 
 def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:
-    """r, s and any further look-ahead orders in one pass."""
+    """r, s and any further look-ahead orders in one pass: r solves
+    (I - w^T) r = 1, and each further order solves (I - w^T) r_q = r_{q-1} o w0."""
     if orders < 2:
         raise ValueError("orders must be at least 2")
-    vecs = [katz_r(net)]
+    vecs = [solve_linear(net, np.ones(net.n), transpose=True)]
     for _ in range(orders - 1):
         vecs.append(solve_linear(net, vecs[-1] * net.w0, transpose=True))
     return CentralityProfile(r=vecs[0], s=vecs[1], higher=tuple(vecs[2:]))

@@ -79,8 +79,8 @@ def _network(args, mode: str) -> Network:
 
 def _cmd_centrality(args) -> None:
     net = _network(args, "fixed")
-    prof = compute_profile(net, orders=max(2, args.orders))
-    header = ["node", "r", "s"] + [f"r{q}" for q in range(3, max(2, args.orders) + 1)]
+    prof = compute_profile(net, orders=args.orders)
+    header = ["node", "r", "s"] + [f"r{q}" for q in range(3, args.orders + 1)]
     rows = []
     for i in range(net.n):
         row = [i, float(prof.r[i]), float(prof.s[i])]
@@ -93,10 +93,9 @@ def _cmd_steady_state(args) -> None:
     mode = args.mode or "fixed"
     net = _network(args, mode)
     zero = np.zeros(net.n)
-    states = list(iter_phases(net, [(zero, zero), (zero, zero)], mode))
-    sums = ", ".join(f"{float(state.v.sum()):.12g}" for state in states)
-    print(f"phase opinion sums: {sums}", file=sys.stderr)
-    rows = [[i, float(states[0].v[i]), float(states[1].v[i])] for i in range(net.n)]
+    v1, v2 = iter_phases(net, [(zero, zero), (zero, zero)], mode)
+    print(f"phase opinion sums: {float(v1.sum()):.12g}, {float(v2.sum()):.12g}", file=sys.stderr)
+    rows = [[i, float(v1[i]), float(v2[i])] for i in range(net.n)]
     _emit(rows, ["node", "v1", "v2"], args.out)
 
 

@@ -23,7 +23,6 @@ phase's bias.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -192,7 +191,12 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: b
 def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     """Solve (I - w) z = rhs, or (I - w^T) z = rhs, for a vector or an n x k block.
 
-    Dense solves apply the cached inverse and must pass a residual check.
+    Dense solves (rho < 1) apply the cached inverse, and the residual must
+    stay within the rounding bound c n eps |rhs| / (1 - rho), c = 8, in the
+    norm named below: that of summing n terms of |delta| |rhs|, whose rows
+    of |delta| sum to at most 1 / (1 - rho). The tighter c n eps (|rhs| +
+    rho |z|) fails where signs cancel in delta @ rhs, and on transposed
+    systems, for which the inverse is only a right inverse.
     Iterative solves run sweeps of the recursion, weighted by the Chebyshev
     recurrence once plain sweeps prove slower (see :func:`_iterate`). On a
     real spectrum, as a symmetric topology with per-row weights has, that
@@ -208,15 +212,15 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValueError(f"rhs must be a length-{n} vector or an {n} x k block, got {rhs.shape}")
     mat = net.weights.T if transpose else net.weights  # .T: a CSC view, no copy
-    delta = dense_resolvent(net)
-    if delta is None:
-        rho = float(net.row_abs_sums.max())
+    rho = float(net.row_abs_sums.max())
+    delta = dense_resolvent(net) if rho < 1.0 else None
+    if delta is None:  # the sweeps refuse rho >= 1 before the first one
         return _iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL, chebyshev=True)[0]
     z = (delta.T if transpose else delta) @ rhs
-    resid = float(np.abs(z - mat @ z - rhs).max(initial=0.0))
-    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    if not np.isfinite(resid) or resid > 1e-6 * scale:
-        raise ConvergenceError(f"direct solve residual {resid:.3e} too large")
+    resid = _norm(z - mat @ z - rhs, transpose)
+    bound = 8 * n * EPS * _norm(rhs, transpose) / (1.0 - rho)
+    if not resid <= bound:  # also refuses nan
+        raise ConvergenceError(f"direct solve residual {resid:.3e} above its rounding bound {bound:.3e}")
     return z
 
 
@@ -278,20 +282,12 @@ def dependency_camp_weights(theta, w0, v_prev) -> tuple[np.ndarray, np.ndarray]:
     return theta * (1.0 + lean) / 2.0, theta * (1.0 - lean) / 2.0
 
 
-@dataclass(frozen=True)
-class OpinionState:
-    """Converged opinions at the end of a phase (phase numbering starts at 1)."""
-
-    phase: int
-    v: np.ndarray
-
-
 def iter_phases(
     net: Network,
     plans: Sequence[tuple],
     mode: str = "fixed",
-) -> Iterator[OpinionState]:
-    """Yield the OpinionState after each phase of a multi-phase schedule.
+) -> Iterator[np.ndarray]:
+    """Yield the converged opinion vector of each phase of a multi-phase schedule.
 
     ``plans`` is a sequence of (x, y) investment pairs, one per phase. In
     "dependency" mode the camp weights are recomputed from theta and the
@@ -301,13 +297,13 @@ def iter_phases(
     if mode not in ("fixed", "dependency"):
         raise ValueError(f"mode must be 'fixed' or 'dependency', got {mode!r}")
     v = net.v0
-    for phase, (x, y) in enumerate(plans, start=1):
+    for x, y in plans:
         if mode == "dependency":
             wg_eff, wb_eff = dependency_camp_weights(net.theta, net.w0, v)
         else:
             wg_eff = wb_eff = None
         v = steady_state(net, v, x, y, wg_eff, wb_eff)
-        yield OpinionState(phase=phase, v=v)
+        yield v
 
 
 def run_phases(
@@ -330,9 +326,7 @@ def run_phases(
         raise ValueError(f"p={p} does not match {len(plans)} plan entries")
     if len(plans) < 1:
         raise ValueError("need at least one phase")
-    v = net.v0
     sums: list[float] = []
-    for state in iter_phases(net, plans, mode):
-        v = state.v
-        sums.append(float(state.v.sum()))
+    for v in iter_phases(net, plans, mode):
+        sums.append(float(v.sum()))
     return v, sums

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .centrality import _node_index, delta_columns, delta_matrix, delta_row, katz_r, katz_s
+from .centrality import _node_index, compute_profile, delta_columns, delta_matrix, delta_row
 from .dynamics import solve_linear
 from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
 from .model import Network
@@ -129,8 +129,8 @@ class DependencyCoefficients:
     """
 
     def __init__(self, net: Network):
-        self.r = katz_r(net)
-        self.s = katz_s(net, self.r)
+        prof = compute_profile(net)
+        self.r, self.s = prof.r, prof.s
         self.c = net.w0 * net.v0
         self.theta = net.theta
         self.scale = self.r * net.w0

@@ -58,8 +58,8 @@ def farsighted_unbounded(
     is positive; otherwise the camp stays out. Phase 1 wins only when the
     best phase-1 worth strictly beats every phase-2 worth.
     """
-    if not budget >= 0:  # also refuses nan
-        raise ValueError("budget must be nonnegative")
+    if not 0 <= budget < math.inf:  # also refuses nan
+        raise ValueError("budget must be finite and nonnegative")
     worth = _slot_worth(net, camp, profile)
     k = int(np.argmax(worth))
     if budget == 0 or worth[k] <= 0:
@@ -72,8 +72,8 @@ def myopic_strategy(
 ) -> PureInvestment:
     """Greedy strategy that only looks at the current phase: entire budget on
     the node with the largest r_i * w_i, spent in phase 1."""
-    if not budget >= 0:  # also refuses nan
-        raise ValueError("budget must be nonnegative")
+    if not 0 <= budget < math.inf:  # also refuses nan
+        raise ValueError("budget must be finite and nonnegative")
     worth = _slot_worth(net, camp, profile)[:net.n]
     i = int(np.argmax(worth))
     if budget == 0 or worth[i] <= 0:
@@ -90,8 +90,8 @@ def myopic_loss(net: Network, kb: float, profile: CentralityProfile | None = Non
     farsighted play would realize the best slot worth overall; the loss is kb
     times the worth gap (never negative).
     """
-    if not kb >= 0:  # also refuses nan
-        raise ValueError("kb must be nonnegative")
+    if not 0 <= kb < math.inf:  # also refuses nan
+        raise ValueError("kb must be finite and nonnegative")
     worth = _slot_worth(net, BAD, profile)
     best = max(float(worth.max()), 0.0)
     i_hat = int(np.argmax(worth[:net.n]))
@@ -122,8 +122,8 @@ def bounded_greedy(
 ) -> InvestmentPlan:
     """Optimal plan when each (node, phase) slot holds at most ``cap`` units:
     fill slots in decreasing worth while the worth stays positive."""
-    if not budget >= 0:  # also refuses nan
-        raise ValueError("budget must be nonnegative")
+    if not 0 <= budget < math.inf:  # also refuses nan
+        raise ValueError("budget must be finite and nonnegative")
     if not cap > 0:
         raise ValueError("cap must be positive")
     worth = _slot_worth(net, camp, profile)

@@ -7,9 +7,6 @@ from opinion_game import (
     compute_profile,
     delta_matrix,
     delta_row,
-    katz_multiphase,
-    katz_r,
-    katz_s,
 )
 
 from opinion_game.dynamics import solve_linear
@@ -19,38 +16,41 @@ from conftest import neumann_transpose_apply, random_network, two_node_net
 
 class TestKatzVectors:
     def test_no_edges_gives_ones_and_bias(self):
-        net = Network.build(3, [], w0=[0.2, 0.5, 0.0])
-        assert_allclose(katz_r(net), np.ones(3), atol=0)
-        assert_allclose(katz_s(net), [0.2, 0.5, 0.0], atol=0)
+        prof = compute_profile(Network.build(3, [], w0=[0.2, 0.5, 0.0]))
+        assert_allclose(prof.r, np.ones(3), atol=0)
+        assert_allclose(prof.s, [0.2, 0.5, 0.0], atol=0)
 
     def test_two_node_values(self):
-        net = two_node_net()
-        assert_allclose(katz_r(net), [2.0, 2.0], atol=1e-12)
-        assert_allclose(katz_s(net), [1.2, 1.2], atol=1e-12)
-        assert_allclose(katz_multiphase(net, 3), [0.72, 0.72], atol=1e-12)
+        prof = compute_profile(two_node_net(), orders=3)
+        assert_allclose(prof.r, [2.0, 2.0], atol=1e-12)
+        assert_allclose(prof.s, [1.2, 1.2], atol=1e-12)
+        assert_allclose(prof.higher[0], [0.72, 0.72], atol=1e-12)
 
     def test_scalar_geometric(self):
         net = Network.build(1, [(0, 0, 0.5)], w0=0.4)
-        assert_allclose(katz_r(net), [2.0], atol=1e-12)
+        assert_allclose(compute_profile(net).r, [2.0], atol=1e-12)
 
     def test_zero_bias_kills_s(self):
         net = two_node_net(w0=0.0)
-        assert_allclose(katz_s(net), [0.0, 0.0], atol=0)
+        assert_allclose(compute_profile(net).s, [0.0, 0.0], atol=0)
 
     def test_multiphase_base_cases(self):
+        # more orders extend the chain without changing its first two links
         net = two_node_net()
-        assert_allclose(katz_multiphase(net, 1), katz_r(net), atol=0)
-        assert_allclose(katz_multiphase(net, 2), katz_s(net), atol=1e-14)
-        with pytest.raises(ValueError):
-            katz_multiphase(net, 0)
+        two, three = compute_profile(net), compute_profile(net, 3)
+        assert np.array_equal(three.r, two.r) and np.array_equal(three.s, two.s)
+        assert two.higher == () and len(three.higher) == 1
+        for orders in (1, 0, -3):
+            with pytest.raises(ValueError, match="^orders must be at least 2$"):
+                compute_profile(net, orders)
 
     def test_residuals_of_defining_systems(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             net = random_network(rng, int(rng.integers(2, 30)), nonneg=False)
             wt = net.weights.toarray().T
-            r = katz_r(net)
-            s = katz_s(net, r)
+            prof = compute_profile(net)
+            r, s = prof.r, prof.s
             assert np.max(np.abs(r - wt @ r - 1.0)) < 1e-8
             assert np.max(np.abs(s - wt @ s - r * net.w0)) < 1e-8
 
@@ -58,7 +58,7 @@ class TestKatzVectors:
         rng = np.random.default_rng(19)
         for _ in range(10):
             net = random_network(rng, int(rng.integers(2, 20)), nonneg=True)
-            assert np.all(katz_r(net) >= 1.0 - 1e-12)
+            assert np.all(compute_profile(net).r >= 1.0 - 1e-12)
 
     def test_truncated_series_oracle(self):
         rng = np.random.default_rng(23)
@@ -67,9 +67,10 @@ class TestKatzVectors:
             r_oracle = neumann_transpose_apply(net, np.ones(net.n))
             s_oracle = neumann_transpose_apply(net, r_oracle * net.w0)
             third_oracle = neumann_transpose_apply(net, s_oracle * net.w0)
-            assert np.max(np.abs(katz_r(net) - r_oracle)) < 1e-8
-            assert np.max(np.abs(katz_s(net) - s_oracle)) < 1e-8
-            assert np.max(np.abs(katz_multiphase(net, 3) - third_oracle)) < 1e-8
+            prof = compute_profile(net, 3)
+            assert np.max(np.abs(prof.r - r_oracle)) < 1e-8
+            assert np.max(np.abs(prof.s - s_oracle)) < 1e-8
+            assert np.max(np.abs(prof.higher[0] - third_oracle)) < 1e-8
 
     def test_damping_of_higher_orders(self):
         # with nonnegative parameters and bias weights uniformly below c,
@@ -79,9 +80,9 @@ class TestKatzVectors:
             net = random_network(rng, int(rng.integers(2, 15)), dependency=True)
             cap = float(np.max(net.w0))
             gain = float(np.max(np.abs(delta_matrix(net)).sum(axis=0)))
-            for q in (1, 2, 3):
-                lo = katz_multiphase(net, q + 1)
-                hi = katz_multiphase(net, q)
+            prof = compute_profile(net, 4)
+            orders = (prof.r, prof.s, *prof.higher)
+            for hi, lo in zip(orders, orders[1:]):
                 assert np.max(np.abs(lo)) <= cap * gain * np.max(np.abs(hi)) + 1e-12
 
 
@@ -89,12 +90,8 @@ class TestProfile:
     def test_profile_orders(self):
         net = two_node_net()
         prof = compute_profile(net, orders=4)
-        assert_allclose(prof.order(1), katz_r(net), atol=0)
-        assert_allclose(prof.order(2), katz_s(net), atol=0)
-        assert_allclose(prof.order(3), katz_multiphase(net, 3), atol=1e-14)
-        assert_allclose(prof.order(4), katz_multiphase(net, 4), atol=1e-14)
-        with pytest.raises(ValueError):
-            prof.order(5)
+        assert len(prof.higher) == 2
+        assert_allclose(prof.higher[1], [0.432, 0.432], atol=1e-12)
 
 
 class TestResolventRows:
@@ -111,7 +108,7 @@ class TestResolventRows:
         for _ in range(5):
             net = random_network(rng, int(rng.integers(2, 12)), nonneg=False)
             stacked = np.array([delta_row(net, j) for j in range(net.n)])
-            assert np.max(np.abs(stacked.sum(axis=0) - katz_r(net))) < 1e-8
+            assert np.max(np.abs(stacked.sum(axis=0) - compute_profile(net).r)) < 1e-8
 
     def test_rows_are_cached(self):
         net = two_node_net()

@@ -10,7 +10,7 @@ import pytest
 
 import opinion_game
 from opinion_game import (
-    Network, ba_graph, generate_weights, katz_r, katz_s, load_edge_list, save_edge_list,
+    Network, ba_graph, compute_profile, generate_weights, load_edge_list, save_edge_list,
 )
 from opinion_game import cli
 from opinion_game.cli import _network, build_parser, main
@@ -68,19 +68,19 @@ class TestPublicSurface:
     NAMES = [
         "BAD", "Budgets", "CentralityProfile", "ConvergenceError", "DEFAULT_W0_GRID",
         "DependencyCoefficients", "GOOD", "GameSolution", "GameSolverError",
-        "InvestmentPlan", "Network", "OpinionState", "PureInvestment", "PureProfile",
+        "InvestmentPlan", "Network", "PureInvestment", "PureProfile",
         "SWEEP_COLUMNS", "SWEEP_MODES", "Topology", "Violation", "WeightScheme",
         "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix", "delta_row",
         "dependency_camp_weights", "evaluate_two_phase", "farsighted_unbounded",
         "fixed_point_iterate", "game_profiles", "generate_weights", "iter_phases",
-        "katz_multiphase", "katz_r", "katz_s", "load_edge_list", "multi_election_scores",
+        "load_edge_list", "multi_election_scores",
         "myopic_loss", "myopic_strategy", "profile_utility", "run_phases",
         "save_edge_list", "single_camp_optimal", "solve_zero_sum", "steady_state",
         "sweep_point", "sweep_w0", "two_camp_equilibrium", "validate",
     ]
 
     def test_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 48
+        assert len(self.NAMES) == 44
         assert sorted(opinion_game.__all__) == self.NAMES
         assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
         for name in opinion_game.__all__:
@@ -88,12 +88,15 @@ class TestPublicSurface:
 
     def test_removed_aliases_are_gone(self):
         # each restated another function or served only tests
-        for name in ("apply_delta", "camp_weights", "MatrixGame"):
+        for name in ("apply_delta", "camp_weights", "MatrixGame",
+                     "katz_r", "katz_s", "katz_multiphase", "OpinionState"):
             with pytest.raises(AttributeError):
                 getattr(opinion_game, name)
-        for name in ("total", "violations"):
+        for owner, name in ((opinion_game.InvestmentPlan, "total"),
+                            (opinion_game.InvestmentPlan, "violations"),
+                            (opinion_game.CentralityProfile, "order")):
             with pytest.raises(AttributeError):
-                getattr(opinion_game.InvestmentPlan, name)
+                getattr(owner, name)
 
 
 class TestCentralityCommand:
@@ -105,7 +108,8 @@ class TestCentralityCommand:
         header, rows = read_csv(out)
         assert header == ["node", "r", "s"]
         net = generate_weights(load_edge_list(graph_file, symmetrize=True), 0.3)
-        r, s = katz_r(net), katz_s(net)
+        prof = compute_profile(net)
+        r, s = prof.r, prof.s
         for row in rows:
             node = int(row[0])
             assert float(row[1]) == pytest.approx(r[node], abs=1e-9)
@@ -118,6 +122,22 @@ class TestCentralityCommand:
         assert code == 0
         header, _ = read_csv(out)
         assert header == ["node", "r", "s", "r3", "r4"]
+
+    def test_orders_below_two_refused(self, capsys, graph_file):
+        # these printed r and s as if --orders were 2
+        for orders in ("1", "0", "-3"):
+            code, out, err = run_cli(capsys, "centrality", "--graph", graph_file, "--orders", orders)
+            assert (code, out) == (1, "")
+            assert err == "error: orders must be at least 2\n"
+
+    def test_rows_summing_nearly_to_one_solve(self, capsys):
+        # every row of w sums to rho = 1 - 2 * 5e-11, so sum(r) = n / (1 - rho);
+        # the dense residual check refused this network
+        code, out, _ = run_cli(capsys, "centrality", "--camp-base", "5e-11", "--w0-grid", "0")
+        assert code == 0
+        _, rows = read_csv(out)
+        total = sum(float(row[1]) for row in rows)
+        assert abs(total / (len(rows) / (2 * 5e-11)) - 1) < 1e-5
 
     def test_missing_graph_file_fails_cleanly(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "centrality", "--graph", str(tmp_path / "nope.txt"))

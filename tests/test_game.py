@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -163,7 +163,10 @@ class TestCertificate:
 
 
 class TestSolverProperties:
-    @settings(max_examples=120, deadline=None)
+    # derandomized, so every run draws the same payoffs and none is stored in
+    # the example database to be replayed; the example is the payoff a
+    # randomized run once found (column exploitability 2.9e-9) and stored
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         payoff=arrays(
             np.float64,
@@ -171,6 +174,8 @@ class TestSolverProperties:
             elements=st.floats(-10.0, 10.0, allow_nan=False),
         )
     )
+    @example(payoff=np.array([[0.0, -2.0, -2.0, 0.0, -1.0],
+                              [1.64438048e-13, 0.0, 0.0, -5.96046448e-08, -2.0]]))
     def test_equilibrium_properties(self, payoff):
         row, col, value = solve_zero_sum(payoff)
         assert row.sum() == pytest.approx(1.0, abs=1e-9)

@@ -15,11 +15,11 @@ from opinion_game import (
     GameSolverError,
     Network,
     ba_graph,
+    compute_profile,
     delta_row,
     dependency_camp_weights,
     game_profiles,
     generate_weights,
-    katz_s,
     profile_utility,
     run_phases,
     save_edge_list,
@@ -85,7 +85,7 @@ class TestDependencyCoefficients:
             coef = DependencyCoefficients(net)
             assert np.array_equal(coef.scale, coef.r * net.w0)
             stacked = np.array([coef.scale[j] * delta_row(net, j) for j in range(net.n)])
-            assert np.max(np.abs(stacked.sum(axis=0) - katz_s(net))) < 1e-8
+            assert np.max(np.abs(stacked.sum(axis=0) - compute_profile(net).s)) < 1e-8
 
     def test_idle_total_is_bias_weighted_s(self):
         net = dep_pair(theta=0.0, v0=1.0)

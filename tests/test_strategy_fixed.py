@@ -186,18 +186,21 @@ class TestBoundedGreedy:
         with pytest.raises(ValueError, match="^cap must be positive$"):
             bounded_greedy(pair_net(), 2.0, GOOD, cap=cap)
 
-    @pytest.mark.parametrize("budget", [-1.0, math.nan, -math.inf])
-    def test_negative_or_nan_budget_refused(self, budget):
+    @pytest.mark.parametrize("budget", [-1.0, math.nan, -math.inf, math.inf])
+    def test_negative_nan_or_infinite_budget_refused(self, budget):
         # a nan budget once passed `budget < 0` and filled every slot to the
-        # cap; an infinite one stays valid (see test_budget_beyond_every_slot)
+        # cap; an infinite one gave amount=inf from farsighted_unbounded, a
+        # loss of inf from myopic_loss and "x1 has non-finite entries" from
+        # bounded_greedy with cap=inf
         net = pair_net()
-        for call in (
-            lambda: bounded_greedy(net, budget, GOOD),
-            lambda: farsighted_unbounded(net, budget, GOOD),
-            lambda: myopic_strategy(net, budget, GOOD),
-            lambda: myopic_loss(net, budget),
+        for call, name in (
+            (lambda: bounded_greedy(net, budget, GOOD), "budget"),
+            (lambda: bounded_greedy(net, budget, GOOD, cap=math.inf), "budget"),
+            (lambda: farsighted_unbounded(net, budget, GOOD), "budget"),
+            (lambda: myopic_strategy(net, budget, GOOD), "budget"),
+            (lambda: myopic_loss(net, budget), "kb"),
         ):
-            with pytest.raises(ValueError, match="must be nonnegative$"):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative$"):
                 call()
 
     def test_matches_exhaustive_discretized_search(self):
@@ -435,7 +438,7 @@ class TestTopKRanking:
         rng = np.random.default_rng(229)
         net = random_network(rng, n)
         prof = compute_profile(net)
-        for budget in (2 * n * 1.5, 2 * n * 1.5 + 0.25, 1e6, np.inf):
+        for budget in (2 * n * 1.5, 2 * n * 1.5 + 0.25, 1e6):
             plan = self.assert_matches_oracle(net, budget, GOOD, 1.5, prof)
             worth = np.concatenate([prof.s * net.wg, prof.r * net.wg])
             filled = np.concatenate([plan.x1, plan.x2])
