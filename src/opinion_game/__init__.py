@@ -9,7 +9,7 @@ Library layout:
 * :mod:`opinion_game.centrality` computes the one-phase and look-ahead Katz
   influence vectors (:func:`compute_profile`) and resolvent rows;
 * :mod:`opinion_game.strategy_fixed` derives camp strategies when camp
-  weights are fixed (unbounded, per-node-capped, myopic, multiple-elections);
+  weights are fixed (per-node-capped or uncapped, myopic, multiple-elections);
 * :mod:`opinion_game.strategy_dependent` handles the setting where camp
   influence depends on a node's bias, including the two-camp zero-sum game;
 * :mod:`opinion_game.game` is a generic zero-sum matrix-game solver;
@@ -47,10 +47,8 @@ from .centrality import (
     delta_row,
 )
 from .strategy_fixed import (
-    PureInvestment,
     bounded_greedy,
     evaluate_two_phase,
-    farsighted_unbounded,
     multi_election_scores,
     myopic_loss,
     myopic_strategy,
@@ -58,7 +56,6 @@ from .strategy_fixed import (
 from .strategy_dependent import (
     DependencyCoefficients,
     GameSolution,
-    PureProfile,
     game_profiles,
     profile_utility,
     single_camp_optimal,
@@ -90,8 +87,6 @@ __all__ = [
     "GameSolverError",
     "InvestmentPlan",
     "Network",
-    "PureInvestment",
-    "PureProfile",
     "SWEEP_COLUMNS",
     "SWEEP_MODES",
     "Topology",
@@ -104,7 +99,6 @@ __all__ = [
     "delta_row",
     "dependency_camp_weights",
     "evaluate_two_phase",
-    "farsighted_unbounded",
     "fixed_point_iterate",
     "game_profiles",
     "generate_weights",

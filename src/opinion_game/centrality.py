@@ -7,7 +7,8 @@ bias weights, s = (I - w^T)^{-1} (r o w0), and higher orders extend the
 look-ahead one phase at a time. Rows and columns of the resolvent
 (I - w)^{-1} come from the inverse the network caches when its solves are
 dense, and otherwise from one transposed solve per row or one block solve
-per set of columns.
+per set of columns. Like every solve, each reader refuses a network whose
+rows of |w| reach 1 with ConvergenceError.
 """
 
 from __future__ import annotations

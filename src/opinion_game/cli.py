@@ -136,9 +136,10 @@ def _cmd_strategy_dep(args) -> None:
     def node(i, spent):  # a phase's node, blank when the camp spends nothing in it
         return None if spent == 0 else i
     if mode == "dependency1":
-        profile, value = single_camp_optimal(net, args.kg)
-        rows = [[node(profile.alpha, profile.k1), node(profile.beta, profile.k2),
-                 profile.k1, profile.k2, value]]
+        plan, value = single_camp_optimal(net, args.kg)
+        k1, k2 = float(plan.x1.sum()), float(plan.x2.sum())
+        rows = [[node(int(np.argmax(plan.x1)), k1), node(int(np.argmax(plan.x2)), k2),
+                 k1, k2, value]]
         _emit(rows, ["alpha", "beta", "kg1", "kg2", "value"], args.out)
         return
     solution = two_camp_equilibrium(net, args.kg, args.kb)

@@ -60,13 +60,23 @@ def _vec(value, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def _sweeps(rho: float, bound: float, tol: float) -> float:
-    """Sweeps until rho^k * bound < tol; infinite when rho >= 1."""
+def _sweeps(rho: float, bound: float, tol: float) -> int:
+    """Sweeps until rho^k * bound < tol, for rho < 1."""
     if bound < tol:
         return 0
-    if not rho < 1.0:
-        return math.inf
     return math.ceil(math.log(tol / bound) / math.log(rho))
+
+
+def _rho(net: Network) -> float:
+    """rho = max_i sum_j |w_ij|, the rate at which the recursion contracts.
+    Every solve and every read of the inverse starts here, so all of them
+    refuse rho >= 1 with one ConvergenceError."""
+    rho = float(net.row_abs_sums.max())
+    if not rho < 1.0:  # also refuses nan
+        raise ConvergenceError(
+            f"row sums of |w| reach {rho:.6g}; the recursion is not a contraction"
+        )
+    return rho
 
 
 def _solves_dense(net: Network) -> bool:
@@ -78,13 +88,15 @@ def _solves_dense(net: Network) -> bool:
     if n <= DENSE_MAX_N or n > DENSE_LIMIT_N:
         return n <= DENSE_MAX_N
     rho = float(net.row_abs_sums.max())
-    sweeps = _sweeps(rho, rho / (1.0 - rho) if rho < 1.0 else math.inf, DEFAULT_TOL)
+    sweeps = _sweeps(rho, rho / (1.0 - rho), DEFAULT_TOL)
     return sweeps > MAX_SWEEPS or SWEEP_COST_RATIO * sweeps * (net.weights.nnz + n) > n ** 3
 
 
 def dense_resolvent(net: Network) -> np.ndarray | None:
     """The network's cached (I - w)^{-1} if its solves take the dense path,
-    otherwise None (the inverse is never formed for such networks)."""
+    otherwise None (the inverse is never formed for such networks). Refuses
+    rho >= 1 (see :func:`_rho`) on either path."""
+    _rho(net)
     if not _solves_dense(net):
         return None
     try:
@@ -133,12 +145,9 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: b
     sweeps over plain ones, but steps alone cannot tell every fast plain
     solve: on a w with w^3 = 0 and rhs = 1 the max-norm steps first match
     those of a real spectrum, and at rho = 0.56 the weights stay for 21
-    sweeps where plain sweeps end at sweep 3.
+    sweeps where plain sweeps end at sweep 3. The caller has refused
+    rho >= 1 (:func:`_rho`).
     """
-    if not rho < 1.0:
-        raise ConvergenceError(
-            f"row sums of |w| reach {rho:.6g}; the recursion is not a contraction"
-        )
     gain = rho / (1.0 - rho)
     pace = rho / (1.0 + math.sqrt(1.0 - rho * rho))
     v = old = start
@@ -191,12 +200,13 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: b
 def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     """Solve (I - w) z = rhs, or (I - w^T) z = rhs, for a vector or an n x k block.
 
-    Dense solves (rho < 1) apply the cached inverse, and the residual must
-    stay within the rounding bound c n eps |rhs| / (1 - rho), c = 8, in the
-    norm named below: that of summing n terms of |delta| |rhs|, whose rows
-    of |delta| sum to at most 1 / (1 - rho). The tighter c n eps (|rhs| +
-    rho |z|) fails where signs cancel in delta @ rhs, and on transposed
-    systems, for which the inverse is only a right inverse.
+    rho >= 1 is refused (:func:`_rho`). Dense solves apply the cached
+    inverse, and the residual must stay within the rounding bound
+    c n eps |rhs| / (1 - rho), c = 8, in the norm named below: that of
+    summing n terms of |delta| |rhs|, whose rows of |delta| sum to at most
+    1 / (1 - rho). The tighter c n eps (|rhs| + rho |z|) fails where signs
+    cancel in delta @ rhs, and on transposed systems, for which the inverse
+    is only a right inverse.
     Iterative solves run sweeps of the recursion, weighted by the Chebyshev
     recurrence once plain sweeps prove slower (see :func:`_iterate`). On a
     real spectrum, as a symmetric topology with per-row weights has, that
@@ -212,9 +222,9 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValueError(f"rhs must be a length-{n} vector or an {n} x k block, got {rhs.shape}")
     mat = net.weights.T if transpose else net.weights  # .T: a CSC view, no copy
-    rho = float(net.row_abs_sums.max())
-    delta = dense_resolvent(net) if rho < 1.0 else None
-    if delta is None:  # the sweeps refuse rho >= 1 before the first one
+    rho = _rho(net)
+    delta = dense_resolvent(net)
+    if delta is None:
         return _iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL, chebyshev=True)[0]
     z = (delta.T if transpose else delta) @ rhs
     resid = _norm(z - mat @ z - rhs, transpose)
@@ -267,8 +277,7 @@ def fixed_point_iterate(
     ConvergenceError is raised when it runs out, or at once when rho >= 1.
     """
     v_prev, rhs = _phase_rhs(net, v_prev, x, y, wg_eff, wb_eff)
-    rho = float(net.row_abs_sums.max())
-    return _iterate(net.weights, rhs, v_prev, rho, False, tol, max_iter)
+    return _iterate(net.weights, rhs, v_prev, _rho(net), False, tol, max_iter)
 
 
 def dependency_camp_weights(theta, w0, v_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -307,23 +316,14 @@ def iter_phases(
 
 
 def run_phases(
-    net: Network,
-    plans: Sequence[tuple] | None = None,
-    p: int | None = None,
-    mode: str = "fixed",
+    net: Network, plans: Sequence[tuple], mode: str = "fixed"
 ) -> tuple[np.ndarray, list[float]]:
     """Chain phases and return (final opinions, per-phase opinion sums).
 
-    Either pass explicit ``plans`` or a phase count ``p`` for an
-    investment-free run.
+    ``plans`` holds one (x, y) investment pair per phase, as for
+    :func:`iter_phases`; a p-phase run without investment passes
+    ``[(zero, zero)] * p``.
     """
-    if plans is None:
-        if p is None:
-            raise ValueError("need either plans or a phase count p")
-        zero = np.zeros(net.n)
-        plans = [(zero, zero)] * p
-    elif p is not None and p != len(plans):
-        raise ValueError(f"p={p} does not match {len(plans)} plan entries")
     if len(plans) < 1:
         raise ValueError("need at least one phase")
     sums: list[float] = []

@@ -144,11 +144,11 @@ def _sweep_point(topology, w0, scheme, mode, budgets, bounded_cap, start):
             "myopic_loss": myopic_loss(net, budgets.kb, profile=prof),
         }, None
     if mode == "dependency1":
-        profile, value = single_camp_optimal(net, budgets.kg)
+        plan, value = single_camp_optimal(net, budgets.kg)
         return {
             "w0": w0,
-            "k1_good": profile.k1,
-            "k2_good": profile.k2,
+            "k1_good": float(plan.x1.sum()),
+            "k2_good": float(plan.x2.sum()),
             "k1_bad": 0.0,
             "k2_bad": 0.0,
             "objective": value,

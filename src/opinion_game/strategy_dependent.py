@@ -48,7 +48,7 @@ import numpy as np
 from .centrality import _node_index, compute_profile, delta_columns, delta_matrix, delta_row
 from .dynamics import solve_linear
 from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
-from .model import Network
+from .model import GOOD, InvestmentPlan, Network
 
 Pair = tuple[int, int]
 
@@ -60,25 +60,6 @@ MAX_GAME_NODES = 40
 #: 2^14..2^20 this gave the lowest peak memory, at a speed within noise of
 #: the best, on 400- and 2,000-node sweeps (2^18 added 16 MB at 2,000)
 SCAN_BLOCK_ENTRIES = 1 << 14
-
-
-@dataclass(frozen=True)
-class PureProfile:
-    """One camp's pure strategy: nodes for the two phases plus the budget
-    split. alpha = beta = None is the stay-out strategy (k1 = k2 = 0)."""
-
-    alpha: Optional[int]
-    beta: Optional[int]
-    k1: float
-    k2: float
-
-    def __post_init__(self):
-        if not (self.k1 >= 0 and self.k2 >= 0):  # also refuses nan
-            raise ValueError("phase budgets must be nonnegative")
-        if (self.alpha is None) != (self.beta is None):
-            raise ValueError("stay-out profiles drop both nodes")
-        if self.alpha is None and (self.k1 != 0 or self.k2 != 0):
-            raise ValueError("stay-out profiles carry no budget")
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +298,7 @@ def _split_values(s_total: float, kg: float, first_gain, second_gain, coupling):
     that budget. Arguments broadcast, so either gain may be the scanned
     vector. Returns (values, phase-1 budgets).
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         stationary = (first_gain - second_gain + coupling * kg) / (2.0 * coupling)
     endpoint = np.where(first_gain > second_gain, kg, 0.0)
     k1 = np.where(coupling > 0.0, np.clip(stationary, 0.0, kg), endpoint)
@@ -325,7 +306,7 @@ def _split_values(s_total: float, kg: float, first_gain, second_gain, coupling):
     return values, k1
 
 
-def single_camp_optimal(net: Network, kg: float) -> tuple[PureProfile, float]:
+def single_camp_optimal(net: Network, kg: float) -> tuple[InvestmentPlan, float]:
     """Best two-phase schedule for the good camp alone (bad camp absent).
 
     Scans every (phase-1 node, phase-2 node) pair; per pair the objective is
@@ -334,23 +315,25 @@ def single_camp_optimal(net: Network, kg: float) -> tuple[PureProfile, float]:
     nodes of at most ``SCAN_BLOCK_ENTRIES`` pairs, each block's resolvent
     columns coming from the cached inverse or from one
     multi-right-hand-side solve, and reports the best entry's own value and
-    split. Returns the stay-out profile with the idle objective when no pair
-    strictly beats it. Ties between pairs go to the first pair in
-    (alpha, beta) scan order.
+    split. Returns the plan, whose x1 holds the phase-1 budget k1 at the
+    phase-1 node alpha and whose x2 holds kg - k1 at the phase-2 node beta,
+    and its value; the all-zero plan, staying out, with the idle objective
+    when no pair strictly beats it. Ties between pairs go to the first pair
+    in (alpha, beta) scan order.
     """
     if not 0 <= kg < np.inf:  # also refuses nan
         raise ValueError("budget must be finite and nonnegative")
     coef = DependencyCoefficients(net)
-    stay_out = (PureProfile(None, None, 0.0, 0.0), coef.s_total)
-    if kg == 0 or net.n == 0:
-        return stay_out
-
     n = net.n
+    x1, x2 = np.zeros(n), np.zeros(n)
+    best, best_val = None, coef.s_total
+    if kg == 0:
+        return InvestmentPlan(GOOD, x1, x2), best_val
+
     second_gain = 0.5 * coef.theta * (coef.cb + coef.r)
     first_weight = coef.theta * (1.0 + coef.c)
     first_gain = 0.5 * first_weight * coef.s
     width = max(1, SCAN_BLOCK_ENTRIES // n)
-    best, best_val = stay_out
     for start in range(0, n, width):
         stop = min(start + width, n)
         b_cols = coef.scale[:, None] * delta_columns(net, start, stop)  # columns b[:, start:stop]
@@ -361,9 +344,11 @@ def single_camp_optimal(net: Network, kg: float) -> tuple[PureProfile, float]:
         flat = int(np.argmax(values))
         if values.flat[flat] > best_val:
             best_val = float(values.flat[flat])
-            k1 = float(splits.flat[flat])
-            best = PureProfile(start + flat // n, flat % n, k1, kg - k1)
-    return best, best_val
+            best = (start + flat // n, flat % n, float(splits.flat[flat]))
+    if best is not None:
+        alpha, beta, k1 = best
+        x1[alpha], x2[beta] = k1, kg - k1
+    return InvestmentPlan(GOOD, x1, x2), best_val
 
 
 def game_profiles(n: int) -> tuple[Optional[Pair], ...]:

@@ -3,10 +3,12 @@
 With fixed weights the two camps' objectives decouple, so each camp can rank
 the 2n (node, phase) slots by their per-unit worth: s_i * w_i for a phase-1
 slot (the investment must survive into the final phase) and r_i * w_i for a
-phase-2 slot. The unbounded optimum sits on a single slot; under a per-node
-cap the optimum greedily fills slots in worth order. Only the slots the fill
-can reach, about budget / cap of them, are ranked: ``np.partition`` finds
-the worth threshold and a stable sort orders the slots at or above it.
+phase-2 slot. Under a per-node cap the optimum greedily fills slots in worth
+order; with no cap (``cap=math.inf``) that fill puts the whole budget on the
+best slot, the farsighted unbounded optimum. Only the slots the fill can
+reach, about budget / cap of them, are ranked: ``np.partition`` finds the
+worth threshold and a stable sort orders the slots at or above it. Every
+strategy returns an :class:`~opinion_game.model.InvestmentPlan`.
 
 Ties are broken deterministically: phase 2 first, then the lowest node id.
 :func:`_slot_worth` sets this rule for every strategy by listing the phase-2
@@ -16,23 +18,12 @@ slots first, so a first maximum or a stable sort on worth alone keeps it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .centrality import CentralityProfile, compute_profile
 from .dynamics import _vec
 from .model import BAD, GOOD, InvestmentPlan, Network
-
-
-@dataclass(frozen=True)
-class PureInvestment:
-    """Entire-budget investment on one node in one phase; node None means
-    the camp does not invest at all (amount is then 0)."""
-
-    node: int | None
-    phase: int | None
-    amount: float
 
 
 def _profile(net: Network, profile: CentralityProfile | None) -> CentralityProfile:
@@ -49,36 +40,20 @@ def _slot_worth(net: Network, camp: str, profile: CentralityProfile | None) -> n
     return np.concatenate([prof.r * w, prof.s * w])
 
 
-def farsighted_unbounded(
-    net: Network, budget: float, camp: str, profile: CentralityProfile | None = None
-) -> PureInvestment:
-    """Optimal single-slot strategy with no per-node bound.
-
-    The entire budget goes on the slot with the largest worth if that worth
-    is positive; otherwise the camp stays out. Phase 1 wins only when the
-    best phase-1 worth strictly beats every phase-2 worth.
-    """
-    if not 0 <= budget < math.inf:  # also refuses nan
-        raise ValueError("budget must be finite and nonnegative")
-    worth = _slot_worth(net, camp, profile)
-    k = int(np.argmax(worth))
-    if budget == 0 or worth[k] <= 0:
-        return PureInvestment(None, None, 0.0)
-    return PureInvestment(k % net.n, 2 - k // net.n, float(budget))
-
-
 def myopic_strategy(
     net: Network, budget: float, camp: str, profile: CentralityProfile | None = None
-) -> PureInvestment:
+) -> InvestmentPlan:
     """Greedy strategy that only looks at the current phase: entire budget on
-    the node with the largest r_i * w_i, spent in phase 1."""
+    the node with the largest r_i * w_i, spent in phase 1; no investment when
+    that worth is not positive."""
     if not 0 <= budget < math.inf:  # also refuses nan
         raise ValueError("budget must be finite and nonnegative")
     worth = _slot_worth(net, camp, profile)[:net.n]
     i = int(np.argmax(worth))
-    if budget == 0 or worth[i] <= 0:
-        return PureInvestment(None, None, 0.0)
-    return PureInvestment(i, 1, float(budget))
+    x1 = np.zeros(net.n)
+    if worth[i] > 0:
+        x1[i] = budget
+    return InvestmentPlan(camp, x1, np.zeros(net.n))
 
 
 def myopic_loss(net: Network, kb: float, profile: CentralityProfile | None = None) -> float:
@@ -121,7 +96,10 @@ def bounded_greedy(
     profile: CentralityProfile | None = None,
 ) -> InvestmentPlan:
     """Optimal plan when each (node, phase) slot holds at most ``cap`` units:
-    fill slots in decreasing worth while the worth stays positive."""
+    fill slots in decreasing worth while the worth stays positive. With
+    ``cap=math.inf`` the whole budget goes on the first slot of largest
+    worth if that worth is positive, the farsighted unbounded optimum;
+    otherwise the camp stays out."""
     if not 0 <= budget < math.inf:  # also refuses nan
         raise ValueError("budget must be finite and nonnegative")
     if not cap > 0:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import sparse
 
 from opinion_game import GOOD, DependencyCoefficients, Network, Topology, compute_profile
@@ -58,6 +59,36 @@ def random_network(
     v0 = rng.uniform(-1.0, 1.0, n)
     theta = wg + wb
     return Network.build(n, edges, w0=w0, v0=v0, wg=wg, wb=wb, theta=theta)
+
+
+@st.composite
+def validated_networks(draw, dependency: bool = False) -> Network:
+    """Networks of 1-8 nodes that ``validate`` accepts, in dependency mode
+    when asked. Arcs are drawn over all ordered pairs, self-loops included,
+    so nodes without out-arcs, nodes nobody listens to and isolated nodes
+    all occur. Node i's row of |w| sums to 1 - 10^-k_i with k_i in [0, 9],
+    so up to 1 - 1e-9; w0, wg, wb and theta take shares of the rest of the
+    row's mass, each node its own. Outside dependency mode arc weights and
+    w0 carry random signs. v0 lies in [-1, 1]."""
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    unit = st.floats(0.0, 1.0)
+    signs = st.sampled_from([1.0] if dependency else [1.0, -1.0])
+    raw = [draw(st.floats(0.01, 1.0)) * draw(signs) for _ in arcs]
+    slack = np.array([10.0 ** -draw(st.floats(0.0, 9.0)) for _ in range(n)])
+    mass = np.zeros(n)
+    for (i, _), w in zip(arcs, raw):
+        mass[i] += abs(w)
+    weights = [
+        (i, j, w / mass[i] * (1.0 - slack[i])) for (i, j), w in zip(arcs, raw)
+    ]
+    shares = np.array([[draw(unit) for _ in range(5)] for _ in range(n)])
+    shares /= np.maximum(shares.sum(axis=1, keepdims=True), 1.0)
+    w0, wg, wb, theta = (shares[:, k] * slack for k in range(4))
+    w0 = w0 * np.array([draw(signs) for _ in range(n)])
+    v0 = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(n)])
+    return Network.build(n, weights, w0=w0, v0=v0, wg=wg, wb=wb, theta=theta)
 
 
 def two_node_net(w0=0.3, v0=1.0, wg=0.0, wb=0.0, theta=0.0) -> Network:

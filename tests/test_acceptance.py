@@ -7,6 +7,7 @@ grids).
 """
 
 import itertools
+import math
 import time
 
 import numpy as np
@@ -20,7 +21,6 @@ from opinion_game import (
     bounded_greedy,
     compute_profile,
     evaluate_two_phase,
-    farsighted_unbounded,
     fixed_point_iterate,
     multi_election_scores,
     myopic_loss,
@@ -51,14 +51,6 @@ def report(number, name, ok, detail, started, budget):
     print(f"acceptance {number} ({name}): {status} ({detail}, {elapsed:.2f}s)")
     assert ok, f"criterion {number} failed: {detail}"
     assert elapsed < budget, f"criterion {number} exceeded its {budget}s budget ({elapsed:.1f}s)"
-
-
-def plan_vectors(n, pure):
-    x1 = np.zeros(n)
-    x2 = np.zeros(n)
-    if pure.node is not None:
-        (x1 if pure.phase == 1 else x2)[pure.node] = pure.amount
-    return x1, x2
 
 
 def test_criterion_1_centrality_series_oracle():
@@ -125,9 +117,8 @@ def test_criterion_4_fixed_setting_equilibrium():
         net = random_network(rng, n)
         budget = float(rng.uniform(1.0, 8.0))
         prof = compute_profile(net)
-        best = farsighted_unbounded(net, budget, GOOD, prof)
-        x1, x2 = plan_vectors(n, best)
-        best_val = evaluate_two_phase(net, x1, x2, None, None, prof)
+        best = bounded_greedy(net, budget, GOOD, cap=math.inf, profile=prof)
+        best_val = evaluate_two_phase(net, best.x1, best.x2, None, None, prof)
         step = budget / 10.0
         for units in compositions(10, 2 * n):
             alloc = np.asarray(units, dtype=float) * step
@@ -139,10 +130,10 @@ def test_criterion_4_fixed_setting_equilibrium():
         net = random_network(rng, n, dependency=True)
         kb = float(rng.uniform(0.5, 5.0))
         prof = compute_profile(net)
-        y1f, y2f = plan_vectors(n, farsighted_unbounded(net, kb, BAD, prof))
-        y1m, y2m = plan_vectors(n, myopic_strategy(net, kb, BAD, prof))
-        val_far = evaluate_two_phase(net, None, None, y1f, y2f, prof)
-        val_myo = evaluate_two_phase(net, None, None, y1m, y2m, prof)
+        far = bounded_greedy(net, kb, BAD, cap=math.inf, profile=prof)
+        myo = myopic_strategy(net, kb, BAD, prof)
+        val_far = evaluate_two_phase(net, None, None, far.x1, far.x2, prof)
+        val_myo = evaluate_two_phase(net, None, None, myo.x1, myo.x2, prof)
         worst_loss_dev = max(worst_loss_dev, abs(myopic_loss(net, kb, prof) - (val_myo - val_far)))
     ok = worst_gap <= 1e-9 and worst_loss_dev < 1e-9
     report(4, "farsighted optimality and myopic loss", ok,

@@ -68,10 +68,10 @@ class TestPublicSurface:
     NAMES = [
         "BAD", "Budgets", "CentralityProfile", "ConvergenceError", "DEFAULT_W0_GRID",
         "DependencyCoefficients", "GOOD", "GameSolution", "GameSolverError",
-        "InvestmentPlan", "Network", "PureInvestment", "PureProfile",
+        "InvestmentPlan", "Network",
         "SWEEP_COLUMNS", "SWEEP_MODES", "Topology", "Violation", "WeightScheme",
         "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix", "delta_row",
-        "dependency_camp_weights", "evaluate_two_phase", "farsighted_unbounded",
+        "dependency_camp_weights", "evaluate_two_phase",
         "fixed_point_iterate", "game_profiles", "generate_weights", "iter_phases",
         "load_edge_list", "multi_election_scores",
         "myopic_loss", "myopic_strategy", "profile_utility", "run_phases",
@@ -80,16 +80,19 @@ class TestPublicSurface:
     ]
 
     def test_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 44
+        assert len(self.NAMES) == 41
         assert sorted(opinion_game.__all__) == self.NAMES
         assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
         for name in opinion_game.__all__:
             getattr(opinion_game, name)
 
     def test_removed_aliases_are_gone(self):
-        # each restated another function or served only tests
+        # each restated another function or served only tests; the single-slot
+        # result types gave way to InvestmentPlan, and farsighted_unbounded
+        # to bounded_greedy with cap=inf
         for name in ("apply_delta", "camp_weights", "MatrixGame",
-                     "katz_r", "katz_s", "katz_multiphase", "OpinionState"):
+                     "katz_r", "katz_s", "katz_multiphase", "OpinionState",
+                     "PureInvestment", "PureProfile", "farsighted_unbounded"):
             with pytest.raises(AttributeError):
                 getattr(opinion_game, name)
         for owner, name in ((opinion_game.InvestmentPlan, "total"),

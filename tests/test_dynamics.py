@@ -27,6 +27,7 @@ from opinion_game import (
     validate,
 )
 import opinion_game.dynamics as dynamics
+from opinion_game.centrality import delta_columns
 from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, dense_resolvent, solve_linear
 
 from conftest import dense_steady_state, random_network, refined_solve, two_node_net
@@ -187,6 +188,22 @@ class TestSolveLinear:
         with pytest.raises(ConvergenceError, match="not a contraction"):
             solve_linear(net, np.ones(2), transpose=transpose)
 
+    @pytest.mark.parametrize("net", [
+        Network.build(2, [(0, 1, 2.0), (1, 0, 2.0)]),
+        cycle_network(600, 1.0),
+    ], ids=["invertible-rho-2", "cycle-600-rho-1"])
+    def test_no_contraction_refused_by_every_resolvent_reader(self, net):
+        # delta_row, delta_columns and delta_matrix once read the cached
+        # inverse of the 2-node network, [-1/3, -2/3] in row 0, while the
+        # solves refused it; rho >= 1 is now refused before any path is chosen
+        assert validate(net) != []
+        for read in (lambda: delta_row(net, 0), lambda: delta_columns(net, 0, 1),
+                     lambda: delta_matrix(net), lambda: compute_profile(net),
+                     lambda: fixed_point_iterate(net, np.zeros(net.n))):
+            with pytest.raises(ConvergenceError, match="not a contraction"):
+                read()
+        assert "resolvent" not in vars(net)
+
     @pytest.mark.parametrize("error", [1e-3, math.nan])
     @pytest.mark.parametrize("transpose", [False, True])
     def test_wrong_cached_inverse_refused(self, error, transpose):
@@ -249,7 +266,8 @@ class TestSolveLinear:
         assert dynamics._solves_dense(hub_network(dynamics.DENSE_MAX_N, rho=0.99999))
         assert not dynamics._solves_dense(hub_network())  # 240 sweeps beat the inverse
         assert dynamics._solves_dense(hub_network(rho=0.999))  # 30,000 sweeps do not
-        assert dynamics._solves_dense(cycle_network(600, 1.0))  # no certified iteration
+        with pytest.raises(ConvergenceError, match="not a contraction"):
+            dense_resolvent(cycle_network(600, 1.0))  # no contraction, whatever the path
         assert not dynamics._solves_dense(cycle_network(dynamics.DENSE_LIMIT_N + 1, 0.99999))
 
     @pytest.mark.parametrize("a", [1.0, 1.0 - 1e-9])
@@ -497,7 +515,8 @@ class TestSweepBudget:
 class TestRunPhases:
     def test_two_phase_sums_on_pair(self):
         net = two_node_net()
-        _, sums = run_phases(net, p=2)
+        zero = np.zeros(2)
+        _, sums = run_phases(net, [(zero, zero)] * 2)
         assert_allclose(sums, [1.2, 0.72], atol=1e-10)
 
     def test_single_phase_reduces_to_steady_state(self):
@@ -510,15 +529,16 @@ class TestRunPhases:
 
     def test_zero_everything_gives_zero_sums(self):
         net = two_node_net(v0=0.0)
-        _, sums = run_phases(net, p=3)
+        zero = np.zeros(2)
+        _, sums = run_phases(net, [(zero, zero)] * 3)
         assert sums == [0.0, 0.0, 0.0]
 
-    def test_needs_plans_or_phase_count(self):
+    def test_needs_at_least_one_phase(self):
         net = two_node_net()
-        with pytest.raises(ValueError):
-            run_phases(net)
-        with pytest.raises(ValueError):
-            run_phases(net, p=0)
+        with pytest.raises(ValueError, match="^need at least one phase$"):
+            run_phases(net, [])
+        with pytest.raises(TypeError):
+            run_phases(net)  # plans are the one way to describe phases
 
     def test_premultiplied_sum_identity(self):
         # the opinion total after a phase equals the influence-weighted total

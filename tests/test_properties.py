@@ -1,0 +1,84 @@
+"""Property tests over every shape of network ``validate`` accepts.
+
+The networks come from ``conftest.validated_networks``: 1-8 nodes with
+self-loops, sinks and isolated nodes, rows of |w| summing up to 1 - 1e-9,
+heterogeneous theta and v0 in [-1, 1]. Each strategy's plan is run through
+the phase dynamics and must reproduce the value the strategy reports. The
+tests are derandomized: every run draws the same networks and stores none.
+
+A value near rho = 1 carries a rounding error of order eps / (1 - rho)
+relative, which float64 cannot improve, so deviations are compared as
+|simulated - value| * (1 - rho) / (1 + |value|).
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opinion_game import (
+    BAD,
+    GOOD,
+    bounded_greedy,
+    compute_profile,
+    evaluate_two_phase,
+    run_phases,
+    single_camp_optimal,
+    validate,
+)
+
+from conftest import plan_total, validated_networks
+
+#: largest scaled deviation allowed, about 4,500 ulps
+TOL = 1e-12
+
+budgets = st.sampled_from([0.0, 1e-3, 1.0, 37.5, 100.0])
+
+
+def scaled_gap(net, simulated: float, value: float) -> float:
+    rho = float(net.row_abs_sums.max())
+    return abs(simulated - value) * (1.0 - rho) / (1.0 + abs(value))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(net=validated_networks(dependency=True), kg=budgets)
+def test_single_camp_plan_reproduces_its_value_in_dependency_mode(net, kg):
+    assert validate(net, "dependency") == []
+    plan, value = single_camp_optimal(net, kg)
+    # at most one node per phase, and the whole budget or nothing
+    assert np.count_nonzero(plan.x1) <= 1 and np.count_nonzero(plan.x2) <= 1
+    total = plan_total(plan)
+    assert total == 0.0 or abs(total - kg) <= 2 * np.finfo(float).eps * kg
+    zero = np.zeros(net.n)
+    _, sums = run_phases(net, [(plan.x1, zero), (plan.x2, zero)], mode="dependency")
+    assert scaled_gap(net, sums[-1], value) <= TOL
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(net=validated_networks(), budget=budgets, camp=st.sampled_from([GOOD, BAD]))
+def test_unbounded_plan_matches_dynamics_and_beats_every_single_slot(net, budget, camp):
+    assert validate(net) == []
+    n = net.n
+    prof = compute_profile(net)
+    plan = bounded_greedy(net, budget, camp, cap=math.inf, profile=prof)
+
+    def objective(x1, x2):
+        # the good camp maximizes the final opinion total, the bad camp
+        # minimizes it
+        return evaluate_two_phase(net, x1, x2, None, None, prof) if camp == GOOD else \
+            evaluate_two_phase(net, None, None, x1, x2, prof)
+
+    value = objective(plan.x1, plan.x2)
+    zero = np.zeros(n)
+    phases = [(plan.x1, zero), (plan.x2, zero)]
+    if camp == BAD:
+        phases = [(zero, x) for x, _ in phases]
+    _, sums = run_phases(net, phases)
+    assert scaled_gap(net, sums[-1], value) <= TOL
+    sign = 1.0 if camp == GOOD else -1.0
+    for k in range(2 * n):
+        slot = np.zeros(2 * n)
+        slot[k] = budget
+        other = objective(slot[:n], slot[n:])
+        assert sign * (other - value) <= 0.0 or scaled_gap(net, other, value) <= TOL

@@ -10,9 +10,11 @@ import opinion_game.dynamics as dynamics
 import opinion_game.harness as harness
 import opinion_game.strategy_dependent as dep
 from opinion_game import (
+    GOOD,
     Budgets,
     DependencyCoefficients,
     GameSolverError,
+    InvestmentPlan,
     Network,
     ba_graph,
     compute_profile,
@@ -95,23 +97,22 @@ class TestDependencyCoefficients:
 
 class TestSingleCampOptimal:
     def test_worked_pair_puts_everything_in_phase_two(self):
-        profile, value = single_camp_optimal(dep_pair(), 10.0)
+        plan, value = single_camp_optimal(dep_pair(), 10.0)
         assert value == pytest.approx(2.0, abs=1e-12)
-        assert profile.k1 == pytest.approx(0.0)
-        assert profile.k2 == pytest.approx(10.0)
-        assert (profile.alpha, profile.beta) == (0, 0)
+        assert plan.camp == GOOD
+        assert plan.x1.tolist() == [0.0, 0.0]
+        assert plan.x2.tolist() == [pytest.approx(10.0), 0.0]
 
     def test_zero_theta_stays_out(self):
-        profile, value = single_camp_optimal(dep_pair(theta=0.0, v0=1.0), 10.0)
-        assert profile.alpha is None and profile.beta is None
-        assert profile.k1 == 0.0 and profile.k2 == 0.0
+        plan, value = single_camp_optimal(dep_pair(theta=0.0, v0=1.0), 10.0)
+        assert plan.x1.tolist() == [0.0, 0.0] and plan.x2.tolist() == [0.0, 0.0]
         assert value == pytest.approx(0.72)
 
     def test_zero_budget_stays_out(self):
         net = dep_pair(v0=1.0)
         coef = DependencyCoefficients(net)
-        profile, value = single_camp_optimal(net, 0.0)
-        assert profile.alpha is None
+        plan, value = single_camp_optimal(net, 0.0)
+        assert not plan.x1.any() and not plan.x2.any()
         assert value == pytest.approx(coef.s_total)
 
     def test_beats_fine_budget_grid(self):
@@ -153,15 +154,14 @@ class TestSingleCampOptimal:
         for _ in range(5):
             net = random_network(rng, 7, dependency=True)
             kg = float(rng.uniform(0.5, 5.0))
-            dense_profile, dense_value = single_camp_optimal(net, kg)
+            dense_plan, dense_value = single_camp_optimal(net, kg)
             monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
-            stream_profile, stream_value = single_camp_optimal(net, kg)
+            stream_plan, stream_value = single_camp_optimal(net, kg)
             monkeypatch.undo()
             assert stream_value == pytest.approx(dense_value, abs=1e-10)
-            assert (stream_profile.alpha, stream_profile.beta) == (
-                dense_profile.alpha,
-                dense_profile.beta,
-            )
+            for phase in ("x1", "x2"):
+                dense_x, stream_x = getattr(dense_plan, phase), getattr(stream_plan, phase)
+                assert np.argmax(stream_x) == np.argmax(dense_x)
 
     def test_blocked_scan_matches_one_block(self, monkeypatch):
         rng = np.random.default_rng(127)
@@ -171,12 +171,16 @@ class TestSingleCampOptimal:
         nets.append(Network.build(6, [], w0=0.3, v0=0.5, wg=0.1, wb=0.1, theta=0.2))
         for net in nets:
             kg = float(rng.uniform(0.5, 5.0))
-            whole = single_camp_optimal(net, kg)
+            whole, whole_value = single_camp_optimal(net, kg)
             for entries in (1, 2 * net.n, 3 * net.n):
                 monkeypatch.setattr(dep, "SCAN_BLOCK_ENTRIES", entries)
-                assert single_camp_optimal(net, kg) == whole
+                plan, value = single_camp_optimal(net, kg)
+                assert value == whole_value
+                assert np.array_equal(plan.x1, whole.x1) and np.array_equal(plan.x2, whole.x2)
                 monkeypatch.undo()
-        assert (whole[0].alpha, whole[0].beta) in ((0, 0), (0, 1))
+        # the isolated nodes: the plan spends on the first pair's nodes only
+        assert set(np.flatnonzero(whole.x1)) <= {0} and set(np.flatnonzero(whole.x2)) <= {0, 1}
+        assert whole.x1.any() or whole.x2.any()
 
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -202,8 +206,8 @@ class TestSingleCampOptimal:
 
         monkeypatch.setattr(dep, "profile_utility", refused)
         monkeypatch.setattr(dep, "delta_row", refused)
-        profile, _ = single_camp_optimal(net, 4.0)
-        assert profile.alpha is not None
+        plan, _ = single_camp_optimal(net, 4.0)
+        assert plan.x1.any() or plan.x2.any()
         assert transposed.count(True) == 2
 
     def test_reports_the_closed_form_entry_the_kernel_agrees_with(self):
@@ -214,10 +218,13 @@ class TestSingleCampOptimal:
             net = random_network(rng, n, dependency=True)
             kg = float(rng.uniform(0.5, 50.0))
             coef = DependencyCoefficients(net)
-            profile, value = single_camp_optimal(net, kg)
-            if profile.alpha is None:
+            plan, value = single_camp_optimal(net, kg)
+            k1, k2 = float(plan.x1.sum()), float(plan.x2.sum())
+            if k1 == k2 == 0.0:
                 continue
-            a, b, k1, k2 = profile.alpha, profile.beta, profile.k1, profile.k2
+            # a phase that spends nothing names no node; its terms vanish, so
+            # node 0 stands in
+            a, b = int(np.argmax(plan.x1)), int(np.argmax(plan.x2))
             first = 0.5 * coef.theta[a] * (1.0 + coef.c[a])
             second = 0.5 * coef.theta[b]
             closed = (
@@ -260,9 +267,10 @@ class TestBudgetChecks:
 
     @pytest.mark.parametrize("k1, k2", [(-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)])
     def test_negative_or_nan_phase_budgets_refused(self, k1, k2):
-        # nan once passed `k1 < 0`, so PureProfile(0, 1, nan, 1.0) constructed
-        with pytest.raises(ValueError, match="^phase budgets must be nonnegative$"):
-            dep.PureProfile(0, 1, k1, k2)
+        # nan once passed `k1 < 0` in the single-camp result type, so a phase
+        # budget of nan constructed
+        with pytest.raises(ValueError, match="^x[12] has (negative|non-finite) entries$"):
+            InvestmentPlan(GOOD, [k1, 0.0], [0.0, k2])
 
 
 class TestProfileUtility:

@@ -13,7 +13,6 @@ from opinion_game import (
     bounded_greedy,
     compute_profile,
     evaluate_two_phase,
-    farsighted_unbounded,
     generate_weights,
     multi_election_scores,
     myopic_loss,
@@ -40,41 +39,34 @@ def pair_net(w0=0.3, wg=(0.2, 0.1), wb=(0.1, 0.2)):
     return two_node_net(w0=w0, v0=1.0, wg=list(wg), wb=list(wb))
 
 
-def plan_vectors(n, pure):
-    x1 = np.zeros(n)
-    x2 = np.zeros(n)
-    if pure.node is not None:
-        (x1 if pure.phase == 1 else x2)[pure.node] = pure.amount
-    return x1, x2
-
-
 class TestFarsightedUnbounded:
     def test_second_phase_wins_at_low_bias(self):
-        choice = farsighted_unbounded(pair_net(), 10.0, GOOD)
-        assert (choice.node, choice.phase, choice.amount) == (0, 2, 10.0)
+        plan = bounded_greedy(pair_net(), 10.0, GOOD, cap=math.inf)
+        assert plan.x1.tolist() == [0.0, 0.0] and plan.x2.tolist() == [10.0, 0.0]
 
     def test_first_phase_wins_at_high_bias(self):
-        choice = farsighted_unbounded(pair_net(w0=0.8), 10.0, GOOD)
-        assert (choice.node, choice.phase) == (0, 1)
+        plan = bounded_greedy(pair_net(w0=0.8), 10.0, GOOD, cap=math.inf)
+        assert plan.x1.tolist() == [10.0, 0.0] and plan.x2.tolist() == [0.0, 0.0]
 
     def test_zero_weights_mean_no_investment(self):
-        choice = farsighted_unbounded(pair_net(wg=(0.0, 0.0)), 10.0, GOOD)
-        assert choice.node is None and choice.phase is None and choice.amount == 0.0
+        plan = bounded_greedy(pair_net(wg=(0.0, 0.0)), 10.0, GOOD, cap=math.inf)
+        assert not plan.x1.any() and not plan.x2.any()
 
     def test_tie_prefers_second_phase(self):
         # a single self-loop-free node with w0 chosen so both slots tie
         net = two_node_net(w0=0.0, wg=[0.2, 0.2])
         # here s = 0, r > 0, so phase 2 wins; scale w0 for an exact tie instead
-        choice = farsighted_unbounded(net, 1.0, GOOD)
-        assert choice.phase == 2
+        plan = bounded_greedy(net, 1.0, GOOD, cap=math.inf)
+        assert not plan.x1.any() and plan.x2.sum() == 1.0
 
     def test_budget_scaling_keeps_the_slot(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
             net = random_network(rng, int(rng.integers(2, 10)))
-            base = farsighted_unbounded(net, 1.0, GOOD)
-            scaled = farsighted_unbounded(net, 37.5, GOOD)
-            assert (base.node, base.phase) == (scaled.node, scaled.phase)
+            base = bounded_greedy(net, 1.0, GOOD, cap=math.inf)
+            scaled = bounded_greedy(net, 37.5, GOOD, cap=math.inf)
+            assert np.array_equal(base.x1 * 37.5, scaled.x1)
+            assert np.array_equal(base.x2 * 37.5, scaled.x2)
 
     def test_grid_allocations_cannot_beat_it(self):
         rng = np.random.default_rng(59)
@@ -83,9 +75,8 @@ class TestFarsightedUnbounded:
             net = random_network(rng, n)
             budget = float(rng.uniform(1.0, 8.0))
             prof = compute_profile(net)
-            best = farsighted_unbounded(net, budget, GOOD, prof)
-            x1, x2 = plan_vectors(n, best)
-            best_val = evaluate_two_phase(net, x1, x2, None, None, prof)
+            best = bounded_greedy(net, budget, GOOD, cap=math.inf, profile=prof)
+            best_val = evaluate_two_phase(net, best.x1, best.x2, None, None, prof)
             step = budget / 10.0
             for units in compositions(10, 2 * n):
                 alloc = np.asarray(units, dtype=float) * step
@@ -93,6 +84,8 @@ class TestFarsightedUnbounded:
                 assert val <= best_val + 1e-9
 
     def test_uncapped_greedy_is_the_unbounded_optimum(self):
+        # the scalar oracle's first slot of largest worth takes the whole
+        # budget, or nothing fills when no worth is positive
         rng = np.random.default_rng(67)
         outcomes = set()
         for _ in range(40):
@@ -106,27 +99,33 @@ class TestFarsightedUnbounded:
                 prof = compute_profile(net)
                 for camp, budget in itertools.product((GOOD, BAD), (0.0, 1.0, 100.0)):
                     plan = bounded_greedy(net, budget, camp, cap=math.inf, profile=prof)
-                    best = farsighted_unbounded(net, budget, camp, prof)
-                    x1, x2 = plan_vectors(n, best)
+                    x1, x2 = greedy_oracle(net, budget, camp, math.inf, prof)
                     assert np.array_equal(plan.x1, x1) and np.array_equal(plan.x2, x2)
-                    outcomes.add((budget > 0, best.phase))
+                    filled = np.flatnonzero(np.concatenate([plan.x2, plan.x1]))
+                    assert len(filled) <= 1 and plan_total(plan) in (0.0, budget)
+                    outcomes.add((budget > 0, 2 - int(filled[0]) // n if len(filled) else None))
         # every outcome is reached: both phases, and staying out with a budget
         assert {(True, 1), (True, 2), (True, None), (False, None)} <= outcomes
 
 
 class TestMyopic:
     def test_picks_top_single_phase_worth(self):
-        choice = myopic_strategy(pair_net(), 5.0, BAD)
-        assert (choice.node, choice.phase, choice.amount) == (1, 1, 5.0)
+        plan = myopic_strategy(pair_net(), 5.0, BAD)
+        assert plan.camp == BAD
+        assert plan.x1.tolist() == [0.0, 5.0] and plan.x2.tolist() == [0.0, 0.0]
 
     def test_zero_weights_mean_no_investment(self):
-        choice = myopic_strategy(pair_net(wb=(0.0, 0.0)), 5.0, BAD)
-        assert choice.node is None
+        plan = myopic_strategy(pair_net(wb=(0.0, 0.0)), 5.0, BAD)
+        assert not plan.x1.any() and not plan.x2.any()
+
+    def test_zero_budget_means_no_investment(self):
+        plan = myopic_strategy(pair_net(), 0.0, BAD)
+        assert not plan.x1.any() and not plan.x2.any()
 
     def test_single_node(self):
         net = two_node_net(wb=[0.5, 0.0], w0=0.3)
-        choice = myopic_strategy(net, 2.0, BAD)
-        assert choice.node == 0
+        plan = myopic_strategy(net, 2.0, BAD)
+        assert plan.x1.tolist() == [2.0, 0.0] and not plan.x2.any()
 
     def test_loss_on_low_bias_pair(self):
         assert myopic_loss(pair_net(), 1.0) == pytest.approx(0.16, abs=1e-12)
@@ -147,12 +146,10 @@ class TestMyopic:
             net = random_network(rng, n, dependency=True)
             kb = float(rng.uniform(0.5, 5.0))
             prof = compute_profile(net)
-            far = farsighted_unbounded(net, kb, BAD, prof)
+            far = bounded_greedy(net, kb, BAD, cap=math.inf, profile=prof)
             myo = myopic_strategy(net, kb, BAD, prof)
-            y1f, y2f = plan_vectors(n, far)
-            y1m, y2m = plan_vectors(n, myo)
-            val_far = evaluate_two_phase(net, None, None, y1f, y2f, prof)
-            val_myo = evaluate_two_phase(net, None, None, y1m, y2m, prof)
+            val_far = evaluate_two_phase(net, None, None, far.x1, far.x2, prof)
+            val_myo = evaluate_two_phase(net, None, None, myo.x1, myo.x2, prof)
             assert myopic_loss(net, kb, prof) == pytest.approx(val_myo - val_far, abs=1e-9)
 
 
@@ -189,14 +186,13 @@ class TestBoundedGreedy:
     @pytest.mark.parametrize("budget", [-1.0, math.nan, -math.inf, math.inf])
     def test_negative_nan_or_infinite_budget_refused(self, budget):
         # a nan budget once passed `budget < 0` and filled every slot to the
-        # cap; an infinite one gave amount=inf from farsighted_unbounded, a
-        # loss of inf from myopic_loss and "x1 has non-finite entries" from
-        # bounded_greedy with cap=inf
+        # cap; an infinite one gave an infinite amount from the single-slot
+        # strategies, a loss of inf from myopic_loss and "x1 has non-finite
+        # entries" from bounded_greedy with cap=inf
         net = pair_net()
         for call, name in (
             (lambda: bounded_greedy(net, budget, GOOD), "budget"),
             (lambda: bounded_greedy(net, budget, GOOD, cap=math.inf), "budget"),
-            (lambda: farsighted_unbounded(net, budget, GOOD), "budget"),
             (lambda: myopic_strategy(net, budget, GOOD), "budget"),
             (lambda: myopic_loss(net, budget), "kb"),
         ):
@@ -306,13 +302,11 @@ class TestSlotWorthTies:
         net = self.cycle()
         prof = CentralityProfile(r=np.array(r, dtype=float), s=np.array(s, dtype=float))
         for camp in (GOOD, BAD):
-            far = farsighted_unbounded(net, 3.0, camp, prof)
-            assert (far.node, far.phase, far.amount) == (*slot, 3.0)
+            node, phase = slot
+            far = bounded_greedy(net, 3.0, camp, cap=math.inf, profile=prof)
+            assert (far.x1, far.x2)[phase - 1][node] == 3.0 and plan_total(far) == 3.0
             myo = myopic_strategy(net, 3.0, camp, prof)
-            assert (myo.node, myo.phase, myo.amount) == (myopic_node, 1, 3.0)
-            plan = bounded_greedy(net, 3.0, camp, cap=math.inf, profile=prof)
-            x1, x2 = plan_vectors(net.n, far)
-            assert np.array_equal(plan.x1, x1) and np.array_equal(plan.x2, x2)
+            assert myo.x1[myopic_node] == 3.0 and plan_total(myo) == 3.0
         assert myopic_loss(net, 4.0, prof) == loss
 
 
