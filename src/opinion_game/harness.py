@@ -13,12 +13,12 @@ array expression, (1 - 2*camp_base)(1 - w0) / out_degree[src].
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .centrality import compute_profile
-from .model import BAD, GOOD, Budgets, Network, Topology
+from .model import BAD, GOOD, Budgets, Network, Topology, _reweighted
 from .strategy_dependent import single_camp_optimal, two_camp_equilibrium
 from .strategy_fixed import bounded_greedy, evaluate_two_phase, myopic_loss
 
@@ -61,7 +61,7 @@ def generate_weights(topology: Topology, w0: float, scheme: WeightScheme | None 
     weight = (1.0 - 2.0 * cg) * scale / topology.out_degrees()[topology.src]
     return Network.build(
         topology.n,
-        replace(topology, weight=weight),
+        _reweighted(topology, weight),
         w0=w0,
         v0=0.0,
         wg=cg * scale,

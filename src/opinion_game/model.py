@@ -20,6 +20,7 @@ scatter by row that sums repeats, so a repeat shows as a missing entry.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -85,6 +86,17 @@ class Topology:
 
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.n)
+
+
+def _reweighted(topology: Topology, weight: np.ndarray) -> Topology:
+    """``topology``'s arcs with new weights, a float array of one entry per
+    arc that the caller hands over, without checking the ids again:
+    ``dataclasses.replace`` would rerun ``__post_init__``, two int64 copies
+    and the range mask, about 6 ms on 800,000 arcs."""
+    weight.setflags(write=False)
+    out = copy.copy(topology)  # a shallow copy runs no __post_init__
+    object.__setattr__(out, "weight", weight)
+    return out
 
 
 # Largest node count n for which the key src * n + dst of ids in [0, n),

@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from .centrality import _node_index, compute_profile, delta_columns, delta_matrix, delta_row
-from .dynamics import solve_linear
+from .dynamics import _dot, solve_linear
 from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
 from .model import GOOD, InvestmentPlan, Network
 
@@ -116,7 +116,7 @@ class DependencyCoefficients:
         self.theta = net.theta
         self.scale = self.r * net.w0
         self.cb = self.scale * solve_linear(net, self.c)
-        self.s_total = float(self.c @ self.s)
+        self.s_total = _dot(self.c, self.s)
 
 
 def _outer_split(px, py, pxx, pyy, pxy, kx, ky):

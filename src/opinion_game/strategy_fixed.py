@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .centrality import CentralityProfile, compute_profile
-from .dynamics import _vec
+from .dynamics import _dot, _vec
 from .model import BAD, GOOD, InvestmentPlan, Network
 
 
@@ -143,7 +143,7 @@ def evaluate_two_phase(
     prof = _profile(net, profile)
     x1, x2 = _vec(x1, net.n, "x1"), _vec(x2, net.n, "x2")
     y1, y2 = _vec(y1, net.n, "y1"), _vec(y2, net.n, "y2")
-    base = float(prof.s @ (net.w0 * net.v0))
-    phase1 = float(prof.s @ (net.wg * x1 - net.wb * y1))
-    phase2 = float(prof.r @ (net.wg * x2 - net.wb * y2))
+    base = _dot(prof.s, net.w0 * net.v0)
+    phase1 = _dot(prof.s, net.wg * x1 - net.wb * y1)
+    phase2 = _dot(prof.r, net.wg * x2 - net.wb * y2)
     return base + phase1 + phase2

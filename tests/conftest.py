@@ -91,6 +91,20 @@ def validated_networks(draw, dependency: bool = False) -> Network:
     return Network.build(n, weights, w0=w0, v0=v0, wg=wg, wb=wb, theta=theta)
 
 
+def directed_family(seed: int, n: int = 2000, rho: float = 0.56, w0: float = 0.3) -> Network:
+    """Seeded random digraph, where ``ba_graph`` is symmetric: node i has
+    Poisson(2) out-arcs to random other nodes, repeats merged, and a fifth of
+    the nodes have none (sinks). Each row of w with arcs sums to ``rho``, so
+    w has a complex spectrum; w0 is uniform."""
+    rng = np.random.default_rng(seed)
+    degree = rng.poisson(2, n) * (rng.random(n) > 0.2)
+    arcs = np.unique(np.column_stack([np.repeat(np.arange(n), degree),
+                                      rng.integers(0, n, degree.sum())]), axis=0)
+    src, dst = arcs[arcs[:, 0] != arcs[:, 1]].T
+    weight = rho / np.bincount(src, minlength=n)[src]
+    return Network.build(n, Topology(n, src, dst, weight), w0=w0)
+
+
 def two_node_net(w0=0.3, v0=1.0, wg=0.0, wb=0.0, theta=0.0) -> Network:
     """The hand-checkable pair: mutual weight 0.5, everything else settable."""
     return Network.build(

@@ -30,7 +30,7 @@ import opinion_game.dynamics as dynamics
 from opinion_game.centrality import delta_columns
 from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, dense_resolvent, solve_linear
 
-from conftest import dense_steady_state, random_network, refined_solve, two_node_net
+from conftest import dense_steady_state, directed_family, random_network, refined_solve, two_node_net
 
 
 def scalar_net(w=0.5, w0=0.4):
@@ -488,6 +488,118 @@ class TestChebyshevSweeps:
         prof = compute_profile(net)
         assert prof.r.sum() == pytest.approx(n / (1.0 - rho), rel=1e-9)
         assert prof.s.sum() == pytest.approx((net.w0 * prof.r).sum() / (1.0 - rho), rel=1e-9)
+
+
+def series_terms(monkeypatch):
+    """Record (products, taken) for every ``_katz_series`` call: the sparse
+    products the series made, and whether it returned a start."""
+    calls = []
+    series = dynamics._katz_series
+
+    def counted(mat, rho, n):
+        products = []
+
+        class Counting:
+            def __matmul__(self, v):
+                products.append(1)
+                return mat @ v
+
+        out = series(Counting(), rho, n)
+        calls.append((len(products), out is not None))
+        return out
+
+    monkeypatch.setattr(dynamics, "_katz_series", counted)
+    return calls
+
+
+def two_solves(net):
+    """r and s from two transposed solves, as compute_profile runs them
+    where the series does not apply."""
+    r = solve_linear(net, np.ones(net.n), transpose=True)
+    return r, solve_linear(net, net.w0 * r, transpose=True)
+
+
+def one_norm_errors(net, prof):
+    """1-norm errors of r, s and the higher orders against refined solves."""
+    a = (np.eye(net.n) - net.weights.toarray()).T
+    exact = [refined_solve(a, np.ones(net.n))]
+    errors = []
+    for vec in (prof.r, prof.s, *prof.higher):
+        errors.append(np.abs(vec - exact[-1]).sum())
+        exact.append(refined_solve(a, net.w0 * exact[-1]))
+    return errors
+
+
+class TestKatzSeries:
+    @pytest.mark.parametrize("rho", [0.3, 0.56, 0.9])
+    def test_matches_the_oracle(self, monkeypatch, rho):
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        calls = series_terms(monkeypatch)
+        net = pa_network(600, rho, w0=(1.0 - rho) / 2)
+        errors = one_norm_errors(net, compute_profile(net))
+        assert [taken for _, taken in calls] == [True]
+        assert max(errors) < DEFAULT_TOL
+
+    def test_third_order_matches_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        calls = series_terms(monkeypatch)
+        net = pa_network(600, 0.56, w0=0.2)
+        errors = one_norm_errors(net, compute_profile(net, orders=3))
+        assert [taken for _, taken in calls] == [True]
+        assert len(errors) == 3 and max(errors) < DEFAULT_TOL
+
+    def test_fewer_sweeps_than_two_solves(self, monkeypatch):
+        # rows of 0.56 at w0 = 0.3, as on the benchmark's 200k-node graph:
+        # 56 sweeps for two solves, 35 products from the series on
+        counts = sweep_counts(monkeypatch)
+        net = pa_network(5000, 0.56, w0=0.3)
+        assert dense_resolvent(net) is None
+        r, s = two_solves(net)
+        solves = sum(counts)
+        counts.clear()
+        calls = series_terms(monkeypatch)
+        prof = compute_profile(net)
+        ((terms, taken),) = calls
+        assert taken and terms + sum(counts) <= 40 < solves
+        for vec, ref in ((prof.r, r), (prof.s, s)):
+            assert np.abs(vec - ref).sum() < 2 * DEFAULT_TOL
+
+    @pytest.mark.parametrize("graph", ["hub", 0, 1, 2, 3])
+    def test_abandoned_on_complex_spectra(self, monkeypatch, graph):
+        # the series grows on these spectra: it is dropped within five
+        # products and the two solves run as they would without it
+        monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        net = hub_network() if graph == "hub" else directed_family(graph)
+        counts = sweep_counts(monkeypatch)
+        r, s = two_solves(net)
+        solves = sum(counts)
+        counts.clear()
+        calls = series_terms(monkeypatch)
+        prof = compute_profile(net)
+        ((terms, taken),) = calls
+        assert not taken and terms + sum(counts) <= solves + 5
+        assert np.array_equal(prof.r, r) and np.array_equal(prof.s, s)
+
+    @pytest.mark.parametrize("case", ["w0 = 0", "per-node w0", "dense"])
+    def test_other_networks_take_two_solves(self, monkeypatch, case):
+        if case != "dense":
+            monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
+        calls = series_terms(monkeypatch)
+        w0 = {"w0 = 0": 0.0, "per-node w0": np.linspace(0.0, 0.4, 600), "dense": 0.3}[case]
+        net = pa_network(dynamics.DENSE_MAX_N if case == "dense" else 600, 0.56, w0=w0)
+        r, s = two_solves(net)
+        prof = compute_profile(net)
+        assert calls == []
+        assert np.array_equal(prof.r, r) and np.array_equal(prof.s, s)
+
+    def test_no_arcs(self, monkeypatch):
+        # rho = 0: r = 1 and s = w0 exactly, and nothing divides by rho
+        calls = series_terms(monkeypatch)
+        net = Network.build(5000, [], w0=0.3)
+        with np.errstate(all="raise"):
+            prof = compute_profile(net)
+        assert calls == []
+        assert np.array_equal(prof.r, np.ones(5000)) and np.array_equal(prof.s, np.full(5000, 0.3))
 
 
 class TestSweepBudget:

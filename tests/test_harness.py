@@ -82,9 +82,17 @@ class TestGenerateWeights:
         for i, j, w in zip(lo_w.row, lo_w.col, lo_w.data):
             assert w / hi_w[i, j] == pytest.approx(ratio, abs=1e-12)
 
-    def test_matches_per_arc_formula(self):
+    def test_matches_per_arc_formula(self, monkeypatch):
         topo = ba_graph(40, 3, seed=2)
+
+        def refused(self):
+            raise AssertionError("the ids of a checked Topology were checked again")
+
+        # the weights go onto the checked arcs without a second check, and the
+        # caller's Topology keeps its own weights
+        monkeypatch.setattr(Topology, "__post_init__", refused)
         net = generate_weights(topo, 0.35)
+        assert not topo.weight.any()
         deg = Counter(topo.src.tolist())
         want = loop_build_weights(
             topo.n, [(i, j, (1.0 - 2.0 * 0.1) * (1.0 - 0.35) / deg[i]) for i, j, _ in arc_list(topo)]
