@@ -35,7 +35,6 @@ from .model import (
 from .dynamics import (
     ConvergenceError,
     dependency_camp_weights,
-    fixed_point_iterate,
     iter_phases,
     run_phases,
     steady_state,
@@ -99,7 +98,6 @@ __all__ = [
     "delta_row",
     "dependency_camp_weights",
     "evaluate_two_phase",
-    "fixed_point_iterate",
     "game_profiles",
     "generate_weights",
     "iter_phases",

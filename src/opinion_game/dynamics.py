@@ -17,8 +17,8 @@ from n, nnz and rho = max_i sum_j |w_ij| (see :func:`_solves_dense`).
 One pair of solves starts elsewhere: on the iterative path with a uniform,
 nonzero w0, the influence vectors r and s of ``compute_profile`` start their
 sweeps from one Chebyshev series for both (:func:`_katz_pair`), under the
-same certificate. :func:`fixed_point_iterate` runs the plain recursion under
-that certificate too.
+same certificate. The cached inverse is read only through
+:func:`dense_resolvent`.
 Phases chain by feeding each phase's converged opinions in as the next
 phase's bias.
 """
@@ -110,7 +110,7 @@ def dense_resolvent(net: Network) -> np.ndarray | None:
     if not _solves_dense(net):
         return None
     try:
-        return net.resolvent
+        return net._resolvent
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense inverse failed: {exc}") from exc
 
@@ -121,24 +121,24 @@ def _norm(a: np.ndarray, column_sums: bool) -> float:
     return float((a.sum(axis=0) if column_sums else a).max(initial=0.0))
 
 
-def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: bool,
-             tol: float, max_iter: int | None = None, *,
-             chebyshev: bool = False) -> tuple[np.ndarray, int]:
+def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float,
+             column_sums: bool) -> tuple[np.ndarray, int]:
     """Sweep J(v) = mat @ v + rhs from ``start``; returns (J(v), sweeps).
 
     ``mat`` contracts by ``rho`` in the max-norm, or in each column's 1-norm
     with ``column_sums``, so J is a rho-contraction and, for any v, J(v) lies
     within rho / (1 - rho) * |J(v) - v| of the fixed point: the loop stops
-    once that is below ``tol``, or once a step fails to shrink by rho (only
-    rounding does that) within ``STALL_ULPS`` ulps of J(v). The default
-    budget is where the first step, shrunk by rho per sweep, meets tol / 2,
-    plus two, at most ``MAX_SWEEPS``; the halved target leaves room for the
-    rounding of the last steps, which near rho = 1 outweighs rho^2.
+    once that is below ``DEFAULT_TOL``, or once a step fails to shrink by
+    rho (only rounding does that) within ``STALL_ULPS`` ulps of J(v). The
+    budget is where the first step, shrunk by rho per sweep, meets
+    DEFAULT_TOL / 2, plus two, at most ``MAX_SWEEPS``; the halved target
+    leaves room for the rounding of the last steps, which near rho = 1
+    outweighs rho^2.
 
-    Plain sweeps take v <- J(v). With ``chebyshev`` the sweeps stay plain
-    while each shrinks the step by at least ``pace`` = rho / (1 + sqrt(1 -
-    rho^2)), the rate at which sweeps weighted by the Chebyshev recurrence
-    for a spectrum in [-rho, rho] (Golub & Varga 1961) shrink it. At the
+    Plain sweeps take v <- J(v). They stay plain while each shrinks the
+    step by at least ``pace`` = rho / (1 + sqrt(1 - rho^2)), the rate at
+    which sweeps weighted by the Chebyshev recurrence for a spectrum in
+    [-rho, rho] (Golub & Varga 1961) shrink it. At the
     first plain sweep that does worse, by q > pace, the weights start from
     the iterate before it, y_0: y_1 = J(y_0) and y_{j+1} = y_{j-1} +
     omega_{j+1} (J(y_j) - y_{j-1}), omega_2 = 1 / (1 - rho^2 / 2) and
@@ -163,12 +163,14 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: b
     v = old = start
     it = 0
     prev = best_step = math.inf
+    chebyshev = True  # False once the weights are dropped for good
     omega = None  # weight of the next sweep; None while the sweeps are plain
+    max_iter = None  # the budget, set from the first step
     while True:
         nxt = mat @ v + rhs
         it += 1
         step = _norm(nxt - v, column_sums)
-        if gain * step < tol:
+        if gain * step < DEFAULT_TOL:
             return nxt, it
         if step > rho * prev and step < STALL_ULPS * EPS * _norm(nxt, column_sums):
             return nxt, it
@@ -183,13 +185,14 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float, column_sums: b
             elif step > max(on_pace, in_bound):
                 chebyshev, omega = False, None
                 nxt, step = best, best_step
-                max_iter = min(MAX_SWEEPS, it + 2 + _sweeps(rho, gain * step, tol / 2))
+                max_iter = min(MAX_SWEEPS, it + 2 + _sweeps(rho, gain * step, DEFAULT_TOL / 2))
         if not math.isfinite(step):
             raise ConvergenceError(f"recursion diverged (step {step:.3e})")
         if max_iter is None:
-            max_iter = min(MAX_SWEEPS, 2 + _sweeps(rho, gain * step, tol / 2))
+            max_iter = min(MAX_SWEEPS, 2 + _sweeps(rho, gain * step, DEFAULT_TOL / 2))
         if it >= max_iter:
-            message = f"error bound {gain * step:.3e} still above {tol:.1e} after {it} iterations"
+            message = (f"error bound {gain * step:.3e} still above {DEFAULT_TOL:.1e} "
+                       f"after {it} iterations")
             if it >= MAX_SWEEPS:
                 message += (
                     f"; with row sums of |w| up to {rho:.6g} a certified solve needs more than "
@@ -258,8 +261,8 @@ def _katz_pair(net: Network) -> tuple[np.ndarray, np.ndarray] | None:
     guess = _katz_series(mat, rho, net.n)
     if guess is None:
         return None
-    r = _iterate(mat, np.ones(net.n), guess[0], rho, True, DEFAULT_TOL, chebyshev=True)[0]
-    s = _iterate(mat, net.w0 * r, w0 * guess[1], rho, True, DEFAULT_TOL, chebyshev=True)[0]
+    r = _iterate(mat, np.ones(net.n), guess[0], rho, True)[0]
+    s = _iterate(mat, net.w0 * r, w0 * guess[1], rho, True)[0]
     return r, s
 
 
@@ -291,24 +294,13 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     rho = _rho(net)
     delta = dense_resolvent(net)
     if delta is None:
-        return _iterate(mat, rhs, rhs, rho, transpose, DEFAULT_TOL, chebyshev=True)[0]
+        return _iterate(mat, rhs, rhs, rho, transpose)[0]
     z = (delta.T if transpose else delta) @ rhs
     resid = _norm(z - mat @ z - rhs, transpose)
     bound = 8 * n * EPS * _norm(rhs, transpose) / (1.0 - rho)
     if not resid <= bound:  # also refuses nan
         raise ConvergenceError(f"direct solve residual {resid:.3e} above its rounding bound {bound:.3e}")
     return z
-
-
-def _phase_rhs(net: Network, v_prev, x, y, wg_eff, wb_eff) -> tuple[np.ndarray, np.ndarray]:
-    """(v_prev, w0 o v_prev + wg o x - wb o y) with the defaults filled in."""
-    n = net.n
-    v_prev = _vec(v_prev, n, "v_prev")
-    x = _vec(x, n, "x")
-    y = _vec(y, n, "y")
-    wg = net.wg if wg_eff is None else _vec(wg_eff, n, "wg_eff")
-    wb = net.wb if wb_eff is None else _vec(wb_eff, n, "wb_eff")
-    return v_prev, net.w0 * v_prev + wg * x - wb * y
 
 
 def steady_state(net: Network, v_prev, x=None, y=None, wg_eff=None, wb_eff=None) -> np.ndarray:
@@ -318,32 +310,11 @@ def steady_state(net: Network, v_prev, x=None, y=None, wg_eff=None, wb_eff=None)
     the bias-dependent values when camp influence tracks the entering bias.
     Missing investment vectors mean no investment.
     """
-    _, rhs = _phase_rhs(net, v_prev, x, y, wg_eff, wb_eff)
-    return solve_linear(net, rhs)
-
-
-def fixed_point_iterate(
-    net: Network,
-    v_prev,
-    x=None,
-    y=None,
-    wg_eff=None,
-    wb_eff=None,
-    *,
-    tol: float = DEFAULT_TOL,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Run the phase recursion from v_prev; returns (opinions, iterations used).
-
-    Each iteration is one plain sweep v <- w v + rhs, the paper's process,
-    under the stop rules of :func:`solve_linear`'s iterative path, which
-    weights its sweeps instead. The result is within ``tol`` of
-    :func:`steady_state` in exact arithmetic, plus the same rounding bound.
-    ``max_iter`` defaults to a budget derived from rho and the first step;
-    ConvergenceError is raised when it runs out, or at once when rho >= 1.
-    """
-    v_prev, rhs = _phase_rhs(net, v_prev, x, y, wg_eff, wb_eff)
-    return _iterate(net.weights, rhs, v_prev, _rho(net), False, tol, max_iter)
+    n = net.n
+    v_prev, x, y = _vec(v_prev, n, "v_prev"), _vec(x, n, "x"), _vec(y, n, "y")
+    wg = net.wg if wg_eff is None else _vec(wg_eff, n, "wg_eff")
+    wb = net.wb if wb_eff is None else _vec(wb_eff, n, "wb_eff")
+    return solve_linear(net, net.w0 * v_prev + wg * x - wb * y)
 
 
 def dependency_camp_weights(theta, w0, v_prev) -> tuple[np.ndarray, np.ndarray]:

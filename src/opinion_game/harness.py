@@ -29,6 +29,10 @@ SWEEP_MODES = ("bounded", "dependency1", "dependency2")
 #: column order of sweep rows; myopic_loss is None outside the bounded mode
 SWEEP_COLUMNS = ("w0", "k1_good", "k2_good", "k1_bad", "k2_bad", "objective", "myopic_loss")
 
+#: mix probabilities at or below this are left out of a sweep row's expected
+#: phase-1 budgets
+SUPPORT_CUTOFF = 1e-12
+
 
 @dataclass(frozen=True)
 class WeightScheme:
@@ -96,12 +100,12 @@ def ba_graph(n: int, attach: int = 2, seed: int = 0) -> Topology:
     return Topology(n, src + dst, dst + src, np.zeros(2 * len(src)))
 
 
-def _expected_splits(solution, cutoff=1e-12):
+def _expected_splits(solution):
     """Mixed-strategy expectation of the phase-1 budgets over support pairs,
     read from the splits of the solve's row and column sets."""
     p = solution.row_mix[solution.row_set]
     q = solution.col_mix[solution.col_set]
-    rows, cols = p > cutoff, q > cutoff
+    rows, cols = p > SUPPORT_CUTOFF, q > SUPPORT_CUTOFF
     return tuple(
         float(p[rows] @ split[np.ix_(rows, cols)] @ q[cols])
         for split in (solution.restricted_kg1, solution.restricted_kb1)

@@ -309,8 +309,10 @@ class Network:
         )
 
     @cached_property
-    def resolvent(self) -> np.ndarray:
-        """Dense (I - w)^{-1}; raises numpy's LinAlgError when I - w is singular."""
+    def _resolvent(self) -> np.ndarray:
+        """Dense (I - w)^{-1}; raises numpy's LinAlgError when I - w is singular.
+        Read it through ``dynamics.dense_resolvent``, which refuses rho >= 1
+        and networks too large for the inverse."""
         inv = np.linalg.inv(np.eye(self.n) - self.weights.toarray())
         inv.setflags(write=False)
         return inv

@@ -1,18 +1,27 @@
 """Shared test helpers: seeded random instances that satisfy the weight
 constraints, plus independent oracles (truncated series, dense-inverse
-dynamics, scalar loops over arcs and slots) that never route through the
-package's solvers or its array code."""
+dynamics, plain sweeps of the phase recursion, scalar loops over arcs and
+slots) that never route through the package's solvers or its array code."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy import sparse
 
-from opinion_game import GOOD, DependencyCoefficients, Network, Topology, compute_profile
+from opinion_game import (
+    GOOD,
+    ConvergenceError,
+    DependencyCoefficients,
+    Network,
+    Topology,
+    compute_profile,
+)
 from opinion_game.centrality import delta_matrix, delta_row
+from opinion_game.dynamics import DEFAULT_TOL, EPS, MAX_SWEEPS, STALL_ULPS
 from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot, solve_zero_sum
 from opinion_game.model import TOLERANCE
 from opinion_game.strategy_dependent import _box_saddle, _camp_terms, _coefficient_block
@@ -132,6 +141,53 @@ def dense_steady_state(net: Network, v_prev, x=None, y=None) -> np.ndarray:
     y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
     rhs = net.w0 * np.asarray(v_prev, dtype=float) + net.wg * x - net.wb * y
     return np.linalg.solve(np.eye(n) - net.weights.toarray(), rhs)
+
+
+def plain_iterate(mat, rhs, start, rho: float, column_sums: bool = False,
+                  tol: float = DEFAULT_TOL) -> tuple[np.ndarray, int]:
+    """(J(v), sweeps) of plain sweeps v <- J(v) = mat @ v + rhs from
+    ``start``, the paper's per-phase recursion, under the stop rules of the
+    library's iterative solves. ``mat`` contracts by ``rho`` < 1 in the
+    max-norm, or in each column's 1-norm with ``column_sums``. The loop stops
+    once rho / (1 - rho) * |step| < ``tol``, or once a step fails to shrink
+    by rho within ``STALL_ULPS`` ulps of the iterate; it raises
+    ConvergenceError past its budget: where the first step, shrunk by rho
+    per sweep, meets tol / 2, plus two sweeps, at most ``MAX_SWEEPS``."""
+
+    def norm(a):
+        a = np.abs(a)
+        return float((a.sum(axis=0) if column_sums else a).max(initial=0.0))
+
+    gain = rho / (1.0 - rho)
+    v, prev, budget = start, math.inf, None
+    for sweeps in range(1, MAX_SWEEPS + 1):
+        nxt = mat @ v + rhs
+        step = norm(nxt - v)
+        if gain * step < tol:
+            return nxt, sweeps
+        if step > rho * prev and step < STALL_ULPS * EPS * norm(nxt):
+            return nxt, sweeps
+        if not math.isfinite(step):
+            break
+        if budget is None:
+            bound = gain * step
+            budget = 2 + (0 if bound < tol / 2 else
+                          math.ceil(math.log(tol / 2 / bound) / math.log(rho)))
+        if sweeps >= budget:
+            break
+        v, prev = nxt, step
+    raise ConvergenceError(f"plain sweeps stopped at sweep {sweeps} with step {step:.3e}")
+
+
+def plain_phase(net: Network, v_prev, x=None, y=None, *, tol: float = DEFAULT_TOL):
+    """(opinions, sweeps) of one phase with the fixed camp weights, run as
+    plain sweeps of v <- w v + (w0 o v_prev + wg o x - wb o y) from v_prev."""
+    n = net.n
+    v_prev = np.asarray(v_prev, dtype=float)
+    x = np.zeros(n) if x is None else np.asarray(x, dtype=float)
+    y = np.zeros(n) if y is None else np.asarray(y, dtype=float)
+    rhs = net.w0 * v_prev + net.wg * x - net.wb * y
+    return plain_iterate(net.weights, rhs, v_prev, float(net.row_abs_sums.max()), tol=tol)
 
 
 def refined_solve(a: np.ndarray, b: np.ndarray, rounds: int = 4) -> np.ndarray:

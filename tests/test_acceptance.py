@@ -21,7 +21,6 @@ from opinion_game import (
     bounded_greedy,
     compute_profile,
     evaluate_two_phase,
-    fixed_point_iterate,
     multi_election_scores,
     myopic_loss,
     myopic_strategy,
@@ -40,6 +39,7 @@ from conftest import (
     dependency_two_phase_sum,
     interior_saddle,
     neumann_transpose_apply,
+    plain_phase,
     quad_coefficients,
     random_network,
 )
@@ -82,7 +82,7 @@ def test_criterion_2_dynamics_equivalence():
         net = random_network(rng, n, nonneg=bool(rng.integers(0, 2)))
         x, y = rng.uniform(0.0, 1.0, size=(2, n))
         direct = dense_steady_state(net, net.v0, x, y)
-        iterated, _ = fixed_point_iterate(net, net.v0, x, y, tol=1e-10)
+        iterated, _ = plain_phase(net, net.v0, x, y)
         solved = steady_state(net, net.v0, x, y)
         worst_solver = max(worst_solver, float(np.max(np.abs(direct - iterated))),
                            float(np.max(np.abs(direct - solved))))

@@ -72,7 +72,7 @@ class TestPublicSurface:
         "SWEEP_COLUMNS", "SWEEP_MODES", "Topology", "Violation", "WeightScheme",
         "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix", "delta_row",
         "dependency_camp_weights", "evaluate_two_phase",
-        "fixed_point_iterate", "game_profiles", "generate_weights", "iter_phases",
+        "game_profiles", "generate_weights", "iter_phases",
         "load_edge_list", "multi_election_scores",
         "myopic_loss", "myopic_strategy", "profile_utility", "run_phases",
         "save_edge_list", "single_camp_optimal", "solve_zero_sum", "steady_state",
@@ -80,7 +80,7 @@ class TestPublicSurface:
     ]
 
     def test_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 41
+        assert len(self.NAMES) == 40
         assert sorted(opinion_game.__all__) == self.NAMES
         assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
         for name in opinion_game.__all__:
@@ -88,16 +88,19 @@ class TestPublicSurface:
 
     def test_removed_aliases_are_gone(self):
         # each restated another function or served only tests; the single-slot
-        # result types gave way to InvestmentPlan, and farsighted_unbounded
-        # to bounded_greedy with cap=inf
+        # result types gave way to InvestmentPlan, farsighted_unbounded to
+        # bounded_greedy with cap=inf, and fixed_point_iterate to the plain
+        # loop in the tests' conftest
         for name in ("apply_delta", "camp_weights", "MatrixGame",
                      "katz_r", "katz_s", "katz_multiphase", "OpinionState",
-                     "PureInvestment", "PureProfile", "farsighted_unbounded"):
+                     "PureInvestment", "PureProfile", "farsighted_unbounded",
+                     "fixed_point_iterate"):
             with pytest.raises(AttributeError):
                 getattr(opinion_game, name)
         for owner, name in ((opinion_game.InvestmentPlan, "total"),
                             (opinion_game.InvestmentPlan, "violations"),
-                            (opinion_game.CentralityProfile, "order")):
+                            (opinion_game.CentralityProfile, "order"),
+                            (opinion_game.Network, "resolvent")):
             with pytest.raises(AttributeError):
                 getattr(owner, name)
 

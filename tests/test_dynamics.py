@@ -20,7 +20,6 @@ from opinion_game import (
     delta_matrix,
     delta_row,
     dependency_camp_weights,
-    fixed_point_iterate,
     iter_phases,
     run_phases,
     steady_state,
@@ -30,7 +29,15 @@ import opinion_game.dynamics as dynamics
 from opinion_game.centrality import delta_columns
 from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, dense_resolvent, solve_linear
 
-from conftest import dense_steady_state, directed_family, random_network, refined_solve, two_node_net
+from conftest import (
+    dense_steady_state,
+    directed_family,
+    plain_iterate,
+    plain_phase,
+    random_network,
+    refined_solve,
+    two_node_net,
+)
 
 
 def scalar_net(w=0.5, w0=0.4):
@@ -57,7 +64,7 @@ class TestSteadyState:
         y = np.array([0.0, 2.0])
         solved = steady_state(net, net.v0, x, y)
         assert_allclose(solved, dense_steady_state(net, net.v0, x, y), atol=1e-14)
-        iterated, _ = fixed_point_iterate(net, net.v0, x, y, tol=1e-13)
+        iterated, _ = plain_phase(net, net.v0, x, y, tol=1e-13)
         assert_allclose(iterated, solved, atol=1e-13)
 
     def test_effective_weight_override(self):
@@ -77,41 +84,54 @@ class TestSteadyState:
         assert_allclose(combined, split, atol=1e-10)
 
 
-class TestFixedPointIterate:
+class TestPlainRecursion:
+    """The paper's per-phase process, plain sweeps (the conftest oracle),
+    settles where steady_state's closed form puts it."""
+
     def test_no_edges_converges_in_one_iteration(self):
         net = Network.build(2, [], w0=0.5)
-        v, iters = fixed_point_iterate(net, [1.0, -1.0])
+        v, iters = plain_phase(net, [1.0, -1.0])
         assert iters == 1
         assert_allclose(v, [0.5, -0.5], atol=0)
+        assert_allclose(steady_state(net, [1.0, -1.0]), v, atol=0)
 
     def test_two_node_reaches_direct_solution(self):
         net = two_node_net()
-        v, _ = fixed_point_iterate(net, [1.0, 1.0], tol=1e-12)
+        v, _ = plain_phase(net, [1.0, 1.0], tol=1e-12)
         assert_allclose(v, [0.6, 0.6], atol=1e-11)
+        assert_allclose(steady_state(net, [1.0, 1.0]), [0.6, 0.6], atol=1e-12)
 
     def test_scalar_iteration_count_tracks_contraction_rate(self):
         net = scalar_net()
-        v, iters = fixed_point_iterate(net, [1.0], tol=1e-10)
+        v, iters = plain_phase(net, [1.0], tol=1e-10)
         assert_allclose(v, [0.8], atol=1e-9)
         expected = math.log(1e-10) / math.log(0.5)
         assert abs(iters - expected) < 8
 
     def test_error_bound_holds_near_unit_contraction(self):
-        # rho = 0.999: a step below tol would leave the result ~1e-7 away
+        # rho = 0.999: a step below tol would leave the result ~1e-7 away;
+        # v = 0.999 v + 0.0005 settles at 0.5
         net = Network.build(1, [(0, 0, 0.999)], w0=0.0005, wg=0.0005)
-        v, _ = fixed_point_iterate(net, [0.0], [1.0], tol=1e-10)
-        assert np.max(np.abs(v - steady_state(net, [0.0], [1.0]))) <= 1e-10
+        v, _ = plain_phase(net, [0.0], [1.0], tol=1e-10)
+        solved = steady_state(net, [0.0], [1.0])
+        assert np.max(np.abs(v - solved)) <= 1e-10
+        assert np.max(np.abs(v - 0.5)) <= 1e-10
+        assert np.max(np.abs(solved - 0.5)) <= 1e-10
 
     def test_default_budget_suffices(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             net = random_network(rng, int(rng.integers(2, 30)), edge_mass=0.99)
-            fixed_point_iterate(net, net.v0, tol=1e-12)
+            v, _ = plain_phase(net, net.v0, tol=1e-12)
+            assert np.max(np.abs(v - steady_state(net, net.v0))) <= 1e-10
 
     def test_iteration_cap_raises(self):
+        # rho understated as 0.1 where the weights contract by 0.5: the budget
+        # drawn from it runs out long before a step certifies 1e-14
         net = two_node_net()
+        rhs = net.w0 * np.ones(2)
         with pytest.raises(ConvergenceError):
-            fixed_point_iterate(net, [1.0, 1.0], max_iter=2, tol=1e-14)
+            plain_iterate(net.weights, rhs, np.ones(2), 0.1, tol=1e-14)
 
     def test_matches_direct_solve_on_random_instances(self):
         rng = np.random.default_rng(3)
@@ -120,7 +140,7 @@ class TestFixedPointIterate:
             net = random_network(rng, n, nonneg=bool(rng.integers(0, 2)))
             x, y = rng.uniform(0, 1, size=(2, n))
             direct = dense_steady_state(net, net.v0, x, y)
-            iterated, _ = fixed_point_iterate(net, net.v0, x, y, tol=1e-10)
+            iterated, _ = plain_phase(net, net.v0, x, y, tol=1e-10)
             assert np.max(np.abs(direct - iterated)) <= 1e-10
             assert np.max(np.abs(steady_state(net, net.v0, x, y) - direct)) < 1e-12
 
@@ -195,23 +215,27 @@ class TestSolveLinear:
     def test_no_contraction_refused_by_every_resolvent_reader(self, net):
         # delta_row, delta_columns and delta_matrix once read the cached
         # inverse of the 2-node network, [-1/3, -2/3] in row 0, while the
-        # solves refused it; rho >= 1 is now refused before any path is chosen
+        # solves refused it, and Network.resolvent still returned
+        # [[-1/3, -2/3], [-2/3, -1/3]]; rho >= 1 is now refused before any
+        # path is chosen, and the inverse has no public reader but
+        # delta_matrix
         assert validate(net) != []
+        assert not hasattr(net, "resolvent")
         for read in (lambda: delta_row(net, 0), lambda: delta_columns(net, 0, 1),
                      lambda: delta_matrix(net), lambda: compute_profile(net),
-                     lambda: fixed_point_iterate(net, np.zeros(net.n))):
+                     lambda: steady_state(net, np.zeros(net.n))):
             with pytest.raises(ConvergenceError, match="not a contraction"):
                 read()
-        assert "resolvent" not in vars(net)
+        assert "_resolvent" not in vars(net)
 
     @pytest.mark.parametrize("error", [1e-3, math.nan])
     @pytest.mark.parametrize("transpose", [False, True])
     def test_wrong_cached_inverse_refused(self, error, transpose):
         net = cycle_network(10, 0.5)
-        wrong = np.array(net.resolvent)
+        wrong = np.array(net._resolvent)
         wrong[3, 7] += error
         wrong.setflags(write=False)
-        net.__dict__["resolvent"] = wrong
+        net.__dict__["_resolvent"] = wrong
         with pytest.raises(ConvergenceError, match="^direct solve residual .* above its rounding bound"):
             solve_linear(net, np.ones(10), transpose=transpose)
 
@@ -291,7 +315,7 @@ class TestSolveLinear:
         finally:
             tracemalloc.stop()
         assert peak < net.n ** 2
-        assert "resolvent" not in vars(net)
+        assert "_resolvent" not in vars(net)
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_near_unit_iterative_solve_within_rounding_bound(self, monkeypatch, transpose):
@@ -362,7 +386,7 @@ def plain_sweeps(net, rhs, transpose):
     """Sweeps of the unweighted recursion on the same system."""
     mat = net.weights.T if transpose else net.weights
     rho = float(net.row_abs_sums.max())
-    return ITERATE(mat, rhs, rhs, rho, transpose, DEFAULT_TOL)[1]
+    return plain_iterate(mat, rhs, rhs, rho, transpose)[1]
 
 
 def within_certificate(net, z, exact, rhs, transpose):
@@ -618,9 +642,6 @@ class TestSweepBudget:
         assert dense_resolvent(net) is None
         rhs = net.w0 * net.v0 + net.wg * x
         v = steady_state(net, net.v0, x=x)
-        assert within_certificate(net, v, sparse_exact(net, rhs), rhs, False)
-        rhs = net.wg * x
-        v, _ = fixed_point_iterate(net, np.zeros(n), x=x)
         assert within_certificate(net, v, sparse_exact(net, rhs), rhs, False)
 
 

@@ -3,7 +3,8 @@
 The networks come from ``conftest.validated_networks``: 1-8 nodes with
 self-loops, sinks and isolated nodes, rows of |w| summing up to 1 - 1e-9,
 heterogeneous theta and v0 in [-1, 1]. Each strategy's plan is run through
-the phase dynamics and must reproduce the value the strategy reports. The
+the phase dynamics and must reproduce the value the strategy reports, and
+the solves themselves must match extended-precision refined solves. The
 tests are derandomized: every run draws the same networks and stores none.
 
 A value near rho = 1 carries a rounding error of order eps / (1 - rho)
@@ -25,10 +26,11 @@ from opinion_game import (
     evaluate_two_phase,
     run_phases,
     single_camp_optimal,
+    steady_state,
     validate,
 )
 
-from conftest import plan_total, validated_networks
+from conftest import plan_total, refined_solve, validated_networks
 
 #: largest scaled deviation allowed, about 4,500 ulps
 TOL = 1e-12
@@ -39,6 +41,36 @@ budgets = st.sampled_from([0.0, 1e-3, 1.0, 37.5, 100.0])
 def scaled_gap(net, simulated: float, value: float) -> float:
     rho = float(net.row_abs_sums.max())
     return abs(simulated - value) * (1.0 - rho) / (1.0 + abs(value))
+
+
+def worst_scaled_gap(net, got: np.ndarray, exact: np.ndarray) -> float:
+    """:func:`scaled_gap` entry by entry, the largest."""
+    rho = float(net.row_abs_sums.max())
+    return float(np.max(np.abs(got - exact) * (1.0 - rho) / (1.0 + np.abs(exact))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(net=validated_networks())
+def test_profile_matches_refined_solves(net):
+    assert validate(net) == []
+    prof = compute_profile(net)
+    a = (np.eye(net.n) - net.weights.toarray()).T
+    r = refined_solve(a, np.ones(net.n))
+    s = refined_solve(a, net.w0 * r)
+    assert worst_scaled_gap(net, prof.r, r) <= TOL
+    assert worst_scaled_gap(net, prof.s, s) <= TOL
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(net=validated_networks(), data=st.data())
+def test_invested_steady_state_matches_refined_solve(net, data):
+    assert validate(net) == []
+    amounts = st.lists(st.floats(1e-3, 100.0), min_size=net.n, max_size=net.n)
+    x, y = np.array(data.draw(amounts)), np.array(data.draw(amounts))
+    v = steady_state(net, net.v0, x, y)
+    rhs = net.w0 * net.v0 + net.wg * x - net.wb * y
+    exact = refined_solve(np.eye(net.n) - net.weights.toarray(), rhs)
+    assert worst_scaled_gap(net, v, exact) <= TOL
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

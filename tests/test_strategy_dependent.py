@@ -452,7 +452,7 @@ class TestProfileUtility:
                            r"names a node outside \[0, 6\)$")
                 with pytest.raises(ValueError, match=message):
                     profile_utility(net, good, bad, 10.0, 5.0)
-        assert "resolvent" not in vars(net)  # refused before any solve
+        assert "_resolvent" not in vars(net)  # refused before any solve
         ids = (np.int64(5), np.int32(0))
         assert profile_utility(net, ids, (2, 3), 10.0, 5.0) == profile_utility(
             net, (5, 0), (2, 3), 10.0, 5.0
@@ -611,7 +611,7 @@ class TestTwoCampEquilibrium:
         net = random_network(rng, 41, dependency=True)
         with pytest.raises(ValueError, match="2829124-entry payoff; refusing n=41"):
             two_camp_equilibrium(net, 1.0, 1.0)
-        assert "resolvent" not in vars(net)  # refused before any solve
+        assert "_resolvent" not in vars(net)  # refused before any solve
 
 
 class TestDoubleOracle:
@@ -666,7 +666,7 @@ class TestDoubleOracle:
         with pytest.raises(ValueError, match=r"over 145 profiles per camp, .* this 13-node "
                                              r"network has n\^2 \+ 1 = 170"):
             two_camp_equilibrium(net, 100.0, 50.0, start=start)
-        assert "resolvent" not in vars(net)  # refused before any solve
+        assert "_resolvent" not in vars(net)  # refused before any solve
 
     def test_wrong_restricted_mix_fails_the_certificate(self, monkeypatch):
         solve = dep.solve_zero_sum
