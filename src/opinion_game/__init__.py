@@ -7,7 +7,7 @@ Library layout:
 * :mod:`opinion_game.dynamics` computes per-phase steady-state opinions and
   chains phases;
 * :mod:`opinion_game.centrality` computes the one-phase and look-ahead Katz
-  influence vectors (:func:`compute_profile`) and resolvent rows;
+  influence vectors (:func:`compute_profile`) and the resolvent;
 * :mod:`opinion_game.strategy_fixed` derives camp strategies when camp
   weights are fixed (per-node-capped or uncapped, myopic, multiple-elections);
 * :mod:`opinion_game.strategy_dependent` handles the setting where camp
@@ -43,7 +43,6 @@ from .centrality import (
     CentralityProfile,
     compute_profile,
     delta_matrix,
-    delta_row,
 )
 from .strategy_fixed import (
     bounded_greedy,
@@ -56,7 +55,6 @@ from .strategy_dependent import (
     DependencyCoefficients,
     GameSolution,
     game_profiles,
-    profile_utility,
     single_camp_optimal,
     two_camp_equilibrium,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "bounded_greedy",
     "compute_profile",
     "delta_matrix",
-    "delta_row",
     "dependency_camp_weights",
     "evaluate_two_phase",
     "game_profiles",
@@ -105,7 +102,6 @@ __all__ = [
     "multi_election_scores",
     "myopic_loss",
     "myopic_strategy",
-    "profile_utility",
     "run_phases",
     "save_edge_list",
     "single_camp_optimal",

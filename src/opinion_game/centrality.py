@@ -1,19 +1,18 @@
-"""Influence measures: one-phase and look-ahead Katz vectors, resolvent rows.
+"""Influence measures: one-phase and look-ahead Katz vectors, resolvent columns.
 
 ``r`` solves (I - w^T) r = 1; r[i] is the total opinion mass a unit of direct
 influence on node i produces within a single phase. ``s`` reweights that by
 how much of the produced opinion survives into a following phase through the
 bias weights, s = (I - w^T)^{-1} (r o w0), and higher orders extend the
-look-ahead one phase at a time. Rows and columns of the resolvent
-(I - w)^{-1} come from the inverse the network caches when its solves are
-dense, and otherwise from one transposed solve per row or one block solve
-per set of columns. Like every solve, each reader refuses a network whose
-rows of |w| reach 1 with ConvergenceError.
+look-ahead one phase at a time. Columns of the resolvent (I - w)^{-1} come
+from the inverse the network caches when its solves are dense, and
+otherwise from one block solve per set of columns; the whole inverse is
+read only on the dense path. Like every solve, each reader refuses a
+network whose rows of |w| reach 1 with ConvergenceError.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,32 +44,6 @@ def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:
     while len(vecs) < orders:
         vecs.append(solve_linear(net, vecs[-1] * net.w0, transpose=True))
     return CentralityProfile(r=vecs[0], s=vecs[1], higher=tuple(vecs[2:]))
-
-
-def _node_index(net: Network, j) -> int | None:
-    """j as a node index of ``net``, or None where j is outside [0, n) or
-    :func:`operator.index` refuses it (1.5 is refused, numpy integers not)."""
-    try:
-        j = operator.index(j)
-    except TypeError:
-        return None
-    return j if 0 <= j < net.n else None
-
-
-def delta_row(net: Network, j: int) -> np.ndarray:
-    """Row j of (I - w)^{-1}, read-only: entry i tells how much of node j's
-    converged opinion is sourced from the static input at node i. A row of
-    the cached inverse on the dense path, otherwise the transposed solve
-    (I - w)^T z = e_j. An id that is not a node is refused."""
-    node = _node_index(net, j)
-    if node is None:
-        raise ValueError(f"node {j} out of range")
-    delta = dense_resolvent(net)
-    if delta is not None:
-        return delta[node]
-    row = solve_linear(net, np.eye(1, net.n, node)[0], transpose=True)
-    row.setflags(write=False)
-    return row
 
 
 def delta_columns(net: Network, start: int, stop: int) -> np.ndarray:

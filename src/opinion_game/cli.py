@@ -149,11 +149,11 @@ def _cmd_strategy_dep(args) -> None:
     schedules = {}
     for a, i in enumerate(solution.row_set):
         p = solution.row_mix[i]
-        if p <= 1e-9:
+        if p <= harness.SUPPORT_CUTOFF:
             continue
         for b, j in enumerate(solution.col_set):
             q = solution.col_mix[j]
-            if q <= 1e-9:
+            if q <= harness.SUPPORT_CUTOFF:
                 continue
             good = solution.profiles[i] or (None, None)
             bad = solution.profiles[j] or (None, None)

@@ -30,7 +30,7 @@ SWEEP_MODES = ("bounded", "dependency1", "dependency2")
 SWEEP_COLUMNS = ("w0", "k1_good", "k2_good", "k1_bad", "k2_bad", "objective", "myopic_loss")
 
 #: mix probabilities at or below this are left out of a sweep row's expected
-#: phase-1 budgets
+#: phase-1 budgets and of the schedules ``strategy-dep`` prints
 SUPPORT_CUTOFF = 1e-12
 
 

@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .centrality import _node_index, compute_profile, delta_columns, delta_matrix, delta_row
+from .centrality import compute_profile, delta_columns, delta_matrix
 from .dynamics import _dot, solve_linear
 from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
 from .model import GOOD, InvestmentPlan, Network
@@ -105,8 +105,10 @@ class DependencyCoefficients:
     phase through node j's bias; its row sums over j reproduce s, and
     cb = b c = scale o (I - w)^{-1} c holds the c-weighted sums of its rows.
     s_total = sum_ij c_i b_ji is the objective when nobody invests. r, s and
-    cb are solved once, when the instance is made; no row of b is kept:
-    callers form row j as ``scale[j] * delta_row(net, j)``.
+    cb are solved once, when the instance is made; b itself is not kept:
+    the single-camp scan forms its columns in blocks from
+    :func:`~opinion_game.centrality.delta_columns`, and the two-camp game
+    all of it from :func:`~opinion_game.centrality.delta_matrix`.
     """
 
     def __init__(self, net: Network):
@@ -243,47 +245,6 @@ def _coefficient_block(coef, b_rows: np.ndarray, good, bad):
     qbb = h1 * h2 * b_dg
     qab = -g1 * h2 * b_da + h1 * g2 * b_bg
     return u00, qa, qb, qaa, qbb, qab, kg, kb
-
-
-def profile_utility(
-    net: Network,
-    good: Optional[Pair],
-    bad: Optional[Pair],
-    kg: float,
-    kb: float,
-) -> tuple[float, float, float]:
-    """Saddle value and phase-1 budgets for one pure node-profile pair.
-
-    ``good`` and ``bad`` are (phase-1 node, phase-2 node) pairs, or None for
-    a camp that stays out. Returns (value, kg1, kb1); the remaining budgets
-    kg - kg1 and kb - kb1 go to phase 2. The good camp's split maximizes and
-    the bad camp's minimizes the quadratic objective over the budget box.
-    This is one entry of the payoff whose rows and columns
-    :func:`two_camp_equilibrium` scores, solved by the same exact saddle
-    kernel (:func:`_box_saddle`). Each call forms its own coefficients and
-    solves the one or two coupling rows it needs. A node outside [0, n) or
-    not an integer (1.5) in either profile is refused before any solve.
-    """
-    if not (0 <= kg < np.inf and 0 <= kb < np.inf):  # also refuses nan
-        raise ValueError("budgets must be finite and nonnegative")
-    for camp, profile in (("good", good), ("bad", bad)):
-        if profile is not None and any(_node_index(net, node) is None for node in profile):
-            raise ValueError(f"{camp} profile {profile} names a node outside [0, {net.n})")
-    coef = DependencyCoefficients(net)
-    present = [p for p in (good, bad) if p is not None]
-    b_rows = np.array([coef.scale[j] * delta_row(net, j) for _, j in present] or [np.zeros(net.n)])
-
-    def side(profile, row, budget, sign):
-        # the profile's terms, or the stay-out terms when it is None
-        node1, node2 = ([profile[0]], [profile[1]]) if profile is not None else ([], [])
-        terms = _camp_terms(coef, node1, node2, [row] * len(node1), budget, sign)
-        return [x[:1] for x in terms]
-
-    block = _coefficient_block(
-        coef, b_rows, side(good, 0, kg, 1.0), side(bad, len(present) - 1, kb, -1.0)
-    )
-    value, a, b = _box_saddle(*block)
-    return float(value[0]), float(a[0]), float(b[0])
 
 
 def _split_values(s_total: float, kg: float, first_gain, second_gain, coupling):

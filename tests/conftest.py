@@ -20,8 +20,8 @@ from opinion_game import (
     Topology,
     compute_profile,
 )
-from opinion_game.centrality import delta_matrix, delta_row
-from opinion_game.dynamics import DEFAULT_TOL, EPS, MAX_SWEEPS, STALL_ULPS
+from opinion_game.centrality import delta_matrix
+from opinion_game.dynamics import DEFAULT_TOL, EPS, MAX_SWEEPS, STALL_ULPS, solve_linear
 from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot, solve_zero_sum
 from opinion_game.model import TOLERANCE
 from opinion_game.strategy_dependent import _box_saddle, _camp_terms, _coefficient_block
@@ -215,6 +215,13 @@ def dependency_two_phase_sum(net: Network, x1, x2, y1, y2) -> float:
     return float(v2.sum())
 
 
+def resolvent_row(net: Network, j: int) -> np.ndarray:
+    """Row j of (I - w)^{-1}, from the transposed solve (I - w)^T z = e_j: on
+    the dense path a product of the cached inverse with a unit vector, so
+    bitwise equal to ``delta_matrix(net)[j]``."""
+    return solve_linear(net, np.eye(1, net.n, j)[0], transpose=True)
+
+
 def quad_coefficients(net: Network, coef, good, bad, kg: float, kb: float):
     """Coefficients (u00, qa, qb, qaa, qbb, qab) of the final-phase objective
 
@@ -231,7 +238,7 @@ def quad_coefficients(net: Network, coef, good, bad, kg: float, kb: float):
     """
 
     def b_row(j):
-        return coef.scale[j] * delta_row(net, j)
+        return coef.scale[j] * resolvent_row(net, j)
 
     def cb(j):
         return float(b_row(j) @ coef.c)
@@ -264,6 +271,18 @@ def quad_coefficients(net: Network, coef, good, bad, kg: float, kb: float):
             qb -= h1 * kg * g2 * b_bg
             qab = -g1 * h2 * b_da + h1 * g2 * b_bg
     return u00, qa, qb, qaa, qbb, qab
+
+
+def saddle_entry(net: Network, good, bad, kg: float, kb: float) -> tuple[float, float, float]:
+    """(value, kg1, kb1) of one payoff entry: the box saddle of the scalar
+    :func:`quad_coefficients` of the profiles ``good`` and ``bad``, each a
+    (phase-1 node, phase-2 node) pair or None for a camp that stays out and
+    so has a budget of 0."""
+    coefs = quad_coefficients(net, DependencyCoefficients(net), good, bad, kg, kb)
+    ka = kg if good is not None else 0.0
+    kd = kb if bad is not None else 0.0
+    value, a, b = _box_saddle(*coefs, ka, kd)
+    return float(value), float(a), float(b)
 
 
 def interior_saddle(qa, qb, qaa, qbb, qab):

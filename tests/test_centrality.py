@@ -6,12 +6,12 @@ from opinion_game import (
     Network,
     compute_profile,
     delta_matrix,
-    delta_row,
 )
 
+from opinion_game.centrality import delta_columns
 from opinion_game.dynamics import solve_linear
 
-from conftest import neumann_transpose_apply, random_network, two_node_net
+from conftest import neumann_transpose_apply, random_network, resolvent_row, two_node_net
 
 
 class TestKatzVectors:
@@ -97,41 +97,38 @@ class TestProfile:
 class TestResolventRows:
     def test_identity_when_no_edges(self):
         net = Network.build(3, [])
-        assert_allclose(delta_row(net, 1), [0.0, 1.0, 0.0], atol=0)
+        assert_allclose(resolvent_row(net, 1), [0.0, 1.0, 0.0], atol=0)
 
     def test_two_node_row(self):
         net = two_node_net()
-        assert_allclose(delta_row(net, 0), [4.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+        assert_allclose(resolvent_row(net, 0), [4.0 / 3.0, 2.0 / 3.0], atol=1e-12)
 
     def test_rows_sum_to_r(self):
         rng = np.random.default_rng(37)
         for _ in range(5):
             net = random_network(rng, int(rng.integers(2, 12)), nonneg=False)
-            stacked = np.array([delta_row(net, j) for j in range(net.n)])
+            stacked = np.array([resolvent_row(net, j) for j in range(net.n)])
             assert np.max(np.abs(stacked.sum(axis=0) - compute_profile(net).r)) < 1e-8
 
     def test_rows_are_cached(self):
+        # the inverse is formed once per network, and neither it nor a
+        # column block read from it can be written through
         net = two_node_net()
-        assert not delta_row(net, 1).flags.writeable
+        full = delta_matrix(net)
+        assert delta_matrix(net) is full
+        assert not full.flags.writeable and not full[1].flags.writeable
+        block = delta_columns(net, 1, 2)
+        assert np.shares_memory(block, full) and not block.flags.writeable
 
     def test_matrix_agrees_with_rows(self):
         rng = np.random.default_rng(43)
         net = random_network(rng, 7, nonneg=False)
         full = delta_matrix(net)
         for j in range(net.n):
-            assert_allclose(delta_row(net, j), full[j], atol=1e-9)
+            assert np.array_equal(resolvent_row(net, j), full[j])
 
     def test_solve_linear_matches_matrix(self):
         rng = np.random.default_rng(47)
         net = random_network(rng, 9, nonneg=False)
         vec = rng.normal(size=9)
         assert_allclose(solve_linear(net, vec), delta_matrix(net) @ vec, atol=1e-9)
-
-    def test_row_index_checked(self):
-        # 1.5 raised numpy's bare IndexError, and True read as a boolean mask
-        net = two_node_net()
-        for j in (2, -1, 1.5, np.float64(1.0)):
-            with pytest.raises(ValueError, match=rf"^node {j} out of range$"):
-                delta_row(net, j)
-        for j in (np.int64(1), np.int32(1), True):
-            assert np.array_equal(delta_row(net, j), delta_row(net, 1))

@@ -70,17 +70,17 @@ class TestPublicSurface:
         "DependencyCoefficients", "GOOD", "GameSolution", "GameSolverError",
         "InvestmentPlan", "Network",
         "SWEEP_COLUMNS", "SWEEP_MODES", "Topology", "Violation", "WeightScheme",
-        "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix", "delta_row",
+        "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix",
         "dependency_camp_weights", "evaluate_two_phase",
         "game_profiles", "generate_weights", "iter_phases",
         "load_edge_list", "multi_election_scores",
-        "myopic_loss", "myopic_strategy", "profile_utility", "run_phases",
+        "myopic_loss", "myopic_strategy", "run_phases",
         "save_edge_list", "single_camp_optimal", "solve_zero_sum", "steady_state",
         "sweep_point", "sweep_w0", "two_camp_equilibrium", "validate",
     ]
 
     def test_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 40
+        assert len(self.NAMES) == 38
         assert sorted(opinion_game.__all__) == self.NAMES
         assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
         for name in opinion_game.__all__:
@@ -89,12 +89,13 @@ class TestPublicSurface:
     def test_removed_aliases_are_gone(self):
         # each restated another function or served only tests; the single-slot
         # result types gave way to InvestmentPlan, farsighted_unbounded to
-        # bounded_greedy with cap=inf, and fixed_point_iterate to the plain
-        # loop in the tests' conftest
+        # bounded_greedy with cap=inf, fixed_point_iterate to the plain loop
+        # in the tests' conftest, and profile_utility and delta_row to its
+        # saddle_entry and resolvent_row
         for name in ("apply_delta", "camp_weights", "MatrixGame",
                      "katz_r", "katz_s", "katz_multiphase", "OpinionState",
                      "PureInvestment", "PureProfile", "farsighted_unbounded",
-                     "fixed_point_iterate"):
+                     "fixed_point_iterate", "profile_utility", "delta_row"):
             with pytest.raises(AttributeError):
                 getattr(opinion_game, name)
         for owner, name in ((opinion_game.InvestmentPlan, "total"),
@@ -348,6 +349,24 @@ class TestStrategyDepCommand:
         code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph_file, "--kg", "2", "--kb", "2")
         assert code == 0
         assert out.splitlines()[1:] == ["0.5,0,,0.5,1,,1,2,0,2,0", "0.5,2,2,0.5,1,,1,1,1,2,0"]
+
+    def test_rows_down_to_the_sweep_support_cutoff_print(self, capsys, graph_file, monkeypatch):
+        # good profile 2 plays 5e-10 and prints its own row, once dropped by a
+        # cutoff of 1e-9; profile 4 plays exactly harness.SUPPORT_CUTOFF, 1e-12,
+        # and prints none, as it takes no part in a sweep row's expected splits
+        profiles = [None, (0, 1), (0, 2), (1, 0), (2, 2)]
+        solution = SimpleNamespace(
+            value=0.5, profiles=profiles, row_set=[1, 2, 4], col_set=[3],
+            row_mix=np.array([0, 1 - 5e-10 - 1e-12, 5e-10, 0, 1e-12]),
+            col_mix=np.array([0, 0, 0, 1.0, 0]),
+            restricted_kg1=np.array([[1.0], [0.5], [0.25]]),
+            restricted_kb1=np.full((3, 1), 2.0),
+        )
+        monkeypatch.setattr(cli, "two_camp_equilibrium", lambda net, kg, kb: solution)
+        code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph_file, "--kg", "2", "--kb", "2")
+        assert code == 0
+        assert out.splitlines()[1:] == ["0.5,0,1,0.999999999499,1,,1,1,1,2,0",
+                                        "0.5,0,2,5e-10,1,,1,0.5,1.5,2,0"]
 
     def test_guard_refuses_synthetic_scale(self, capsys):
         code, _, err = run_cli(capsys, "strategy-dep", "--seed", "0")

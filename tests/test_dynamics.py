@@ -18,7 +18,6 @@ from opinion_game import (
     ba_graph,
     compute_profile,
     delta_matrix,
-    delta_row,
     dependency_camp_weights,
     iter_phases,
     run_phases,
@@ -36,6 +35,7 @@ from conftest import (
     plain_phase,
     random_network,
     refined_solve,
+    resolvent_row,
     two_node_net,
 )
 
@@ -213,15 +213,14 @@ class TestSolveLinear:
         cycle_network(600, 1.0),
     ], ids=["invertible-rho-2", "cycle-600-rho-1"])
     def test_no_contraction_refused_by_every_resolvent_reader(self, net):
-        # delta_row, delta_columns and delta_matrix once read the cached
-        # inverse of the 2-node network, [-1/3, -2/3] in row 0, while the
-        # solves refused it, and Network.resolvent still returned
-        # [[-1/3, -2/3], [-2/3, -1/3]]; rho >= 1 is now refused before any
-        # path is chosen, and the inverse has no public reader but
-        # delta_matrix
+        # the resolvent readers once read the cached inverse of the 2-node
+        # network, [-1/3, -2/3] in row 0, while the solves refused it, and
+        # Network.resolvent still returned [[-1/3, -2/3], [-2/3, -1/3]];
+        # rho >= 1 is now refused before any path is chosen, and the inverse
+        # has no public reader but delta_matrix
         assert validate(net) != []
         assert not hasattr(net, "resolvent")
-        for read in (lambda: delta_row(net, 0), lambda: delta_columns(net, 0, 1),
+        for read in (lambda: delta_columns(net, 0, 1),
                      lambda: delta_matrix(net), lambda: compute_profile(net),
                      lambda: steady_state(net, np.zeros(net.n))):
             with pytest.raises(ConvergenceError, match="not a contraction"):
@@ -264,8 +263,7 @@ class TestSolveLinear:
             delta_matrix(net)
         exact = np.linalg.inv(np.eye(net.n) - net.weights.toarray())
         for j in (0, 1, 417):
-            row = delta_row(net, j)
-            assert not row.flags.writeable
+            row = resolvent_row(net, j)
             assert np.abs(row - exact[j]).sum() <= DEFAULT_TOL
 
     def test_plain_iterative_solve_is_certified(self):

@@ -3,9 +3,11 @@
 The networks come from ``conftest.validated_networks``: 1-8 nodes with
 self-loops, sinks and isolated nodes, rows of |w| summing up to 1 - 1e-9,
 heterogeneous theta and v0 in [-1, 1]. Each strategy's plan is run through
-the phase dynamics and must reproduce the value the strategy reports, and
-the solves themselves must match extended-precision refined solves. The
-tests are derandomized: every run draws the same networks and stores none.
+the phase dynamics and must reproduce the value the strategy reports, the
+solves themselves must match extended-precision refined solves, and the
+capped greedy plan and the double oracle must match their whole-problem
+oracles. The tests are derandomized: every run draws the same networks and
+stores none.
 
 A value near rho = 1 carries a rounding error of order eps / (1 - rho)
 relative, which float64 cannot improve, so deviations are compared as
@@ -27,10 +29,17 @@ from opinion_game import (
     run_phases,
     single_camp_optimal,
     steady_state,
+    two_camp_equilibrium,
     validate,
 )
 
-from conftest import plan_total, refined_solve, validated_networks
+from conftest import (
+    full_game_solution,
+    greedy_oracle,
+    plan_total,
+    refined_solve,
+    validated_networks,
+)
 
 #: largest scaled deviation allowed, about 4,500 ulps
 TOL = 1e-12
@@ -114,3 +123,27 @@ def test_unbounded_plan_matches_dynamics_and_beats_every_single_slot(net, budget
         slot[k] = budget
         other = objective(slot[:n], slot[n:])
         assert sign * (other - value) <= 0.0 or scaled_gap(net, other, value) <= TOL
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(net=validated_networks(), budget=budgets, camp=st.sampled_from([GOOD, BAD]),
+       cap=st.sampled_from([1e-3, 0.5, 1.0, 7.0]))
+def test_capped_plan_matches_the_greedy_oracle(net, budget, camp, cap):
+    assert validate(net) == []
+    prof = compute_profile(net)
+    plan = bounded_greedy(net, budget, camp, cap=cap, profile=prof)
+    x1, x2 = greedy_oracle(net, budget, camp, cap, prof)
+    assert np.array_equal(plan.x1, x1) and np.array_equal(plan.x2, x2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(net=validated_networks(dependency=True), kg=budgets, kb=budgets)
+def test_double_oracle_matches_the_full_game(net, kg, kb):
+    # the bound is the one the solve's own gap certificate must meet
+    assert validate(net, "dependency") == []
+    solution = two_camp_equilibrium(net, kg, kb)
+    full = full_game_solution(net, kg, kb)
+    bound = 1e-9 * (1.0 + abs(full.value))
+    assert abs(solution.value - full.value) <= bound
+    exploit = float((full.payoff @ solution.col_mix).max() - (solution.row_mix @ full.payoff).min())
+    assert exploit <= bound

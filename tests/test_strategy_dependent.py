@@ -18,11 +18,9 @@ from opinion_game import (
     Network,
     ba_graph,
     compute_profile,
-    delta_row,
     dependency_camp_weights,
     game_profiles,
     generate_weights,
-    profile_utility,
     run_phases,
     save_edge_list,
     single_camp_optimal,
@@ -37,6 +35,8 @@ from conftest import (
     mirrored_box_saddle,
     quad_coefficients,
     random_network,
+    resolvent_row,
+    saddle_entry,
     two_node_net,
 )
 
@@ -86,7 +86,7 @@ class TestDependencyCoefficients:
             net = random_network(rng, int(rng.integers(2, 10)), dependency=True)
             coef = DependencyCoefficients(net)
             assert np.array_equal(coef.scale, coef.r * net.w0)
-            stacked = np.array([coef.scale[j] * delta_row(net, j) for j in range(net.n)])
+            stacked = np.array([coef.scale[j] * resolvent_row(net, j) for j in range(net.n)])
             assert np.max(np.abs(stacked.sum(axis=0) - compute_profile(net).s)) < 1e-8
 
     def test_idle_total_is_bias_weighted_s(self):
@@ -188,7 +188,7 @@ class TestSingleCampOptimal:
 
     def test_iterative_scan_solves_only_r_and_s_transposed(self, monkeypatch):
         # the winner is neither re-solved by the saddle kernel nor given a
-        # resolvent row of its own
+        # resolvent row of its own: r and s are the only transposed solves
         net = random_network(np.random.default_rng(181), 9, dependency=True)
         monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
         transposed = []
@@ -204,8 +204,7 @@ class TestSingleCampOptimal:
         def refused(*args, **kwargs):
             raise AssertionError("the single-camp scan left its closed form")
 
-        monkeypatch.setattr(dep, "profile_utility", refused)
-        monkeypatch.setattr(dep, "delta_row", refused)
+        monkeypatch.setattr(dep, "_box_saddle", refused)
         plan, _ = single_camp_optimal(net, 4.0)
         assert plan.x1.any() or plan.x2.any()
         assert transposed.count(True) == 2
@@ -229,10 +228,10 @@ class TestSingleCampOptimal:
             second = 0.5 * coef.theta[b]
             closed = (
                 coef.s_total + first * coef.s[a] * k1 + second * (coef.cb[b] + coef.r[b]) * k2
-                + first * second * coef.scale[b] * delta_row(net, b)[a] * k1 * k2
+                + first * second * coef.scale[b] * resolvent_row(net, b)[a] * k1 * k2
             )
             assert value == pytest.approx(closed, rel=1e-12)
-            kernel_value, kernel_k1, _ = profile_utility(net, (a, b), None, kg, 0.0)
+            kernel_value, kernel_k1, _ = saddle_entry(net, (a, b), None, kg, 0.0)
             assert abs(value - kernel_value) <= 1e-12 * (1.0 + abs(value))
             assert abs(k1 - kernel_k1) <= 1e-9 * kg
             scanned += 1
@@ -261,8 +260,6 @@ class TestBudgetChecks:
             single_camp_optimal(net, budget)
         for kg, kb in ((budget, 1.0), (1.0, budget)):
             with pytest.raises(ValueError, match="^budgets must be finite and nonnegative$"):
-                profile_utility(net, (0, 1), (1, 0), kg, kb)
-            with pytest.raises(ValueError, match="^budgets must be finite and nonnegative$"):
                 two_camp_equilibrium(net, kg, kb)
 
     @pytest.mark.parametrize("k1, k2", [(-1.0, 1.0), (np.nan, 1.0), (1.0, np.nan)])
@@ -273,11 +270,11 @@ class TestBudgetChecks:
             InvestmentPlan(GOOD, [k1, 0.0], [0.0, k2])
 
 
-class TestProfileUtility:
+class TestPayoffEntry:
     def test_both_out_is_idle_total(self):
         net = dep_pair(v0=1.0)
         coef = DependencyCoefficients(net)
-        value, kg1, kb1 = profile_utility(net, None, None, 5.0, 5.0)
+        value, kg1, kb1 = saddle_entry(net, None, None, 5.0, 5.0)
         assert value == pytest.approx(coef.s_total)
         assert kg1 == 0.0 and kb1 == 0.0
 
@@ -285,7 +282,7 @@ class TestProfileUtility:
         net = Network.build(2, [(0, 1, 0.5), (1, 0, 0.5)], w0=0.3, v0=[0.5, -0.5], theta=0.0)
         for good in ((0, 1), (1, 0), None):
             for bad in ((0, 0), None):
-                value, _, _ = profile_utility(net, good, bad, 10.0, 5.0)
+                value, _, _ = saddle_entry(net, good, bad, 10.0, 5.0)
                 assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_value_matches_raw_dynamics_at_returned_splits(self):
@@ -296,7 +293,7 @@ class TestProfileUtility:
             kg, kb = float(rng.uniform(0, 6)), float(rng.uniform(0, 6))
             good = tuple(int(v) for v in rng.integers(0, n, 2))
             bad = tuple(int(v) for v in rng.integers(0, n, 2))
-            value, kg1, kb1 = profile_utility(net, good, bad, kg, kb)
+            value, kg1, kb1 = saddle_entry(net, good, bad, kg, kb)
             plans = profile_to_plans(n, good, bad, kg1, kg - kg1, kb1, kb - kb1)
             assert value == pytest.approx(dependency_two_phase_sum(net, *plans), abs=1e-8)
 
@@ -309,7 +306,7 @@ class TestProfileUtility:
             good = tuple(int(v) for v in rng.integers(0, n, 2))
             bad = tuple(int(v) for v in rng.integers(0, n, 2))
             coef = DependencyCoefficients(net)
-            value, kg1, kb1 = profile_utility(net, good, bad, kg, kb)
+            value, kg1, kb1 = saddle_entry(net, good, bad, kg, kb)
             u00, qa, qb, qaa, qbb, qab = quad_coefficients(net, coef, good, bad, kg, kb)
 
             def u(a, b):
@@ -322,16 +319,16 @@ class TestProfileUtility:
     def test_single_sided_profiles_reduce_cleanly(self):
         rng = np.random.default_rng(131)
         net = random_network(rng, 4, dependency=True)
-        value_good, kg1, kb1 = profile_utility(net, (1, 2), None, 4.0, 9.0)
+        value_good, kg1, kb1 = saddle_entry(net, (1, 2), None, 4.0, 9.0)
         assert kb1 == 0.0
         plans = profile_to_plans(4, (1, 2), None, kg1, 4.0 - kg1, 0, 0)
         assert value_good == pytest.approx(dependency_two_phase_sum(net, *plans), abs=1e-9)
-        value_bad, kg1, kb1 = profile_utility(net, None, (0, 3), 4.0, 9.0)
+        value_bad, kg1, kb1 = saddle_entry(net, None, (0, 3), 4.0, 9.0)
         assert kg1 == 0.0
         plans = profile_to_plans(4, None, (0, 3), 0, 0, kb1, 9.0 - kb1)
         assert value_bad == pytest.approx(dependency_two_phase_sum(net, *plans), abs=1e-9)
         # the bad camp minimizes: staying in can only lower the objective
-        assert value_bad <= profile_utility(net, None, None, 4.0, 9.0)[0] + 1e-12
+        assert value_bad <= saddle_entry(net, None, None, 4.0, 9.0)[0] + 1e-12
 
     def test_closed_form_agrees_with_kernel_when_interior(self):
         rng = np.random.default_rng(137)
@@ -364,7 +361,7 @@ class TestProfileUtility:
         value, a, b = _box_saddle(2.5, 0.0, -1.0, 0.0, 0.0, 0.0, 4.0, 3.0)
         assert (value, a, b) == (-0.5, 0.0, 3.0)
         net = Network.build(2, [(0, 1, 0.5), (1, 0, 0.5)], w0=0.3, v0=[0.5, -0.5], theta=0.0)
-        assert profile_utility(net, (0, 1), (1, 0), 10.0, 5.0)[1:] == (0.0, 0.0)
+        assert saddle_entry(net, (0, 1), (1, 0), 10.0, 5.0)[1:] == (0.0, 0.0)
 
     def test_clamped_reply_is_positive_zero(self):
         # the bad camp's best reply -(qb + qab a) / (2 qbb) is -0.0 here
@@ -434,29 +431,6 @@ class TestProfileUtility:
 
             assert np.all(u(grid * kg[:, None], b[:, None]).max(axis=1) <= value + tol), name
             assert np.all(u(a[:, None], grid * kb[:, None]).min(axis=1) >= value - tol), name
-
-    def test_negative_budget_rejected(self):
-        with pytest.raises(ValueError):
-            profile_utility(dep_pair(), (0, 0), None, -1.0, 0.0)
-
-    def test_out_of_range_nodes_refused(self):
-        # (-1, 0) was scored as (5, 0) by numpy's index wrap, (6, 0) and
-        # (0, 6) raised a bare IndexError and (0, -1) a ValueError from
-        # delta_row; (1.5, 0) was scored as (1, 0) and (1, 0.5) raised a
-        # bare IndexError
-        net = generate_weights(ba_graph(6, 2, 0), 0.3)
-        for profile in ((-1, 0), (6, 0), (0, 6), (0, -1), (1.5, 0), (1, 0.5)):
-            for good, bad in ((profile, (2, 3)), ((2, 3), profile), (None, profile)):
-                camp = "good" if good == profile else "bad"
-                message = (rf"^{camp} profile \({profile[0]}, {profile[1]}\) "
-                           r"names a node outside \[0, 6\)$")
-                with pytest.raises(ValueError, match=message):
-                    profile_utility(net, good, bad, 10.0, 5.0)
-        assert "_resolvent" not in vars(net)  # refused before any solve
-        ids = (np.int64(5), np.int32(0))
-        assert profile_utility(net, ids, (2, 3), 10.0, 5.0) == profile_utility(
-            net, (5, 0), (2, 3), 10.0, 5.0
-        )
 
 
 class TestObjectiveStructure:
@@ -554,7 +528,7 @@ class TestTwoCampEquilibrium:
             if solution.row_mix[i] < 1.0 - 1e-9 or solution.col_mix[j] < 1.0 - 1e-9:
                 continue
             good, bad = solution.profiles[i], solution.profiles[j]
-            value, kg1, kb1 = profile_utility(net, good, bad, kg, kb)
+            value, kg1, kb1 = saddle_entry(net, good, bad, kg, kb)
             plans = profile_to_plans(
                 n, good, bad, kg1, (kg - kg1) if good else 0.0, kb1, (kb - kb1) if bad else 0.0
             )
@@ -602,7 +576,7 @@ class TestTwoCampEquilibrium:
                     assert u(a, b) == pytest.approx(value, abs=1e-9)
                     assert np.max(u(grid * ka, b)) <= value + 1e-8
                     assert np.min(u(a, grid * kd)) >= value - 1e-8
-                    single = profile_utility(net, good, bad, kg, kb)
+                    single = saddle_entry(net, good, bad, kg, kb)
                     assert single == pytest.approx((value, a, b), abs=1e-9)
         assert degenerate > 0
 
