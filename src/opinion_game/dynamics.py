@@ -257,7 +257,7 @@ def _katz_pair(net: Network) -> tuple[np.ndarray, np.ndarray] | None:
     w0 = net.w0[0]
     if _solves_dense(net) or rho == 0.0 or w0 == 0.0 or not (net.w0 == w0).all():
         return None
-    mat = net.weights.T
+    mat = net._weights_t
     guess = _katz_series(mat, rho, net.n)
     if guess is None:
         return None
@@ -290,7 +290,7 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValueError(f"rhs must be a length-{n} vector or an {n} x k block, got {rhs.shape}")
-    mat = net.weights.T if transpose else net.weights  # .T: a CSC view, no copy
+    mat = net._weights_t if transpose else net.weights
     rho = _rho(net)
     delta = dense_resolvent(net)
     if delta is None:

@@ -9,18 +9,25 @@ depends on its bias. Nodes are dense 0-based integers.
 Arcs stay numpy arrays from the edge-list file to the CSR matrix: a
 ``Topology`` holds ``src``, ``dst`` and ``weight`` arrays with ids in [0, n),
 and range and duplicate checks and symmetrizing are array operations.
-numpy's ``loadtxt`` reads an edge-list file in one pass; a file it cannot
-read, or may read otherwise than Python's ``int()`` and ``float()``, goes
-through those one line at a time, which alone word errors. Duplicates are
-found by one plain sort of packed (src, dst) keys; a stable lexsort runs
-only to name the repeat, or when the keys would overflow.
+numpy's ``loadtxt`` reads an edge-list file in one pass, given its path so
+that it reads in chunks rather than line by line; a file it cannot read, or
+may read otherwise than Python's ``int()`` and ``float()``, goes through
+those one line at a time, which alone word errors. A file that is not
+regular, such as a pipe, is read once and its text checked the same way.
+Duplicates are found by one plain sort of packed (src, dst) keys; a stable
+lexsort runs only to name the repeat, or when the keys would overflow.
 ``Network.build`` gets its CSR layout from scipy's COO conversion, one
-scatter by row that sums repeats, so a repeat shows as a missing entry.
+scatter by row that sums repeats, so a repeat shows as a missing entry. It
+hands scipy int32 ids wherever they fit, so the matrix keeps 32-bit indices
+and every product reads 12 bytes per entry, not 16.
 """
 
 from __future__ import annotations
 
 import copy
+import io
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,6 +56,7 @@ def _as_vector(value, n: int, name: str) -> np.ndarray:
     return out
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -143,11 +151,18 @@ def _parse_line(path, lineno: int, raw: str) -> tuple[int, int, float] | None:
     return i, j, w
 
 
-def _read_lines(path):
+def _open_text(path, text: str | None):
+    """A text handle on an edge-list file; ``text`` is the file's own text
+    where it is not a regular file and can be read only once, else None."""
+    return open(path, encoding="utf-8") if text is None else io.StringIO(text)
+
+
+def _read_lines(path, text: str | None):
     """src, dst and weight arrays and the line numbers of the arcs of an
     edge-list file, parsed one line at a time by :func:`_parse_line`, which
-    raises on the first malformed line; ValueError if there is no arc."""
-    with open(path, encoding="utf-8") as fh:
+    raises on the first malformed line; ValueError if there is no arc.
+    ``text`` is as for :func:`_open_text`."""
+    with _open_text(path, text) as fh:
         lines = fh.read().split("\n")  # text mode ends every line in "\n"
     src, dst, weight, line = [], [], [], []
     for k, raw in enumerate(lines, start=1):
@@ -162,11 +177,16 @@ def _read_lines(path):
     return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(weight), line
 
 
-def _inline_hash(path) -> bool:
+def _inline_hash(path, text: str | None) -> bool:
     """Whether a '#' follows a non-blank byte on its line, a comment to
-    numpy but not to the format, which has only whole comment lines."""
-    with open(path, "rb") as fh:
-        data = fh.read().replace(b"\r", b"\n")  # a line may end in "\r" alone
+    numpy but not to the format, which has only whole comment lines.
+    ``text`` is as for :func:`_open_text`."""
+    if text is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    else:
+        data = text.encode()
+    data = data.replace(b"\r", b"\n")  # a line may end in "\r" alone
     at = data.find(b"#")
     while at >= 0:
         head = data[data.rfind(b"\n", 0, at) + 1:at].lstrip()
@@ -176,23 +196,40 @@ def _inline_hash(path) -> bool:
     return False
 
 
-def _read_bulk(path):
+#: suffixes by which numpy's loadtxt, given a path, decompresses the file
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _read_bulk(path, text: str | None):
     """(src, dst, weight, None) arrays of the arcs of an edge-list file, read
     in one pass by numpy's loadtxt, which numbers no lines; None where numpy
     cannot read the file or may read it otherwise than :func:`_parse_line`.
+    ``text`` is as for :func:`_open_text`.
 
     numpy splits fields where ``str.split`` does, and reads a subset of what
     ``int()`` and ``float()`` read to the same values. Left to check are a
     '#' after a non-blank on its line, ids the loop refuses, and warnings
     (on a file without arcs, or from numpy 1.x on an id such as ``3.0``).
-    Given the path, numpy would decompress the file by its suffix.
+    numpy reads a path in chunks but a handle line by line, about twice as
+    slowly, so it gets the absolute path of a regular file, which has no URL
+    scheme for numpy to download, and UTF-8, not the locale's encoding. Its
+    caller has opened the file, so a missing one raises FileNotFoundError
+    rather than numpy reading ``<path>.gz`` beside it. A name numpy would
+    decompress by its suffix, and the text of a file that is not regular,
+    go in as a handle.
     """
     ids = [("src", np.int64), ("dst", np.int64)]
+    name = os.path.abspath(os.fsdecode(path))
+    by_path = text is None and not name.endswith(_COMPRESSED)
     for dtype in (ids, ids + [("weight", float)]):
         try:
-            with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                arcs = np.loadtxt(fh, dtype=dtype, ndmin=1)
+                if by_path:
+                    arcs = np.loadtxt(name, dtype=dtype, ndmin=1, encoding="utf-8")
+                else:
+                    with _open_text(path, text) as fh:
+                        arcs = np.loadtxt(fh, dtype=dtype, ndmin=1)
             break
         except (ValueError, Warning):
             pass
@@ -200,7 +237,7 @@ def _read_bulk(path):
         return None
     src, dst = arcs["src"], arcs["dst"]
     if (not len(arcs) or min(src.min(), dst.min()) < 0
-            or max(src.max(), dst.max()) >= _INT64_MAX or _inline_hash(path)):
+            or max(src.max(), dst.max()) >= _INT64_MAX or _inline_hash(path, text)):
         return None
     weight = arcs["weight"] if len(dtype) == 3 else np.zeros(len(arcs))
     return src, dst, weight, None
@@ -220,8 +257,12 @@ def load_edge_list(path, symmetrize: bool = False) -> Topology:
     one line at a time, and only that loop words errors: invalid UTF-8
     first, then the first bad line in file order, even one after a
     duplicate, and only then the first arc that repeats an earlier one.
+    A file that is not regular, such as a pipe or ``/dev/stdin``, is read
+    once, and numpy and the loop read its text.
     """
-    a, b, weight, line = _read_bulk(path) or _read_lines(path)
+    with open(path, encoding="utf-8") as fh:
+        text = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.read()
+    a, b, weight, line = _read_bulk(path, text) or _read_lines(path, text)
     n = int(max(a.max(), b.max())) + 1
     if symmetrize:
         # each line's arc, then its reverse unless it is a self-loop
@@ -231,7 +272,7 @@ def load_edge_list(path, symmetrize: bool = False) -> Topology:
     k = _first_repeat(a, b, n)
     if k is not None:
         # numpy numbers no lines; the loop reads the same arcs and does
-        line = line or _read_lines(path)[3]
+        line = line or _read_lines(path, text)[3]
         arc = np.flatnonzero(keep)[k] // 2 if symmetrize else k
         raise ValueError(f"{path}: line {line[arc]}: duplicate edge ({a[k]}, {b[k]})")
     return Topology(n, a, b, weight)
@@ -250,9 +291,10 @@ class Network:
     """Immutable opinion network; construct with :meth:`Network.build`.
 
     ``weights`` is a CSR matrix (row i lists the opinion weights node i puts
-    on its out-neighbours). All parameter vectors are read-only, so instances
-    are safe to share across threads; the derived matrices below are cached
-    read-only on first use (a race only computes one twice).
+    on its out-neighbours), with int32 indices wherever n and the arc count
+    fit them. All parameter vectors are read-only, so instances are safe to
+    share across threads; the derived matrices below are cached read-only on
+    first use (a race only computes one twice).
     """
 
     n: int
@@ -293,7 +335,10 @@ class Network:
             edges = Topology(n, *zip(*arcs)) if arcs else Topology(n, (), (), ())
         if edges.n != n:
             raise ValueError(f"topology has n={edges.n}, not n={n}")
-        mat = sparse.csr_array((edges.weight, (edges.src, edges.dst)), shape=(n, n))
+        # scipy keeps the dtype of int64 ids; int32 ones give 32-bit indices
+        ids = np.int32 if max(n, len(edges.src)) <= _INT32_MAX else np.int64
+        mat = sparse.csr_array((edges.weight, (edges.src.astype(ids), edges.dst.astype(ids))),
+                               shape=(n, n))
         if mat.nnz < len(edges.src):
             k = _first_repeat(edges.src, edges.dst, n)
             raise ValueError(f"duplicate edge ({edges.src[k]}, {edges.dst[k]})")
@@ -318,9 +363,19 @@ class Network:
         return inv
 
     @cached_property
+    def _weights_t(self) -> sparse.csc_array:
+        """w^T, a CSC view sharing w's arrays: scipy makes a new object on
+        every ``.T``, which on a few nodes costs more than the product."""
+        return self.weights.T
+
+    @cached_property
     def row_abs_sums(self) -> np.ndarray:
-        sums = np.abs(self.weights).sum(axis=1)
-        out = np.asarray(sums, dtype=float).reshape(self.n)
+        """sum_j |w_ij| per row: the reduction scipy's ``sum(axis=1)`` runs,
+        over the non-empty rows, without copying w to take |w|."""
+        w = self.weights
+        rows = np.flatnonzero(np.diff(w.indptr))
+        out = np.zeros(self.n)
+        out[rows] = np.add.reduceat(np.abs(w.data), w.indptr[rows])
         out.setflags(write=False)
         return out
 

@@ -215,6 +215,20 @@ def dependency_two_phase_sum(net: Network, x1, x2, y1, y2) -> float:
     return float(v2.sum())
 
 
+def within_certificate(net, z, exact, rhs, transpose):
+    """The iterative path's bound: the stop rule (tolerance or stall) plus
+    the rounding of sweeps over rows of d terms, in the system's norm."""
+    rho = float(net.row_abs_sums.max())
+    gain = rho / (1.0 - rho)
+    norm = (lambda v: np.abs(v).sum(axis=0).max()) if transpose else (lambda v: np.abs(v).max())
+    w = net.weights
+    degree = np.bincount(w.indices, minlength=net.n) if transpose else np.diff(w.indptr)
+    d = int(degree.max()) + 1
+    stop = max(DEFAULT_TOL, gain * STALL_ULPS * EPS * norm(exact))
+    rounding = d * EPS * (rho * norm(exact) + norm(rhs)) / (1.0 - rho)
+    return norm(z - exact) <= stop + rounding
+
+
 def resolvent_row(net: Network, j: int) -> np.ndarray:
     """Row j of (I - w)^{-1}, from the transposed solve (I - w)^T z = e_j: on
     the dense path a product of the cached inverse with a unit vector, so
@@ -444,9 +458,10 @@ def loop_load_edge_list(path, symmetrize: bool = False):
 
 
 def loop_build_weights(n: int, edges) -> sparse.csr_array:
-    """The weight matrix ``Network.build`` makes, one arc at a time: the first
-    arc out of range raises ValueError, and only then, when every arc is in
-    range, the first arc repeating an earlier (src, dst)."""
+    """The weight matrix ``Network.build`` makes, one arc at a time, with
+    int32 indices: the first arc out of range raises ValueError, and only
+    then, when every arc is in range, the first arc repeating an earlier
+    (src, dst)."""
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []
@@ -463,7 +478,8 @@ def loop_build_weights(n: int, edges) -> sparse.csr_array:
         cols.append(j)
         vals.append(float(w))
     return sparse.csr_array(
-        (np.asarray(vals, dtype=float), (np.asarray(rows, dtype=int), np.asarray(cols, dtype=int))),
+        (np.asarray(vals, dtype=float),
+         (np.asarray(rows, dtype=np.int32), np.asarray(cols, dtype=np.int32))),
         shape=(n, n),
     )
 

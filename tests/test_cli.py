@@ -313,10 +313,13 @@ class TestStrategyDepCommand:
         header, rows = read_csv(out)
         assert header[:4] == ["value", "g_alpha", "g_beta", "g_prob"]
         assert rows
-        probs = {}
-        for row in rows:
-            probs[(row[1], row[2])] = probs.get((row[1], row[2]), 0.0) + 0.0
         assert all(float(row[0]) == pytest.approx(float(rows[0][0])) for row in rows)
+        # each camp's mix: one probability per schedule, in (0, 1], summing to 1
+        for cols in ((1, 2, 3), (4, 5, 6)):
+            mix = {tuple(row[k] for k in cols) for row in rows}
+            probs = [float(schedule[-1]) for schedule in mix]
+            assert all(0.0 < p <= 1.0 for p in probs)
+            assert abs(sum(probs) - 1.0) <= 1e-9
 
     def test_phase_without_spending_names_no_node(self, capsys, tmp_path):
         # the bad camp spends its whole budget in phase 1, so its phase-2

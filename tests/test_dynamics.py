@@ -37,6 +37,7 @@ from conftest import (
     refined_solve,
     resolvent_row,
     two_node_net,
+    within_certificate,
 )
 
 
@@ -339,6 +340,26 @@ class TestSolveLinear:
                 rounding = d * EPS * (rho * norm(exact) + norm(rhs)) / (1.0 - rho)
                 assert norm(z - exact) <= stop + rounding
 
+    def test_transposed_view_is_built_once(self, monkeypatch):
+        # scipy makes a new CSC object on every .T, which on a few nodes
+        # costs more than the product; the network keeps one
+        calls = []
+        transpose = sparse.csr_array.transpose
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return transpose(self, *args, **kwargs)
+
+        monkeypatch.setattr(sparse.csr_array, "transpose", counted)
+        for net in (two_node_net(), pa_network(600, 0.56, w0=0.3)):  # dense, iterative
+            calls.clear()
+            rhs = np.linspace(-1.0, 1.0, net.n)
+            first = solve_linear(net, rhs, transpose=True)
+            for _ in range(3):
+                assert np.array_equal(solve_linear(net, rhs, transpose=True), first)
+            compute_profile(net)
+            assert len(calls) == 1 and net._weights_t is net._weights_t
+
     def test_rhs_shape_checked(self):
         with pytest.raises(ValueError):
             solve_linear(two_node_net(), np.ones(3))
@@ -385,20 +406,6 @@ def plain_sweeps(net, rhs, transpose):
     mat = net.weights.T if transpose else net.weights
     rho = float(net.row_abs_sums.max())
     return plain_iterate(mat, rhs, rhs, rho, transpose)[1]
-
-
-def within_certificate(net, z, exact, rhs, transpose):
-    """The iterative path's bound: the stop rule (tolerance or stall) plus
-    the rounding of sweeps over rows of d terms, in the system's norm."""
-    rho = float(net.row_abs_sums.max())
-    gain = rho / (1.0 - rho)
-    norm = (lambda v: np.abs(v).sum(axis=0).max()) if transpose else (lambda v: np.abs(v).max())
-    w = net.weights
-    degree = np.bincount(w.indices, minlength=net.n) if transpose else np.diff(w.indptr)
-    d = int(degree.max()) + 1
-    stop = max(DEFAULT_TOL, gain * STALL_ULPS * EPS * norm(exact))
-    rounding = d * EPS * (rho * norm(exact) + norm(rhs)) / (1.0 - rho)
-    return norm(z - exact) <= stop + rounding
 
 
 def sparse_exact(net, rhs, transpose=False):

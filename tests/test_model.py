@@ -1,9 +1,13 @@
+import gzip
+import os
 import random
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+import opinion_game.model as model
 from opinion_game import (
     Budgets,
     InvestmentPlan,
@@ -248,13 +252,89 @@ class TestLoadEdgeList:
         named_gz.write_text("0 1\n1 2\n")
         assert arc_list(load_edge_list(named_gz)) == [(0, 1, 0.0), (1, 2, 0.0)]
 
+    @pytest.mark.parametrize("name, by_path", [
+        ("graph.txt", True), ("graph", True), ("graph.gz.txt", True), ("graph.GZ", True),
+        ("graph.gz", False), ("graph.bz2", False), ("graph.xz", False), ("graph.lzma", False),
+    ])
+    def test_numpy_reads_a_plain_name_by_its_path(self, tmp_path, monkeypatch, name, by_path):
+        # numpy reads a path in chunks and a handle line by line, but given
+        # the path it would decompress a file by these suffixes
+        real, seen = np.loadtxt, []
+
+        def loadtxt(fname, dtype, ndmin, encoding=None):
+            seen.append((fname, encoding))
+            return real(fname, dtype=dtype, ndmin=ndmin, encoding=encoding)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text("0 1 0.5\n1 2 0.25\n")
+        assert arc_list(load_edge_list(name)) == [(0, 1, 0.5), (1, 2, 0.25)]
+        assert len(seen) == 2  # two fields per line, then three
+        for fname, encoding in seen:
+            if by_path:
+                assert (fname, encoding) == (os.path.join(os.getcwd(), name), "utf-8")
+            else:
+                assert hasattr(fname, "read") and encoding is None
+
+    def test_missing_file_beside_a_compressed_one(self, tmp_path):
+        # numpy, given the missing path, would read <path>.gz instead
+        path = tmp_path / "graph.txt"
+        with gzip.open(f"{path}.gz", "wt") as fh:
+            fh.write("0 1\n1 2\n")
+        with pytest.raises(FileNotFoundError):
+            load_edge_list(path)
+
+    @pytest.mark.parametrize("text", [
+        "0 1 0.5\n1 2 0.5\n2 0 0.5\n", "0 1\n1 2\n", "0 1\n1 2\n0 1\n", "0 1\n1 2#x\n",
+        "0 1\n2 3\n# c\n1 0\n2 3 1\n", "# c\n",
+    ])
+    def test_pipe_is_read_once(self, tmp_path, text):
+        # a pipe gives its text to the first reader only; reading it again,
+        # the loader once found no arcs and reported an empty edge list
+        plain = write(tmp_path, text)
+        try:
+            expected = arc_list(load_edge_list(plain, symmetrize=True))
+        except ValueError as exc:
+            expected = str(exc).replace(str(plain), "{path}")
+        read_end, write_end = os.pipe()
+        with os.fdopen(write_end, "w") as fh:
+            fh.write(text)
+        path = f"/dev/fd/{read_end}"
+        try:
+            got = arc_list(load_edge_list(path, symmetrize=True))
+        except ValueError as exc:
+            got = str(exc).replace(path, "{path}")
+        finally:
+            os.close(read_end)
+        assert got == expected
+
+    def test_fifo_is_read_once(self, tmp_path):
+        # a second open of a FIFO waits for another writer, so a loader
+        # that reopened it hung
+        fifo = tmp_path / "graph.fifo"
+        os.mkfifo(fifo)
+        loaded = []
+
+        def feed():
+            with open(fifo, "w") as fh:
+                fh.write("0 1\n1 2\n2 0\n")
+
+        threads = [threading.Thread(target=target, daemon=True)
+                   for target in (feed, lambda: loaded.append(load_edge_list(fifo)))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [arc_list(topo) for topo in loaded] == [[(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)]]
+
     @pytest.mark.parametrize("text", [
         "0 1\n1 2\n", "0 1 0.5\n1 2 0.25\n", "# c\n", "0 1\n0 1\n", "0 1\n1 x\n",
     ])
     def test_numpy_read_that_warns_is_not_used(self, tmp_path, monkeypatch, text):
         # numpy 1.x reads an id such as 3.0 with a DeprecationWarning, and
         # every numpy warns on a file without arcs
-        def loadtxt(fh, dtype, ndmin):
+        def loadtxt(fname, dtype, ndmin, encoding=None):
             warnings.warn("read with a warning", DeprecationWarning)
             return np.zeros(3, dtype=dtype)
 
@@ -274,7 +354,8 @@ class TestLoadEdgeList:
 
     def test_numpy_read_without_arcs_is_not_used(self, tmp_path, monkeypatch):
         # should a numpy version return no rows without a warning
-        monkeypatch.setattr(np, "loadtxt", lambda fh, dtype, ndmin: np.zeros(0, dtype=dtype))
+        monkeypatch.setattr(np, "loadtxt",
+                            lambda fname, dtype, ndmin, encoding=None: np.zeros(0, dtype=dtype))
         path = write(tmp_path, "# src dst\n")
         with pytest.raises(ValueError) as exc:
             load_edge_list(path)
@@ -411,6 +492,31 @@ class TestNetworkBuild:
                 assert weights.has_canonical_format
                 assert weights.shape == (n, n) and weights.nnz == len(edges)
                 assert not weights.data.flags.writeable
+
+    def test_row_abs_sums_match_scipy(self):
+        # the reduction scipy's sum(axis=1) runs, bitwise, with empty rows
+        # and signed weights
+        rng = np.random.default_rng(229)
+        for n in (1, 3, 40, 300):
+            for m in (0, n // 2, n * n // 3):
+                edges = random_arcs(rng, n, m)
+                net = Network.build(n, edges)
+                want = np.abs(net.weights).sum(axis=1)
+                assert net.row_abs_sums.tobytes() == want.tobytes()
+                assert not net.row_abs_sums.flags.writeable
+
+    def test_int64_indices_where_int32_cannot_hold_them(self, monkeypatch):
+        # beyond 2^31 - 1 nodes or arcs scipy needs int64 indices; a lowered
+        # limit takes that branch on three nodes and three arcs
+        edges = [(0, 1, 0.5), (1, 2, -0.25), (2, 0, 0.125)]
+        want = Network.build(3, edges).weights
+        for limit in (2, 3):
+            monkeypatch.setattr(model, "_INT32_MAX", limit)
+            got = Network.build(3, edges).weights
+            ids = np.int32 if limit == 3 else np.int64
+            assert got.indptr.dtype == got.indices.dtype == ids
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_errors_match_loop_oracle(self):
         # an injected duplicate and/or out-of-range arc: the first arc out of

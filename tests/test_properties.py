@@ -6,23 +6,33 @@ heterogeneous theta and v0 in [-1, 1]. Each strategy's plan is run through
 the phase dynamics and must reproduce the value the strategy reports, the
 solves themselves must match extended-precision refined solves, and the
 capped greedy plan and the double oracle must match their whole-problem
-oracles. The tests are derandomized: every run draws the same networks and
-stores none.
+oracles. On the iterative path, above ``DENSE_MAX_N`` nodes, r and s of
+``compute_profile`` are compared with refined solves on seeded directed
+graphs and on one preferential-attachment graph, where both start from the
+Chebyshev series. The tests are derandomized: every run draws the same
+networks and stores none.
 
 A value near rho = 1 carries a rounding error of order eps / (1 - rho)
-relative, which float64 cannot improve, so deviations are compared as
-|simulated - value| * (1 - rho) / (1 + |value|).
+relative, which float64 cannot improve, so deviations of dense solves are
+compared as |simulated - value| * (1 - rho) / (1 + |value|). An iterative
+solve stops at its certificate instead, ``DEFAULT_TOL`` = 1e-10 in the
+1-norm plus rounding, which lets one entry lie further off than that rule
+allows, so iterative solves are held to their certificate.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import opinion_game.dynamics as dynamics
 from opinion_game import (
     BAD,
     GOOD,
+    Network,
+    ba_graph,
     bounded_greedy,
     compute_profile,
     evaluate_two_phase,
@@ -34,11 +44,13 @@ from opinion_game import (
 )
 
 from conftest import (
+    directed_family,
     full_game_solution,
     greedy_oracle,
     plan_total,
     refined_solve,
     validated_networks,
+    within_certificate,
 )
 
 #: largest scaled deviation allowed, about 4,500 ulps
@@ -68,6 +80,34 @@ def test_profile_matches_refined_solves(net):
     s = refined_solve(a, net.w0 * r)
     assert worst_scaled_gap(net, prof.r, r) <= TOL
     assert worst_scaled_gap(net, prof.s, s) <= TOL
+
+
+def assert_iterative_profile_certified(net):
+    """r and s each within the iterative certificate of the refined solve of
+    its own system; s's right-hand side is w0 o r of the r returned."""
+    assert validate(net) == [] and dynamics.dense_resolvent(net) is None
+    prof = compute_profile(net)
+    a = (np.eye(net.n) - net.weights.toarray()).T
+    for z, rhs in ((prof.r, np.ones(net.n)), (prof.s, net.w0 * prof.r)):
+        assert within_certificate(net, z, refined_solve(a, rhs), rhs, True)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.1, 0.56, 0.9, 0.99]),
+       w0=st.sampled_from([0.0, 0.005, 0.3]))
+def test_iterative_profile_matches_refined_solves(seed, rho, w0):
+    # complex spectra, on which the series is mostly abandoned and two
+    # certified solves run
+    assert_iterative_profile_certified(directed_family(seed, n=600, rho=rho, w0=min(w0, 1.0 - rho)))
+
+
+def test_profile_from_the_series_matches_refined_solves():
+    # rows of 0.56 and w0 = 0.3, as on the benchmark's 200k-node graph, but
+    # on 600 nodes, where the solves still iterate
+    top = ba_graph(600)
+    net = Network.build(600, replace(top, weight=0.56 / top.out_degrees()[top.src]), w0=0.3)
+    assert dynamics._katz_pair(net) is not None
+    assert_iterative_profile_certified(net)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
