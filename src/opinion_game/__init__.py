@@ -66,7 +66,6 @@ from .harness import (
     WeightScheme,
     ba_graph,
     generate_weights,
-    sweep_point,
     sweep_w0,
 )
 
@@ -107,7 +106,6 @@ __all__ = [
     "single_camp_optimal",
     "solve_zero_sum",
     "steady_state",
-    "sweep_point",
     "sweep_w0",
     "two_camp_equilibrium",
     "validate",

@@ -17,8 +17,6 @@ from .dynamics import ConvergenceError, iter_phases
 from .game import GameSolverError
 from .model import BAD, GOOD, Budgets, Network, _as_vector, load_edge_list, validate
 from .centrality import compute_profile
-from .strategy_dependent import single_camp_optimal, two_camp_equilibrium
-from .strategy_fixed import bounded_greedy, evaluate_two_phase, myopic_loss
 
 #: node count of the synthetic fallback graph used when --graph is omitted
 SYNTHETIC_NODES = 300
@@ -101,31 +99,23 @@ def _cmd_steady_state(args) -> None:
 
 def _cmd_strategy_fixed(args) -> None:
     net = _network(args, "fixed")
-    prof = compute_profile(net)
     # with no cap the greedy fill puts the whole budget on the best slot,
     # the farsighted unbounded optimum
     cap = (1.0 if args.cap is None else args.cap) if args.bounded else math.inf
-    plans = {
-        camp: bounded_greedy(net, budget, camp, cap=cap, profile=prof)
-        for camp, budget in ((GOOD, args.kg), (BAD, args.kb))
-    }
-    objective = evaluate_two_phase(
-        net, plans[GOOD].x1, plans[GOOD].x2, plans[BAD].x1, plans[BAD].x2, profile=prof
-    )
+    cells, plans = harness._solve_point(net, "bounded", Budgets(args.kg, args.kb), cap)
     rows = []
-    for camp in (GOOD, BAD):
-        plan = plans[camp]
-        k1, k2 = float(plan.x1.sum()), float(plan.x2.sum())
+    for camp, plan in zip((GOOD, BAD), plans):
+        totals = [cells[f"k1_{camp}"], cells[f"k2_{camp}"], cells["objective"]]
         slots = [
             (phase, int(node), float(vec[node]))
             for phase, vec in ((1, plan.x1), (2, plan.x2))
             for node in np.nonzero(vec)[0]
         ]
         if not slots:
-            rows.append([camp, None, None, 0.0, k1, k2, objective])
+            rows.append([camp, None, None, 0.0] + totals)
         for phase, node, amount in slots:
-            rows.append([camp, node, phase, amount, k1, k2, objective])
-    print(f"myopic loss (bad camp, kb={args.kb:g}): {myopic_loss(net, args.kb, prof):.12g}",
+            rows.append([camp, node, phase, amount] + totals)
+    print(f"myopic loss (bad camp, kb={args.kb:g}): {cells['myopic_loss']:.12g}",
           file=sys.stderr)
     _emit(rows, ["camp", "node", "phase", "amount", "k1", "k2", "objective"], args.out)
 
@@ -135,14 +125,14 @@ def _cmd_strategy_dep(args) -> None:
     net = _network(args, "dependency")
     def node(i, spent):  # a phase's node, blank when the camp spends nothing in it
         return None if spent == 0 else i
-    if mode == "dependency1":
-        plan, value = single_camp_optimal(net, args.kg)
-        k1, k2 = float(plan.x1.sum()), float(plan.x2.sum())
-        rows = [[node(int(np.argmax(plan.x1)), k1), node(int(np.argmax(plan.x2)), k2),
-                 k1, k2, value]]
+    # the cap bounds only the fixed-weight plans
+    cells, solution = harness._solve_point(net, mode, Budgets(args.kg, args.kb), None)
+    if mode == "dependency1":  # the solution is the good camp's plan
+        k1, k2 = cells["k1_good"], cells["k2_good"]
+        rows = [[node(int(np.argmax(solution.x1)), k1), node(int(np.argmax(solution.x2)), k2),
+                 k1, k2, cells["objective"]]]
         _emit(rows, ["alpha", "beta", "kg1", "kg2", "value"], args.out)
         return
-    solution = two_camp_equilibrium(net, args.kg, args.kb)
     # profiles that differ only in a phase the camp spends nothing in print
     # one schedule: rows are keyed by every cell but g_prob and b_prob, and
     # each camp's probability is summed over its distinct profiles in a row

@@ -1,6 +1,11 @@
 """Experiment pipeline: weight assignment over a topology, bias-weight sweeps,
 and a seeded synthetic graph generator for desk-scale runs.
 
+One private point solver, ``_solve_point``, runs a sweep mode's optimizer on
+one network. :func:`sweep_w0` calls it at every grid value, and the CLI's
+``strategy-fixed`` and ``strategy-dep`` call it once, so a single-point
+command and the sweep row of a one-value grid print the same answers.
+
 Weights follow a one-knob scheme: at the reference bias weight w0 = 0 every
 node grants each camp ``camp_base`` and spreads the remaining 1 - 2*camp_base
 uniformly over its out-edges; for a general w0 all of those values scale by
@@ -112,63 +117,34 @@ def _expected_splits(solution):
     )
 
 
-def sweep_point(
-    topology: Topology,
-    w0: float,
-    scheme: WeightScheme | None = None,
-    mode: str = "bounded",
-    budgets: Budgets | None = None,
-    *,
-    bounded_cap: float = 1.0,
-) -> dict:
-    """One sweep row: generate weights at w0, run the mode's optimizer, and
-    report the phase budgets and objective (columns in SWEEP_COLUMNS)."""
-    return _sweep_point(topology, w0, scheme, mode, budgets, bounded_cap, None)[0]
+def _spent(plan):
+    return float(plan.x1.sum()), float(plan.x2.sum())
 
 
-def _sweep_point(topology, w0, scheme, mode, budgets, bounded_cap, start):
-    """:func:`sweep_point`'s row and, in the dependency2 mode, the
-    equilibrium behind it (otherwise None); ``start`` seeds that solve."""
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
-    budgets = budgets if budgets is not None else Budgets(100.0, 100.0)
-    net = generate_weights(topology, w0, scheme)
+def _solve_point(net, mode, budgets, cap, start=None):
+    """Solve one point's network in ``mode``, a member of SWEEP_MODES.
+
+    Returns the budget and objective cells of its sweep row (SWEEP_COLUMNS
+    after w0) and what they were read from: the (good, bad) plans of
+    per-node cap ``cap`` in the bounded mode, the good camp's plan in
+    dependency1, and the GameSolution in dependency2, whose double oracle
+    starts from the supports of ``start`` when one is given.
+    """
     if mode == "bounded":
         prof = compute_profile(net)
-        good = bounded_greedy(net, budgets.kg, GOOD, cap=bounded_cap, profile=prof)
-        bad = bounded_greedy(net, budgets.kb, BAD, cap=bounded_cap, profile=prof)
+        good = bounded_greedy(net, budgets.kg, GOOD, cap=cap, profile=prof)
+        bad = bounded_greedy(net, budgets.kb, BAD, cap=cap, profile=prof)
         objective = evaluate_two_phase(net, good.x1, good.x2, bad.x1, bad.x2, profile=prof)
-        return {
-            "w0": w0,
-            "k1_good": float(good.x1.sum()),
-            "k2_good": float(good.x2.sum()),
-            "k1_bad": float(bad.x1.sum()),
-            "k2_bad": float(bad.x2.sum()),
-            "objective": objective,
-            "myopic_loss": myopic_loss(net, budgets.kb, profile=prof),
-        }, None
-    if mode == "dependency1":
-        plan, value = single_camp_optimal(net, budgets.kg)
-        return {
-            "w0": w0,
-            "k1_good": float(plan.x1.sum()),
-            "k2_good": float(plan.x2.sum()),
-            "k1_bad": 0.0,
-            "k2_bad": 0.0,
-            "objective": value,
-            "myopic_loss": None,
-        }, None
-    solution = two_camp_equilibrium(net, budgets.kg, budgets.kb, start=start)
-    eg1, eb1 = _expected_splits(solution)
-    return {
-        "w0": w0,
-        "k1_good": eg1,
-        "k2_good": budgets.kg - eg1,
-        "k1_bad": eb1,
-        "k2_bad": budgets.kb - eb1,
-        "objective": solution.value,
-        "myopic_loss": None,
-    }, solution
+        loss = myopic_loss(net, budgets.kb, profile=prof)
+        cells, source = (*_spent(good), *_spent(bad), objective, loss), (good, bad)
+    elif mode == "dependency1":
+        source, value = single_camp_optimal(net, budgets.kg)
+        cells = (*_spent(source), 0.0, 0.0, value, None)
+    else:
+        source = two_camp_equilibrium(net, budgets.kg, budgets.kb, start=start)
+        eg1, eb1 = _expected_splits(source)
+        cells = (eg1, budgets.kg - eg1, eb1, budgets.kb - eb1, source.value, None)
+    return dict(zip(SWEEP_COLUMNS[1:], cells)), source
 
 
 def sweep_w0(
@@ -179,13 +155,23 @@ def sweep_w0(
     *,
     bounded_cap: float = 1.0,
 ) -> list[dict]:
-    """Run :func:`sweep_point` for every grid value; one row per w0. In the
-    dependency2 mode each point's double oracle starts from the supports of
-    the previous point's equilibrium, which neighbouring bias weights mostly
-    share."""
+    """One row per grid value, with the columns of SWEEP_COLUMNS: generate
+    weights at that w0, solve the mode's optimum, and report the phase
+    budgets and objective. A one-value grid gives a single point's row. The
+    ``strategy-fixed`` and ``strategy-dep`` commands solve their one point
+    through the same point solver, so their objectives print as this row's.
+    In the dependency2 mode each point's double oracle starts from the
+    supports of the previous point's equilibrium, which neighbouring bias
+    weights mostly share."""
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     scheme = scheme if scheme is not None else WeightScheme()
-    rows, solution = [], None
+    budgets = budgets if budgets is not None else Budgets(100.0, 100.0)
+    rows, start = [], None
     for w0 in scheme.w0_grid:
-        row, solution = _sweep_point(topology, w0, scheme, mode, budgets, bounded_cap, solution)
-        rows.append(row)
+        # the previous point's result; only the dependency2 mode reads it
+        cells, start = _solve_point(
+            generate_weights(topology, w0, scheme), mode, budgets, bounded_cap, start
+        )
+        rows.append({"w0": w0, **cells})
     return rows

@@ -17,6 +17,7 @@ from opinion_game import (
     GOOD,
     Budgets,
     DependencyCoefficients,
+    WeightScheme,
     ba_graph,
     bounded_greedy,
     compute_profile,
@@ -28,7 +29,7 @@ from opinion_game import (
     single_camp_optimal,
     solve_zero_sum,
     steady_state,
-    sweep_point,
+    sweep_w0,
     two_camp_equilibrium,
 )
 from opinion_game.strategy_dependent import _box_saddle
@@ -274,12 +275,17 @@ def test_criterion_9_trend_surrogate():
     started = time.perf_counter()
     topology = ba_graph(300, 2, seed=2)
     budgets = Budgets(100.0, 100.0)
-    low = sweep_point(topology, 0.05, mode="bounded", budgets=budgets)
-    high = sweep_point(topology, 0.9, mode="bounded", budgets=budgets)
-    loss_low = sweep_point(topology, 0.1, mode="bounded", budgets=budgets)["myopic_loss"]
+
+    def point(w0, mode):
+        (row,) = sweep_w0(topology, WeightScheme(w0_grid=(w0,)), mode, budgets)
+        return row
+
+    low = point(0.05, "bounded")
+    high = point(0.9, "bounded")
+    loss_low = point(0.1, "bounded")["myopic_loss"]
     loss_high = high["myopic_loss"]
-    dep_zero = sweep_point(topology, 0.0, mode="dependency1", budgets=budgets)
-    dep_high = sweep_point(topology, 0.9, mode="dependency1", budgets=budgets)
+    dep_zero = point(0.0, "dependency1")
+    dep_high = point(0.9, "dependency1")
     frac_low = low["k1_good"] / budgets.kg
     frac_high = high["k1_good"] / budgets.kg
     checks = {

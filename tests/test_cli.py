@@ -12,7 +12,7 @@ import opinion_game
 from opinion_game import (
     Network, ba_graph, compute_profile, generate_weights, load_edge_list, save_edge_list,
 )
-from opinion_game import cli
+from opinion_game import cli, harness
 from opinion_game.cli import _network, build_parser, main
 
 
@@ -76,11 +76,11 @@ class TestPublicSurface:
         "load_edge_list", "multi_election_scores",
         "myopic_loss", "myopic_strategy", "run_phases",
         "save_edge_list", "single_camp_optimal", "solve_zero_sum", "steady_state",
-        "sweep_point", "sweep_w0", "two_camp_equilibrium", "validate",
+        "sweep_w0", "two_camp_equilibrium", "validate",
     ]
 
     def test_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 38
+        assert len(self.NAMES) == 37
         assert sorted(opinion_game.__all__) == self.NAMES
         assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
         for name in opinion_game.__all__:
@@ -90,12 +90,14 @@ class TestPublicSurface:
         # each restated another function or served only tests; the single-slot
         # result types gave way to InvestmentPlan, farsighted_unbounded to
         # bounded_greedy with cap=inf, fixed_point_iterate to the plain loop
-        # in the tests' conftest, and profile_utility and delta_row to its
-        # saddle_entry and resolvent_row
+        # in the tests' conftest, profile_utility and delta_row to its
+        # saddle_entry and resolvent_row, and sweep_point to sweep_w0 with a
+        # one-value grid
         for name in ("apply_delta", "camp_weights", "MatrixGame",
                      "katz_r", "katz_s", "katz_multiphase", "OpinionState",
                      "PureInvestment", "PureProfile", "farsighted_unbounded",
-                     "fixed_point_iterate", "profile_utility", "delta_row"):
+                     "fixed_point_iterate", "profile_utility", "delta_row",
+                     "sweep_point"):
             with pytest.raises(AttributeError):
                 getattr(opinion_game, name)
         for owner, name in ((opinion_game.InvestmentPlan, "total"),
@@ -348,7 +350,8 @@ class TestStrategyDepCommand:
             restricted_kg1=np.array([[2.0, 2.0], [2.0, 2.0], [1.0, 1.0]]),
             restricted_kb1=np.full((3, 2), 2.0),
         )
-        monkeypatch.setattr(cli, "two_camp_equilibrium", lambda net, kg, kb: solution)
+        monkeypatch.setattr(harness, "two_camp_equilibrium",
+                            lambda net, kg, kb, start=None: solution)
         code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph_file, "--kg", "2", "--kb", "2")
         assert code == 0
         assert out.splitlines()[1:] == ["0.5,0,,0.5,1,,1,2,0,2,0", "0.5,2,2,0.5,1,,1,1,1,2,0"]
@@ -365,7 +368,8 @@ class TestStrategyDepCommand:
             restricted_kg1=np.array([[1.0], [0.5], [0.25]]),
             restricted_kb1=np.full((3, 1), 2.0),
         )
-        monkeypatch.setattr(cli, "two_camp_equilibrium", lambda net, kg, kb: solution)
+        monkeypatch.setattr(harness, "two_camp_equilibrium",
+                            lambda net, kg, kb, start=None: solution)
         code, out, _ = run_cli(capsys, "strategy-dep", "--graph", graph_file, "--kg", "2", "--kb", "2")
         assert code == 0
         assert out.splitlines()[1:] == ["0.5,0,1,0.999999999499,1,,1,1,1,2,0",
@@ -375,6 +379,45 @@ class TestStrategyDepCommand:
         code, _, err = run_cli(capsys, "strategy-dep", "--seed", "0")
         assert code == 1
         assert "refusing" in err
+
+
+class TestSinglePointMatchesSweepRow:
+    """strategy-fixed and strategy-dep solve their point as sweep solves a
+    one-value grid, so each prints the sweep row's numbers as the same strings."""
+
+    @pytest.fixture(params=[(12, 0), (40, 1)], ids=["ba-12-0", "ba-40-1"])
+    def pa_graph(self, request, tmp_path):
+        path = tmp_path / "pa.txt"
+        save_edge_list(ba_graph(request.param[0], 2, request.param[1]), path)
+        return str(path)
+
+    @staticmethod
+    def run(capsys, graph, *argv):
+        code, out, err = run_cli(capsys, *argv, "--graph", graph, "--w0-grid", "0.3")
+        assert code == 0, err
+        return list(csv.DictReader(io.StringIO(out))), err
+
+    def sweep_row(self, capsys, graph, *options):
+        (row,), _ = self.run(capsys, graph, "sweep", *options)
+        return row
+
+    def test_bounded(self, capsys, pa_graph):
+        rows, err = self.run(capsys, pa_graph, "strategy-fixed", "--bounded", "--kb", "50")
+        (loss,) = [line.rsplit(": ", 1)[1] for line in err.splitlines()
+                   if line.startswith("myopic loss")]
+        row = self.sweep_row(capsys, pa_graph, "--mode", "bounded", "--kb", "50")
+        assert {r["objective"] for r in rows} == {row["objective"]}
+        assert loss == row["myopic_loss"]
+
+    def test_single_camp(self, capsys, pa_graph):
+        (point,), _ = self.run(capsys, pa_graph, "strategy-dep", "--mode", "dependency1")
+        row = self.sweep_row(capsys, pa_graph, "--mode", "dependency1")
+        assert point["value"] == row["objective"]
+
+    def test_two_camp(self, capsys, pa_graph):
+        rows, _ = self.run(capsys, pa_graph, "strategy-dep", "--kb", "50")
+        row = self.sweep_row(capsys, pa_graph, "--mode", "dependency2", "--kb", "50")
+        assert {r["value"] for r in rows} == {row["objective"]}
 
 
 class TestSweepCommand:

@@ -11,7 +11,6 @@ from opinion_game import (
     WeightScheme,
     ba_graph,
     generate_weights,
-    sweep_point,
     sweep_w0,
     two_camp_equilibrium,
     validate,
@@ -164,7 +163,7 @@ class TestSweep:
 
     def test_dependency_single_camp_spends_phase_two_at_zero_bias(self):
         topo = ba_graph(30, 2, seed=6)
-        row = sweep_point(topo, 0.0, mode="dependency1", budgets=Budgets(10.0, 0.0))
+        (row,) = sweep_w0(topo, WeightScheme(w0_grid=(0.0,)), "dependency1", Budgets(10.0, 0.0))
         assert row["k1_good"] == 0.0
         assert row["k2_good"] == pytest.approx(10.0)
         assert row["myopic_loss"] is None
@@ -176,7 +175,7 @@ class TestSweep:
 
     def test_two_camp_mode_returns_equilibrium_row(self):
         topo = two_regular_topology()
-        row = sweep_point(topo, 0.3, mode="dependency2", budgets=Budgets(2.0, 2.0))
+        (row,) = sweep_w0(topo, WeightScheme(w0_grid=(0.3,)), "dependency2", Budgets(2.0, 2.0))
         assert row["myopic_loss"] is None
         assert row["k1_good"] + row["k2_good"] == pytest.approx(2.0)
         assert row["k1_bad"] + row["k2_bad"] == pytest.approx(2.0)
@@ -204,4 +203,4 @@ class TestSweep:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            sweep_point(two_regular_topology(), 0.1, mode="other")
+            sweep_w0(two_regular_topology(), WeightScheme(w0_grid=(0.1,)), "other")

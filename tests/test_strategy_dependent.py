@@ -16,6 +16,7 @@ from opinion_game import (
     GameSolverError,
     InvestmentPlan,
     Network,
+    WeightScheme,
     ba_graph,
     compute_profile,
     dependency_camp_weights,
@@ -673,9 +674,8 @@ class TestDoubleOracle:
             return solutions[-1]
 
         monkeypatch.setattr(harness, "two_camp_equilibrium", recording)
-        monkeypatch.setattr(cli, "two_camp_equilibrium", recording)
         topology = ba_graph(12, 2, 5)
-        harness.sweep_point(topology, 0.7, mode="dependency2", budgets=Budgets(100.0, 50.0))
+        harness.sweep_w0(topology, WeightScheme(w0_grid=(0.7,)), "dependency2", Budgets(100.0, 50.0))
         graph = tmp_path / "pa.txt"
         save_edge_list(topology, graph)
         argv = ["strategy-dep", "--graph", str(graph), "--w0-grid", "0.7", "--kb", "50"]
