@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centrality import compute_profile
-from .model import BAD, GOOD, Budgets, Network, Topology, _reweighted
+from .model import BAD, GOOD, Budgets, Network, Topology
 from .strategy_dependent import single_camp_optimal, two_camp_equilibrium
 from .strategy_fixed import bounded_greedy, evaluate_two_phase, myopic_loss
 
@@ -70,7 +70,7 @@ def generate_weights(topology: Topology, w0: float, scheme: WeightScheme | None 
     weight = (1.0 - 2.0 * cg) * scale / topology.out_degrees()[topology.src]
     return Network.build(
         topology.n,
-        _reweighted(topology, weight),
+        Topology._trusted(topology.n, topology.src, topology.dst, weight),
         w0=w0,
         v0=0.0,
         wg=cg * scale,

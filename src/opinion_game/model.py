@@ -9,13 +9,14 @@ depends on its bias. Nodes are dense 0-based integers.
 Arcs stay numpy arrays from the edge-list file to the CSR matrix: a
 ``Topology`` holds ``src``, ``dst`` and ``weight`` arrays with ids in [0, n),
 and range and duplicate checks and symmetrizing are array operations.
-numpy's ``loadtxt`` reads an edge-list file in one pass, given its path so
-that it reads in chunks rather than line by line; a file it cannot read, or
-may read otherwise than Python's ``int()`` and ``float()``, goes through
-those one line at a time, which alone word errors. A file that is not
-regular, such as a pipe, is read once and its text checked the same way.
+The loader reads a file once, as UTF-8 text with universal newlines. numpy's
+``loadtxt`` parses it in one pass (a regular file by its path, which numpy
+reads in chunks); a file numpy cannot read, or may read otherwise than
+Python's ``int()`` and ``float()``, goes from the same text through those
+one line at a time, which alone word errors.
 Duplicates are found by one plain sort of packed (src, dst) keys; a stable
 lexsort runs only to name the repeat, or when the keys would overflow.
+Topologies the package has checked already come from ``Topology._trusted``.
 ``Network.build`` gets its CSR layout from scipy's COO conversion, one
 scatter by row that sums repeats, so a repeat shows as a missing entry. It
 hands scipy int32 ids wherever they fit, so the matrix keeps 32-bit indices
@@ -24,7 +25,6 @@ and every product reads 12 bytes per entry, not 16.
 
 from __future__ import annotations
 
-import copy
 import io
 import os
 import stat
@@ -92,19 +92,21 @@ class Topology:
         if bad.size:
             raise ValueError(f"edge ({self.src[bad[0]]}, {self.dst[bad[0]]}) out of range for n={self.n}")
 
+    @classmethod
+    def _trusted(cls, n: int, src, dst, weight) -> "Topology":
+        """A Topology of arcs the package has checked already, without rerunning
+        ``__post_init__`` (int64 copies and a range mask, about 6 ms on 800,000
+        arcs); arrays of the right dtype and layout are kept, not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        for name, arr, dtype in (("src", src, np.int64), ("dst", dst, np.int64), ("weight", weight, float)):
+            arr = np.ascontiguousarray(arr, dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(out, name, arr)
+        return out
+
     def out_degrees(self) -> np.ndarray:
         return np.bincount(self.src, minlength=self.n)
-
-
-def _reweighted(topology: Topology, weight: np.ndarray) -> Topology:
-    """``topology``'s arcs with new weights, a float array of one entry per
-    arc that the caller hands over, without checking the ids again:
-    ``dataclasses.replace`` would rerun ``__post_init__``, two int64 copies
-    and the range mask, about 6 ms on 800,000 arcs."""
-    weight.setflags(write=False)
-    out = copy.copy(topology)  # a shallow copy runs no __post_init__
-    object.__setattr__(out, "weight", weight)
-    return out
 
 
 # Largest node count n for which the key src * n + dst of ids in [0, n),
@@ -151,21 +153,12 @@ def _parse_line(path, lineno: int, raw: str) -> tuple[int, int, float] | None:
     return i, j, w
 
 
-def _open_text(path, text: str | None):
-    """A text handle on an edge-list file; ``text`` is the file's own text
-    where it is not a regular file and can be read only once, else None."""
-    return open(path, encoding="utf-8") if text is None else io.StringIO(text)
-
-
-def _read_lines(path, text: str | None):
+def _read_lines(path, text: str):
     """src, dst and weight arrays and the line numbers of the arcs of an
-    edge-list file, parsed one line at a time by :func:`_parse_line`, which
-    raises on the first malformed line; ValueError if there is no arc.
-    ``text`` is as for :func:`_open_text`."""
-    with _open_text(path, text) as fh:
-        lines = fh.read().split("\n")  # text mode ends every line in "\n"
+    edge-list file's text, parsed one line at a time by :func:`_parse_line`,
+    which raises on the first malformed line; ValueError if there is no arc."""
     src, dst, weight, line = [], [], [], []
-    for k, raw in enumerate(lines, start=1):
+    for k, raw in enumerate(text.split("\n"), start=1):
         arc = _parse_line(path, k, raw)
         if arc is not None:
             src.append(arc[0])
@@ -177,22 +170,16 @@ def _read_lines(path, text: str | None):
     return np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(weight), line
 
 
-def _inline_hash(path, text: str | None) -> bool:
-    """Whether a '#' follows a non-blank byte on its line, a comment to
-    numpy but not to the format, which has only whole comment lines.
-    ``text`` is as for :func:`_open_text`."""
-    if text is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    else:
-        data = text.encode()
-    data = data.replace(b"\r", b"\n")  # a line may end in "\r" alone
-    at = data.find(b"#")
+def _inline_hash(text: str) -> bool:
+    """Whether a '#' follows a non-blank character on its line, a comment to
+    numpy but not to the format, which has only whole comment lines."""
+    at = text.find("#")
     while at >= 0:
-        head = data[data.rfind(b"\n", 0, at) + 1:at].lstrip()
-        if head and not head.startswith(b"#"):
+        # ASCII blanks only: the loop's str.split() judges any other
+        head = text[text.rfind("\n", 0, at) + 1:at].lstrip(" \t\v\f")
+        if head and not head.startswith("#"):
             return True
-        at = data.find(b"#", at + 1)
+        at = text.find("#", at + 1)
     return False
 
 
@@ -200,11 +187,11 @@ def _inline_hash(path, text: str | None) -> bool:
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _read_bulk(path, text: str | None):
+def _read_bulk(path, text: str, regular: bool):
     """(src, dst, weight, None) arrays of the arcs of an edge-list file, read
     in one pass by numpy's loadtxt, which numbers no lines; None where numpy
     cannot read the file or may read it otherwise than :func:`_parse_line`.
-    ``text`` is as for :func:`_open_text`.
+    ``text`` is the file's text and ``regular`` whether it is a regular file.
 
     numpy splits fields where ``str.split`` does, and reads a subset of what
     ``int()`` and ``float()`` read to the same values. Left to check are a
@@ -212,15 +199,14 @@ def _read_bulk(path, text: str | None):
     (on a file without arcs, or from numpy 1.x on an id such as ``3.0``).
     numpy reads a path in chunks but a handle line by line, about twice as
     slowly, so it gets the absolute path of a regular file, which has no URL
-    scheme for numpy to download, and UTF-8, not the locale's encoding. Its
-    caller has opened the file, so a missing one raises FileNotFoundError
+    scheme for numpy to download, and UTF-8, not the locale's encoding. The
+    caller has read the file, so a missing one has raised FileNotFoundError
     rather than numpy reading ``<path>.gz`` beside it. A name numpy would
-    decompress by its suffix, and the text of a file that is not regular,
-    go in as a handle.
+    decompress by its suffix, and a file that is not regular, go in as text.
     """
     ids = [("src", np.int64), ("dst", np.int64)]
     name = os.path.abspath(os.fsdecode(path))
-    by_path = text is None and not name.endswith(_COMPRESSED)
+    by_path = regular and not name.endswith(_COMPRESSED)
     for dtype in (ids, ids + [("weight", float)]):
         try:
             with warnings.catch_warnings():
@@ -228,8 +214,7 @@ def _read_bulk(path, text: str | None):
                 if by_path:
                     arcs = np.loadtxt(name, dtype=dtype, ndmin=1, encoding="utf-8")
                 else:
-                    with _open_text(path, text) as fh:
-                        arcs = np.loadtxt(fh, dtype=dtype, ndmin=1)
+                    arcs = np.loadtxt(io.StringIO(text), dtype=dtype, ndmin=1)
             break
         except (ValueError, Warning):
             pass
@@ -237,7 +222,7 @@ def _read_bulk(path, text: str | None):
         return None
     src, dst = arcs["src"], arcs["dst"]
     if (not len(arcs) or min(src.min(), dst.min()) < 0
-            or max(src.max(), dst.max()) >= _INT64_MAX or _inline_hash(path, text)):
+            or max(src.max(), dst.max()) >= _INT64_MAX or _inline_hash(text)):
         return None
     weight = arcs["weight"] if len(dtype) == 3 else np.zeros(len(arcs))
     return src, dst, weight, None
@@ -252,17 +237,19 @@ def load_edge_list(path, symmetrize: bool = False) -> Topology:
     self-loop is added once). A missing weight column reads as 0.0;
     duplicate (src, dst) pairs are an error rather than being summed.
 
-    numpy reads a file whose arc lines all have two fields, or all three, in
-    one pass. Any other file, or one whose arcs fail a check, is read again
-    one line at a time, and only that loop words errors: invalid UTF-8
-    first, then the first bad line in file order, even one after a
-    duplicate, and only then the first arc that repeats an earlier one.
-    A file that is not regular, such as a pipe or ``/dev/stdin``, is read
-    once, and numpy and the loop read its text.
+    The file is opened once, so a pipe, a FIFO or ``/dev/stdin`` reads as a
+    file does; invalid UTF-8 raises UnicodeDecodeError before any other
+    error, and "\\r\\n" or a lone "\\r" ends a line. numpy reads a file whose
+    arc lines all have two fields, or all three, in one pass. Any other
+    file, or one whose arcs fail a check, is parsed from the same text one
+    line at a time, and only that loop words errors: the first bad line in
+    file order, even one after a duplicate, and then the first arc that
+    repeats an earlier one.
     """
     with open(path, encoding="utf-8") as fh:
-        text = None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) else fh.read()
-    a, b, weight, line = _read_bulk(path, text) or _read_lines(path, text)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        text = fh.read()  # decoded whole, so an error gives its byte's file position
+    a, b, weight, line = _read_bulk(path, text, regular) or _read_lines(path, text)
     n = int(max(a.max(), b.max())) + 1
     if symmetrize:
         # each line's arc, then its reverse unless it is a self-loop
@@ -275,7 +262,8 @@ def load_edge_list(path, symmetrize: bool = False) -> Topology:
         line = line or _read_lines(path, text)[3]
         arc = np.flatnonzero(keep)[k] // 2 if symmetrize else k
         raise ValueError(f"{path}: line {line[arc]}: duplicate edge ({a[k]}, {b[k]})")
-    return Topology(n, a, b, weight)
+    # ids are >= 0, and n is one more than the largest
+    return Topology._trusted(n, a, b, weight)
 
 
 def save_edge_list(topology: Topology, path) -> None:
@@ -380,8 +368,8 @@ class Network:
         return out
 
     def topology(self) -> Topology:
-        coo = self.weights.tocoo()
-        return Topology(self.n, coo.row, coo.col, coo.data)
+        coo = self.weights.tocoo(copy=True)  # else it shares w's arrays, which _trusted freezes
+        return Topology._trusted(self.n, coo.row, coo.col, coo.data)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from opinion_game import (
     InvestmentPlan,
     Network,
     Topology,
+    generate_weights,
     load_edge_list,
     save_edge_list,
     validate,
@@ -370,6 +371,109 @@ class TestLoadEdgeList:
         assert arc_list(second) == arc_list(first)
 
 
+def load_outcome(path, symmetrize):
+    """(n, and each array's dtype and bytes) of a loaded file, or its
+    error's type and message with the path written as {path}."""
+    try:
+        topo = load_edge_list(path, symmetrize)
+    except ValueError as exc:
+        return type(exc), str(exc).replace(str(path), "{path}")
+    return topo.n, *((arr.dtype, arr.tobytes()) for arr in (topo.src, topo.dst, topo.weight))
+
+
+def through_fifo(fifo, data: bytes, read):
+    """``read(fifo)`` while another thread writes ``data`` into the FIFO;
+    both run in threads with a timeout, as a FIFO's open waits for its
+    other end."""
+    got = []
+    threads = [threading.Thread(target=target, daemon=True)
+               for target in (lambda: fifo.write_bytes(data), lambda: got.append(read(fifo)))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return got[0]
+
+
+class TestSingleRead:
+    """The loader reads its file once, as one text, and words every error
+    from that text as a text-mode read of the file would."""
+
+    def test_invalid_utf8_past_64k_reported_before_a_malformed_line(self, tmp_path):
+        # a malformed line and a duplicate come first; the error gives the
+        # bad byte's position in the whole file, not in a read chunk
+        head = b"0 x\n0 1\n0 1\n" + "".join(f"{i} {i + 1}\n" for i in range(20_000)).encode()
+        assert len(head) > 65_536
+        path = tmp_path / "graph.txt"
+        path.write_bytes(head + b"0 1 \xff\n")
+        with pytest.raises(UnicodeDecodeError) as exc:
+            load_edge_list(path)
+        assert (exc.value.start, exc.value.end) == (len(head) + 4, len(head) + 5)
+
+    @pytest.mark.parametrize("data, symmetrize, message", [
+        (b"0 1\r1 2\r0 1\r", False, "line 3: duplicate edge (0, 1)"),
+        (b"0 1\r\n1 2\r0 1\n", False, "line 3: duplicate edge (0, 1)"),
+        # "\r\r\n" ends two lines, "\n\r" two more
+        (b"0 1\r\r\n1 2\n\r0 1", False, "line 5: duplicate edge (0, 1)"),
+        (b"0 1\r2 3\r\n1 0\r", True, "line 3: duplicate edge (1, 0)"),
+        (b"0 1\r\n\r1 x\n", False, "line 3: could not parse '1 x'"),
+        (b"# c\r0 1 0.5\r\n1 2\n2 x\r", False, "line 4: could not parse '2 x'"),
+        (b"0 1\n\r\n1 2 3 4\r", False, "line 3: expected 'src dst [weight]', got '1 2 3 4'"),
+    ])
+    def test_bare_and_mixed_line_endings_number_lines_as_text_mode(
+            self, tmp_path, data, symmetrize, message):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as exc:
+            load_edge_list(path, symmetrize=symmetrize)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_one_open_per_load(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(model, "open", spy, raising=False)
+        # numpy reads in bulk, reads with a duplicate, cannot read, reads an
+        # inline '#'; under a plain name and a compressed suffix
+        for text in ("0 1\n1 2\n", "0 1\n1 2\n0 1\n", "0 1\n1 2 0.5\n", "0 1\n1 2#x\n"):
+            for name in ("graph.txt", "graph.gz"):
+                path = tmp_path / name
+                path.write_text(text)
+                calls.clear()
+                load_outcome(path, symmetrize=False)
+                assert calls == [path]
+        if not hasattr(os, "mkfifo"):
+            return
+        fifo = tmp_path / "graph.fifo"
+        os.mkfifo(fifo)
+        calls.clear()
+        topo = through_fifo(fifo, b"0 1\n1 2\n2 0\n", load_edge_list)
+        assert arc_list(topo) == [(0, 1, 0.0), (1, 2, 0.0), (2, 0, 0.0)]
+        assert calls == [fifo]
+
+    def test_fifo_matches_regular_file_on_random_files(self, tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        fifo = tmp_path / "graph.fifo"
+        os.mkfifo(fifo)
+        path = tmp_path / "graph.txt"
+        rng = random.Random(20181)
+        for case in range(200):
+            # the corpus of test_matches_loop_oracle_on_random_files
+            lines = 12_000 if case in (7, 150) else rng.randint(1, 60)
+            data = random_edge_list(
+                rng, lines, faults=case == 150 or (case != 7 and rng.random() < 0.6)).encode()
+            path.write_bytes(data)
+            for symmetrize in (False, True):
+                expected = load_outcome(path, symmetrize)
+                got = through_fifo(fifo, data, lambda f: load_outcome(f, symmetrize))
+                assert got == expected, data
+
+
 # lines of the kinds an edge-list file mixes, besides well-formed arcs:
 # comments and blanks, and malformed lines
 COMMENTS = ["# src dst", "   # indented", "#0 1", "\t#", "", "   ", "\t \t"]
@@ -565,6 +669,52 @@ class TestNetworkBuild:
     def test_scalar_broadcast(self):
         net = Network.build(3, w0=0.25)
         assert net.w0.tolist() == [0.25, 0.25, 0.25]
+
+
+class TestTrustedTopology:
+    """The topologies the package has checked already come from one
+    constructor, which skips the checks of ``Topology(...)``."""
+
+    @staticmethod
+    def made_topologies(tmp_path, monkeypatch):
+        made = []
+        trusted = Topology._trusted.__func__
+
+        def spy(cls, *args):
+            made.append(trusted(cls, *args))
+            return made[-1]
+
+        monkeypatch.setattr(Topology, "_trusted", classmethod(spy))
+        for text, symmetrize in (("0 1\n1 2\n2 0\n", False), ("0 1 0.5\n1 2 0.25\n", True),
+                                 ("0 1\n+1 2 0.5\n3 0\n", False)):
+            load_edge_list(write(tmp_path, text), symmetrize)
+        for topo in made[:3]:
+            generate_weights(topo, 0.3).topology()
+        assert len(made) == 9  # three loads, each weighted once and read back
+        return made
+
+    def test_read_only_contiguous_arrays(self, tmp_path, monkeypatch):
+        for topo in self.made_topologies(tmp_path, monkeypatch):
+            for arr, dtype in ((topo.src, np.int64), (topo.dst, np.int64), (topo.weight, np.float64)):
+                assert arr.dtype == dtype
+                assert arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_build_matches_checked_topology(self, tmp_path, monkeypatch):
+        for topo in self.made_topologies(tmp_path, monkeypatch):
+            checked = Topology(topo.n, topo.src.copy(), topo.dst.copy(), topo.weight.copy())
+            got, want = Network.build(topo.n, topo).weights, Network.build(topo.n, checked).weights
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_topology_shares_no_array_with_its_network(self, monkeypatch):
+        # with int64 indices, scipy's tocoo hands back w's own column ids
+        monkeypatch.setattr(model, "_INT32_MAX", 2)
+        net = Network.build(3, [(0, 1, 0.5), (1, 2, 0.25)])
+        topo, w = net.topology(), net.weights
+        assert w.indices.dtype == np.int64 and w.indices.flags.writeable
+        for arr in (topo.src, topo.dst, topo.weight):
+            assert not any(np.shares_memory(arr, part) for part in (w.indptr, w.indices, w.data))
 
 
 class TestIntegerIds:
