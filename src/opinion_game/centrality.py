@@ -4,11 +4,11 @@
 influence on node i produces within a single phase. ``s`` reweights that by
 how much of the produced opinion survives into a following phase through the
 bias weights, s = (I - w^T)^{-1} (r o w0), and higher orders extend the
-look-ahead one phase at a time. Columns of the resolvent (I - w)^{-1} come
-from the inverse the network caches when its solves are dense, and
-otherwise from one block solve per set of columns; the whole inverse is
-read only on the dense path. Like every solve, each reader refuses a
-network whose rows of |w| reach 1 with ConvergenceError.
+look-ahead one phase at a time. Every function here reads the network's one
+solver (``Network._solver``): columns of the resolvent (I - w)^{-1} are a
+view of its inverse where it forms one, and otherwise one block solve per
+set of columns. Like every solve, each reader refuses a network whose rows
+of |w| reach 1 with ConvergenceError.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _katz_pair, dense_resolvent, solve_linear
+from .dynamics import solve_linear
 from .model import Network
 
 
@@ -36,30 +36,30 @@ def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:
     (I - w^T) r = 1, and each further order solves (I - w^T) r_q = r_{q-1} o w0.
     On the iterative path with a uniform, nonzero w0, s = w0 (I - w^T)^{-2} 1,
     and r and s start their certified sweeps from one Chebyshev series for
-    both (``dynamics._katz_pair``): 37 sparse products instead of 63 sweeps
+    both (``dynamics._Solver.katz_pair``): 37 sparse products instead of 63 sweeps
     on a 200k-node preferential-attachment graph with rows of 0.56."""
     if orders < 2:
         raise ValueError("orders must be at least 2")
-    vecs = list(_katz_pair(net) or [solve_linear(net, np.ones(net.n), transpose=True)])
+    vecs = list(net._solver.katz_pair() or [solve_linear(net, np.ones(net.n), transpose=True)])
     while len(vecs) < orders:
         vecs.append(solve_linear(net, vecs[-1] * net.w0, transpose=True))
     return CentralityProfile(r=vecs[0], s=vecs[1], higher=tuple(vecs[2:]))
 
 
 def delta_columns(net: Network, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop-1 of (I - w)^{-1}: a view of the cached inverse on
-    the dense path, otherwise one solve against the block of unit vectors."""
-    delta = dense_resolvent(net)
+    """Columns start..stop-1 of (I - w)^{-1}: a view of the solver's inverse
+    where it forms one, otherwise one solve against the block of unit vectors."""
+    delta = net._solver.inverse
     if delta is not None:
         return delta[:, start:stop]
     return solve_linear(net, np.eye(net.n, stop - start, -start))
 
 
 def delta_matrix(net: Network) -> np.ndarray:
-    """Dense (I - w)^{-1}, cached read-only on the network; refused for
-    networks whose solves do not take the dense path, so the inverse is only
-    ever formed for networks of at most ``DENSE_LIMIT_N`` nodes."""
-    delta = dense_resolvent(net)
+    """Dense (I - w)^{-1}, read-only, from the network's solver; refused where
+    the solver forms no inverse, so it is only ever formed for networks of at
+    most ``DENSE_LIMIT_N`` nodes."""
+    delta = net._solver.inverse
     if delta is None:
         raise ValueError(f"dense resolvent refused for n={net.n}: its solves are iterative")
     return delta

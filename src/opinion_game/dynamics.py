@@ -10,15 +10,14 @@ update is a convergent affine map and the phase settles at
 
     v* = (I - w)^{-1} (w0 o v_prev + wg o x - wb o y).
 
-Every linear solve goes through :func:`solve_linear`, which takes no options:
-it applies the inverse the network caches or runs sweeps of the recursion,
-weighted by the Chebyshev recurrence once plain sweeps prove slow, choosing
-from n, nnz and rho = max_i sum_j |w_ij| (see :func:`_solves_dense`).
-One pair of solves starts elsewhere: on the iterative path with a uniform,
-nonzero w0, the influence vectors r and s of ``compute_profile`` start their
-sweeps from one Chebyshev series for both (:func:`_katz_pair`), under the
-same certificate. The cached inverse is read only through
-:func:`dense_resolvent`.
+Each network has one solver (:class:`_Solver`), made on its first solve:
+it refuses rho = max_i sum_j |w_ij| >= 1 and chooses once, from n, nnz and
+rho (:func:`_solves_dense`), between the dense inverse and sweeps of the
+recursion, weighted by the Chebyshev recurrence once plain sweeps prove slow.
+:func:`solve_linear`, which takes no options, and ``centrality`` read it. On
+the iterative path with a uniform, nonzero w0, r and s of ``compute_profile``
+start their sweeps from one Chebyshev series for both, under the same
+certificate (:meth:`_Solver.katz_pair`).
 Phases chain by feeding each phase's converged opinions in as the next
 phase's bias.
 """
@@ -26,6 +25,7 @@ phase's bias.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -77,18 +77,6 @@ def _sweeps(rho: float, bound: float, tol: float) -> int:
     return math.ceil(math.log(tol / bound) / math.log(rho))
 
 
-def _rho(net: Network) -> float:
-    """rho = max_i sum_j |w_ij|, the rate at which the recursion contracts.
-    Every solve and every read of the inverse starts here, so all of them
-    refuse rho >= 1 with one ConvergenceError."""
-    rho = float(net.row_abs_sums.max())
-    if not rho < 1.0:  # also refuses nan
-        raise ConvergenceError(
-            f"row sums of |w| reach {rho:.6g}; the recursion is not a contraction"
-        )
-    return rho
-
-
 def _solves_dense(net: Network) -> bool:
     """Dense up to ``DENSE_MAX_N`` nodes; iterative above ``DENSE_LIMIT_N``;
     in between dense when the k(rho) = log(tol (1 - rho) / rho) / log(rho)
@@ -100,19 +88,6 @@ def _solves_dense(net: Network) -> bool:
     rho = float(net.row_abs_sums.max())
     sweeps = _sweeps(rho, rho / (1.0 - rho), DEFAULT_TOL)
     return sweeps > MAX_SWEEPS or SWEEP_COST_RATIO * sweeps * (net.weights.nnz + n) > n ** 3
-
-
-def dense_resolvent(net: Network) -> np.ndarray | None:
-    """The network's cached (I - w)^{-1} if its solves take the dense path,
-    otherwise None (the inverse is never formed for such networks). Refuses
-    rho >= 1 (see :func:`_rho`) on either path."""
-    _rho(net)
-    if not _solves_dense(net):
-        return None
-    try:
-        return net._resolvent
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense inverse failed: {exc}") from exc
 
 
 def _norm(a: np.ndarray, column_sums: bool) -> float:
@@ -156,7 +131,7 @@ def _iterate(mat, rhs: np.ndarray, start: np.ndarray, rho: float,
     solve: on a w with w^3 = 0 and rhs = 1 the max-norm steps first match
     those of a real spectrum, and at rho = 0.56 the weights stay for 21
     sweeps where plain sweeps end at sweep 3. The caller has refused
-    rho >= 1 (:func:`_rho`).
+    rho >= 1 (:class:`_Solver`).
     """
     gain = rho / (1.0 - rho)
     pace = rho / (1.0 + math.sqrt(1.0 - rho * rho))
@@ -247,29 +222,68 @@ def _katz_series(mat, rho: float, n: int) -> tuple[np.ndarray, np.ndarray] | Non
         k += 1
 
 
-def _katz_pair(net: Network) -> tuple[np.ndarray, np.ndarray] | None:
-    """(r, s) of :func:`~opinion_game.centrality.compute_profile`, certified
-    as :func:`solve_linear` certifies them, where the iterative path starts
-    its sweeps from :func:`_katz_series`: there s = w0 (I - w^T)^{-2} 1
-    with w0 uniform and nonzero. None on every other network, and where the
-    series is abandoned."""
-    rho = _rho(net)
-    w0 = net.w0[0]
-    if _solves_dense(net) or rho == 0.0 or w0 == 0.0 or not (net.w0 == w0).all():
-        return None
-    mat = net._weights_t
-    guess = _katz_series(mat, rho, net.n)
-    if guess is None:
-        return None
-    r = _iterate(mat, np.ones(net.n), guess[0], rho, True)[0]
-    s = _iterate(mat, net.w0 * r, w0 * guess[1], rho, True)[0]
-    return r, s
+class _Solver:
+    """A network's one linear solver, cached on it as ``Network._solver``:
+    made once, it refuses rho >= 1 and chooses the path (:func:`_solves_dense`).
+    It keeps w, w^T (a CSC view sharing w's arrays, made once: scipy makes a
+    new object on every ``.T``), w0, n and rho, not the network, so no
+    reference cycle keeps the network alive."""
+
+    def __init__(self, net: Network):
+        rho = float(net.row_abs_sums.max())
+        if not rho < 1.0:  # also refuses nan
+            raise ConvergenceError(f"row sums of |w| reach {rho:.6g}; the recursion is not a contraction")
+        self.n, self.rho, self.w0 = net.n, rho, net.w0
+        self.w, self.wt = net.weights, net.weights.T
+        self.dense = _solves_dense(net)
+
+    @cached_property
+    def inverse(self) -> np.ndarray | None:
+        """(I - w)^{-1}, read-only, formed on first read on the dense path;
+        None on the iterative path, where it is never formed."""
+        if not self.dense:
+            return None
+        try:
+            inv = np.linalg.inv(np.eye(self.n) - self.w.toarray())
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"dense inverse failed: {exc}") from exc
+        inv.setflags(write=False)
+        return inv
+
+    def solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+        """z of :func:`solve_linear`, for an rhs it has checked."""
+        mat = self.wt if transpose else self.w
+        if not self.dense:
+            return _iterate(mat, rhs, rhs, self.rho, transpose)[0]
+        delta = self.inverse
+        z = (delta.T if transpose else delta) @ rhs
+        resid = _norm(z - mat @ z - rhs, transpose)
+        bound = 8 * self.n * EPS * _norm(rhs, transpose) / (1.0 - self.rho)
+        if not resid <= bound:  # also refuses nan
+            raise ConvergenceError(f"direct solve residual {resid:.3e} above its rounding bound {bound:.3e}")
+        return z
+
+    def katz_pair(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(r, s) of :func:`~opinion_game.centrality.compute_profile`, certified
+        as :func:`solve_linear` certifies them, where the iterative path starts
+        its sweeps from :func:`_katz_series`: there s = w0 (I - w^T)^{-2} 1
+        with w0 uniform and nonzero. None on every other network, and where
+        the series is abandoned."""
+        rho, w0 = self.rho, self.w0[0]
+        if self.dense or rho == 0.0 or w0 == 0.0 or not (self.w0 == w0).all():
+            return None
+        guess = _katz_series(self.wt, rho, self.n)
+        if guess is None:
+            return None
+        r = _iterate(self.wt, np.ones(self.n), guess[0], rho, True)[0]
+        s = _iterate(self.wt, self.w0 * r, w0 * guess[1], rho, True)[0]
+        return r, s
 
 
 def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     """Solve (I - w) z = rhs, or (I - w^T) z = rhs, for a vector or an n x k block.
 
-    rho >= 1 is refused (:func:`_rho`). Dense solves apply the cached
+    rho >= 1 is refused (:class:`_Solver`). Dense solves apply the cached
     inverse, and the residual must stay within the rounding bound
     c n eps |rhs| / (1 - rho), c = 8, in the norm named below: that of
     summing n terms of |delta| |rhs|, whose rows of |delta| sum to at most
@@ -290,17 +304,7 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=float)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise ValueError(f"rhs must be a length-{n} vector or an {n} x k block, got {rhs.shape}")
-    mat = net._weights_t if transpose else net.weights
-    rho = _rho(net)
-    delta = dense_resolvent(net)
-    if delta is None:
-        return _iterate(mat, rhs, rhs, rho, transpose)[0]
-    z = (delta.T if transpose else delta) @ rhs
-    resid = _norm(z - mat @ z - rhs, transpose)
-    bound = 8 * n * EPS * _norm(rhs, transpose) / (1.0 - rho)
-    if not resid <= bound:  # also refuses nan
-        raise ConvergenceError(f"direct solve residual {resid:.3e} above its rounding bound {bound:.3e}")
-    return z
+    return net._solver.solve(rhs, transpose)
 
 
 def steady_state(net: Network, v_prev, x=None, y=None, wg_eff=None, wb_eff=None) -> np.ndarray:

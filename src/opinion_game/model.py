@@ -281,8 +281,8 @@ class Network:
     ``weights`` is a CSR matrix (row i lists the opinion weights node i puts
     on its out-neighbours), with int32 indices wherever n and the arc count
     fit them. All parameter vectors are read-only, so instances are safe to
-    share across threads; the derived matrices below are cached read-only on
-    first use (a race only computes one twice).
+    share across threads. ``row_abs_sums`` and the network's linear solver
+    are cached on first use (a race only computes one twice).
     """
 
     n: int
@@ -342,19 +342,12 @@ class Network:
         )
 
     @cached_property
-    def _resolvent(self) -> np.ndarray:
-        """Dense (I - w)^{-1}; raises numpy's LinAlgError when I - w is singular.
-        Read it through ``dynamics.dense_resolvent``, which refuses rho >= 1
-        and networks too large for the inverse."""
-        inv = np.linalg.inv(np.eye(self.n) - self.weights.toarray())
-        inv.setflags(write=False)
-        return inv
+    def _solver(self):
+        """The network's one linear solver, ``dynamics._Solver``, made on the
+        first solve; it refuses rho >= 1 there, and then nothing is cached."""
+        from .dynamics import _Solver  # dynamics imports this module
 
-    @cached_property
-    def _weights_t(self) -> sparse.csc_array:
-        """w^T, a CSC view sharing w's arrays: scipy makes a new object on
-        every ``.T``, which on a few nodes costs more than the product."""
-        return self.weights.T
+        return _Solver(self)
 
     @cached_property
     def row_abs_sums(self) -> np.ndarray:

@@ -1,6 +1,8 @@
+import gc
 import math
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,12 +15,14 @@ from scipy.sparse.linalg import spsolve
 
 from opinion_game import (
     ConvergenceError,
+    DependencyCoefficients,
     Network,
     Topology,
     ba_graph,
     compute_profile,
     delta_matrix,
     dependency_camp_weights,
+    generate_weights,
     iter_phases,
     run_phases,
     steady_state,
@@ -26,7 +30,7 @@ from opinion_game import (
 )
 import opinion_game.dynamics as dynamics
 from opinion_game.centrality import delta_columns
-from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, dense_resolvent, solve_linear
+from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, solve_linear
 
 from conftest import (
     dense_steady_state,
@@ -182,7 +186,7 @@ class TestSolveLinear:
         make = cycle_network if kind == "cycle" else pa_network
         net = make(n, 1.0 - gap, w0=gap / 2)
         assert validate(net) == [] and validate(net, "dependency") == []
-        assert dense_resolvent(net) is not None
+        assert net._solver.dense
         prof = compute_profile(net)
         a = (np.eye(n) - net.weights.toarray()).T
         r = refined_solve(a, np.ones(n))
@@ -226,16 +230,16 @@ class TestSolveLinear:
                      lambda: steady_state(net, np.zeros(net.n))):
             with pytest.raises(ConvergenceError, match="not a contraction"):
                 read()
-        assert "_resolvent" not in vars(net)
+        assert "_solver" not in vars(net)  # refused, so no solver and no inverse
 
     @pytest.mark.parametrize("error", [1e-3, math.nan])
     @pytest.mark.parametrize("transpose", [False, True])
     def test_wrong_cached_inverse_refused(self, error, transpose):
         net = cycle_network(10, 0.5)
-        wrong = np.array(net._resolvent)
+        wrong = np.array(net._solver.inverse)
         wrong[3, 7] += error
         wrong.setflags(write=False)
-        net.__dict__["_resolvent"] = wrong
+        net._solver.__dict__["inverse"] = wrong
         with pytest.raises(ConvergenceError, match="^direct solve residual .* above its rounding bound"):
             solve_linear(net, np.ones(10), transpose=transpose)
 
@@ -251,7 +255,7 @@ class TestSolveLinear:
 
     def test_transposed_iterative_solve_is_certified(self):
         net = hub_network()
-        assert dense_resolvent(net) is None  # above the cutoff: iterates
+        assert not net._solver.dense  # above the cutoff: iterates
         assert np.abs(net.weights.toarray()).sum(axis=0).max() > 1.0
         rhs = np.random.default_rng(7).uniform(-1, 1, net.n)
         z = solve_linear(net, rhs, transpose=True)
@@ -290,7 +294,7 @@ class TestSolveLinear:
         assert not dynamics._solves_dense(hub_network())  # 240 sweeps beat the inverse
         assert dynamics._solves_dense(hub_network(rho=0.999))  # 30,000 sweeps do not
         with pytest.raises(ConvergenceError, match="not a contraction"):
-            dense_resolvent(cycle_network(600, 1.0))  # no contraction, whatever the path
+            cycle_network(600, 1.0)._solver  # no contraction, whatever the path
         assert not dynamics._solves_dense(cycle_network(dynamics.DENSE_LIMIT_N + 1, 0.99999))
 
     @pytest.mark.parametrize("a", [1.0, 1.0 - 1e-9])
@@ -314,7 +318,7 @@ class TestSolveLinear:
         finally:
             tracemalloc.stop()
         assert peak < net.n ** 2
-        assert "_resolvent" not in vars(net)
+        assert "_solver" not in vars(net) or net._solver.inverse is None  # no inverse formed
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_near_unit_iterative_solve_within_rounding_bound(self, monkeypatch, transpose):
@@ -342,7 +346,8 @@ class TestSolveLinear:
 
     def test_transposed_view_is_built_once(self, monkeypatch):
         # scipy makes a new CSC object on every .T, which on a few nodes
-        # costs more than the product; the network keeps one
+        # costs more than the product; the network's solver keeps one, a
+        # view sharing w's arrays
         calls = []
         transpose = sparse.csr_array.transpose
 
@@ -358,7 +363,8 @@ class TestSolveLinear:
             for _ in range(3):
                 assert np.array_equal(solve_linear(net, rhs, transpose=True), first)
             compute_profile(net)
-            assert len(calls) == 1 and net._weights_t is net._weights_t
+            assert len(calls) == 1 and net._solver.wt.format == "csc"
+            assert np.shares_memory(net._solver.wt.data, net.weights.data)
 
     def test_rhs_shape_checked(self):
         with pytest.raises(ValueError):
@@ -513,7 +519,7 @@ class TestChebyshevSweeps:
         n = 5000
         net = pa_network(n, rho, w0=(1.0 - rho) / 2, wg=(1.0 - rho) / 4, wb=(1.0 - rho) / 4)
         assert validate(net) == []
-        assert dense_resolvent(net) is None
+        assert not net._solver.dense  # iterative path
         prof = compute_profile(net)
         assert prof.r.sum() == pytest.approx(n / (1.0 - rho), rel=1e-9)
         assert prof.s.sum() == pytest.approx((net.w0 * prof.r).sum() / (1.0 - rho), rel=1e-9)
@@ -582,7 +588,7 @@ class TestKatzSeries:
         # 56 sweeps for two solves, 35 products from the series on
         counts = sweep_counts(monkeypatch)
         net = pa_network(5000, 0.56, w0=0.3)
-        assert dense_resolvent(net) is None
+        assert not net._solver.dense  # iterative path
         r, s = two_solves(net)
         solves = sum(counts)
         counts.clear()
@@ -644,10 +650,75 @@ class TestSweepBudget:
         net = Network.build(n, [(i, (i + 1) % n, 0.999) for i in range(n)],
                             w0=5e-4, wg=2.5e-4, wb=2.5e-4, v0=v0)
         assert validate(net) == []
-        assert dense_resolvent(net) is None
+        assert not net._solver.dense  # iterative path
         rhs = net.w0 * net.v0 + net.wg * x
         v = steady_state(net, net.v0, x=x)
         assert within_certificate(net, v, sparse_exact(net, rhs), rhs, False)
+
+
+def path_decisions(monkeypatch):
+    """Record the network of every path decision (``_solves_dense`` call) and
+    of every rho refusal (a solver made, which refuses rho >= 1 once)."""
+    decisions, refusals = [], []
+    choose, make = dynamics._solves_dense, dynamics._Solver.__init__
+
+    def counted_choose(net):
+        decisions.append(net)
+        return choose(net)
+
+    def counted_make(self, net):
+        refusals.append(net)
+        make(self, net)
+
+    monkeypatch.setattr(dynamics, "_solves_dense", counted_choose)
+    monkeypatch.setattr(dynamics._Solver, "__init__", counted_make)
+    return decisions, refusals
+
+
+class TestOneSolverPerNetwork:
+    def test_one_path_decision_per_network(self, monkeypatch):
+        # each reader once chose the path and refused rho >= 1 again: 10
+        # decisions and 16 refusals on the dense network, 3 and 5 on the
+        # iterative one
+        decisions, refusals = path_decisions(monkeypatch)
+        dense = replace(generate_weights(ba_graph(12, 2, 0), 0.3), v0=np.full(12, 0.2))
+        compute_profile(dense)
+        DependencyCoefficients(dense)
+        delta_matrix(dense)
+        delta_columns(dense, 2, 5)
+        steady_state(dense, dense.v0)
+        iterative = pa_network(600, 0.56, w0=0.3)
+        compute_profile(iterative)
+        solve_linear(iterative, np.ones(600))
+        steady_state(iterative, np.full(600, 0.2))
+        assert dense._solver.dense and not iterative._solver.dense
+        assert decisions == refusals == [dense, iterative]
+        # a refused network chooses no path and caches nothing, so each read
+        # refuses it again
+        refused = cycle_network(600, 1.0)
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="not a contraction"):
+                compute_profile(refused)
+        assert decisions == [dense, iterative] and len(refusals) == 4
+        assert "_solver" not in vars(refused)
+
+    @pytest.mark.parametrize("make", [two_node_net, lambda: pa_network(600, 0.56, w0=0.3)],
+                             ids=["dense", "iterative"])
+    def test_solver_keeps_its_network_collectable(self, make):
+        # the solver holds w, w^T, w0, n and rho, not the network: a
+        # network -> solver -> network cycle would keep every network, and a
+        # 200k-node one's arrays, alive until a full collection
+        gc.disable()
+        try:
+            net = make()
+            solve_linear(net, np.ones(net.n), transpose=True)
+            if net._solver.dense:
+                delta_matrix(net)
+            ref = weakref.ref(net)
+            del net
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestRunPhases:

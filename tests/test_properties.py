@@ -27,7 +27,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import opinion_game.dynamics as dynamics
 from opinion_game import (
     BAD,
     GOOD,
@@ -85,7 +84,7 @@ def test_profile_matches_refined_solves(net):
 def assert_iterative_profile_certified(net):
     """r and s each within the iterative certificate of the refined solve of
     its own system; s's right-hand side is w0 o r of the r returned."""
-    assert validate(net) == [] and dynamics.dense_resolvent(net) is None
+    assert validate(net) == [] and not net._solver.dense  # iterative path
     prof = compute_profile(net)
     a = (np.eye(net.n) - net.weights.toarray()).T
     for z, rhs in ((prof.r, np.ones(net.n)), (prof.s, net.w0 * prof.r)):
@@ -106,7 +105,7 @@ def test_profile_from_the_series_matches_refined_solves():
     # on 600 nodes, where the solves still iterate
     top = ba_graph(600)
     net = Network.build(600, replace(top, weight=0.56 / top.out_degrees()[top.src]), w0=0.3)
-    assert dynamics._katz_pair(net) is not None
+    assert net._solver.katz_pair() is not None
     assert_iterative_profile_certified(net)
 
 

@@ -150,15 +150,19 @@ class TestSingleCampOptimal:
 
     def test_streaming_scan_matches_dense_scan(self, monkeypatch):
         # the scan on iterative solves (what large networks take) against the
-        # scan on the dense inverse
+        # scan on the dense inverse; a network chooses its path once, so the
+        # iterative side is a network of its own with the same weights
         rng = np.random.default_rng(109)
         for _ in range(5):
             net = random_network(rng, 7, dependency=True)
             kg = float(rng.uniform(0.5, 5.0))
             dense_plan, dense_value = single_camp_optimal(net, kg)
             monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
-            stream_plan, stream_value = single_camp_optimal(net, kg)
+            twin = Network.build(net.n, net.topology(), w0=net.w0, v0=net.v0, wg=net.wg,
+                                 wb=net.wb, theta=net.theta)
+            stream_plan, stream_value = single_camp_optimal(twin, kg)
             monkeypatch.undo()
+            assert not twin._solver.dense
             assert stream_value == pytest.approx(dense_value, abs=1e-10)
             for phase in ("x1", "x2"):
                 dense_x, stream_x = getattr(dense_plan, phase), getattr(stream_plan, phase)
@@ -586,7 +590,7 @@ class TestTwoCampEquilibrium:
         net = random_network(rng, 41, dependency=True)
         with pytest.raises(ValueError, match="2829124-entry payoff; refusing n=41"):
             two_camp_equilibrium(net, 1.0, 1.0)
-        assert "_resolvent" not in vars(net)  # refused before any solve
+        assert "_solver" not in vars(net)  # refused before any solve
 
 
 class TestDoubleOracle:
@@ -641,7 +645,7 @@ class TestDoubleOracle:
         with pytest.raises(ValueError, match=r"over 145 profiles per camp, .* this 13-node "
                                              r"network has n\^2 \+ 1 = 170"):
             two_camp_equilibrium(net, 100.0, 50.0, start=start)
-        assert "_resolvent" not in vars(net)  # refused before any solve
+        assert "_solver" not in vars(net)  # refused before any solve
 
     def test_wrong_restricted_mix_fails_the_certificate(self, monkeypatch):
         solve = dep.solve_zero_sum
