@@ -54,7 +54,6 @@ from .strategy_fixed import (
 from .strategy_dependent import (
     DependencyCoefficients,
     GameSolution,
-    game_profiles,
     single_camp_optimal,
     two_camp_equilibrium,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "delta_matrix",
     "dependency_camp_weights",
     "evaluate_two_phase",
-    "game_profiles",
     "generate_weights",
     "iter_phases",
     "load_edge_list",

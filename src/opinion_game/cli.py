@@ -17,6 +17,7 @@ from .dynamics import ConvergenceError, iter_phases
 from .game import GameSolverError
 from .model import BAD, GOOD, Budgets, Network, _as_vector, load_edge_list, validate
 from .centrality import compute_profile
+from .strategy_dependent import _profile_nodes
 
 #: node count of the synthetic fallback graph used when --graph is omitted
 SYNTHETIC_NODES = 300
@@ -145,8 +146,7 @@ def _cmd_strategy_dep(args) -> None:
             q = solution.col_mix[j]
             if q <= harness.SUPPORT_CUTOFF:
                 continue
-            good = solution.profiles[i] or (None, None)
-            bad = solution.profiles[j] or (None, None)
+            good, bad = _profile_nodes(i, net.n), _profile_nodes(j, net.n)
             kg1 = float(solution.restricted_kg1[a, b])
             kb1 = float(solution.restricted_kb1[a, b])
             kg2, kb2 = args.kg - kg1, args.kb - kb1

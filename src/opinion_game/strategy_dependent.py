@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -49,8 +48,6 @@ from .centrality import compute_profile, delta_columns, delta_matrix
 from .dynamics import _dot, solve_linear
 from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
 from .model import GOOD, InvestmentPlan, Network
-
-Pair = tuple[int, int]
 
 #: largest network the two-camp game is solved for: its full payoff, built
 #: when ``GameSolution.payoff`` is read, has (n^2+1)^2 entries, 2.7 million
@@ -64,13 +61,16 @@ SCAN_BLOCK_ENTRIES = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class GameSolution:
-    """Solved two-camp game over the pure profiles in ``profiles`` (good camp
-    maximizes): mixed strategies of both camps, zero outside the row and
-    column sets the double oracle grew; the game value; and the certificate
-    ``gap``, the best row response's value minus the best column response's
-    value against those mixes. ``restricted_kg1[a, b]`` and
-    ``restricted_kb1[a, b]`` are the phase-1 budgets of the saddle of good
-    profile ``row_set[a]`` against bad profile ``col_set[b]``.
+    """Solved two-camp game over the n^2 + 1 pure profiles of each camp (good
+    camp maximizes), which are indices: profile k < n^2 is the node pair
+    (k // n, k % n) and profile n^2 stays out, as :func:`_profile_nodes`
+    decodes. Holds the mixed strategies of both camps over those indices,
+    zero outside the row and column sets the double oracle grew; the game
+    value; and the certificate ``gap``, the best row response's value minus
+    the best column response's value against those mixes.
+    ``restricted_kg1[a, b]`` and ``restricted_kb1[a, b]`` are the phase-1
+    budgets of the saddle of good profile ``row_set[a]`` against bad profile
+    ``col_set[b]``.
 
     ``payoff`` is the full (n^2+1) x (n^2+1) payoff, scored on first read
     from ``_terms`` in blocks of n rows by the scorer the solve used, so
@@ -80,7 +80,6 @@ class GameSolution:
     col_mix: np.ndarray
     value: float
     gap: float
-    profiles: tuple[Optional[Pair], ...]
     row_set: np.ndarray
     col_set: np.ndarray
     restricted_kg1: np.ndarray
@@ -89,7 +88,7 @@ class GameSolution:
 
     @cached_property
     def payoff(self) -> np.ndarray:
-        m, n = len(self.profiles), self._terms[0].r.size
+        m, n = self.row_mix.size, self._terms[0].r.size
         return np.vstack([
             _score(self._terms, range(i, min(i + n, m)), [])[0].reshape(-1, m)
             for i in range(0, m, n)
@@ -203,16 +202,21 @@ def _box_saddle(u00, qa, qb, qaa, qbb, qab, kg, kb):
     return value, a, b
 
 
-def _camp_terms(coef, node1, node2, rows, budget: float, sign: float):
-    """Per-profile terms of one camp for the profiles (node1[k], node2[k]),
-    followed by the stay-out profile: phase-1 weight, phase-2 weight,
-    phase-2 gain, budget, phase-1 node, and the row of the phase-2 node in
-    the coupling rows. ``sign`` is +1 for the good camp and -1 for the bad
-    one. Stay-out has zero weights and zero budget, so every term it enters
-    vanishes; its node and row are placeholders."""
-    node1 = np.asarray(node1, dtype=int)
-    node2 = np.asarray(node2, dtype=int)
-    rows = np.asarray(rows, dtype=int)
+def _profile_nodes(k: int, n: int) -> tuple[int | None, int | None]:
+    """(phase-1 node, phase-2 node) of profile k of an n-node game: the node
+    pair (k // n, k % n) for k < n^2, (None, None) for stay-out, k = n^2."""
+    return divmod(k, n) if k < n * n else (None, None)
+
+
+def _camp_terms(coef, budget: float, sign: float):
+    """Per-profile terms of one camp for every profile, in index order: the
+    node pairs of :func:`_profile_nodes`, then stay-out. The terms are
+    phase-1 weight, phase-2 weight, phase-2 gain, budget, phase-1 node and
+    phase-2 node. ``sign`` is +1 for the good camp and -1 for the bad one.
+    Stay-out has zero weights and zero budget, so every term it enters
+    vanishes; its nodes are placeholders."""
+    n = coef.r.size
+    node1, node2 = np.divmod(np.arange(n * n), n)
     w1 = 0.5 * coef.theta[node1] * (1.0 + sign * coef.c[node1])
     w2 = 0.5 * coef.theta[node2]
     gain = coef.cb[node2] + sign * coef.r[node2]
@@ -220,7 +224,7 @@ def _camp_terms(coef, node1, node2, rows, budget: float, sign: float):
     return (
         *(np.append(x, 0.0) for x in (w1, w2, gain, spend)),
         np.append(node1, 0),
-        np.append(rows, 0),
+        np.append(node2, 0),
     )
 
 
@@ -312,12 +316,6 @@ def single_camp_optimal(net: Network, kg: float) -> tuple[InvestmentPlan, float]
     return InvestmentPlan(GOOD, x1, x2), best_val
 
 
-def game_profiles(n: int) -> tuple[Optional[Pair], ...]:
-    """Pure strategy space of one camp: all node pairs plus the stay-out
-    sentinel (None), n^2 + 1 strategies in total."""
-    return tuple((a, b) for a in range(n) for b in range(n)) + (None,)
-
-
 def _score(terms, rows, cols):
     """Flat (value, kg1, kb1) of the pairs (i, every profile) for each good
     profile i in ``rows``, then (every profile, j) for each bad profile j in
@@ -341,6 +339,8 @@ def two_camp_equilibrium(
 ) -> GameSolution:
     """Equilibrium of the zero-sum game over the n^2 + 1 pure profiles of
     each camp, by the double oracle of McMahan, Gordon & Blum (ICML 2003).
+    Profiles are indices, row k and column k of the payoff: k < n^2 is the
+    node pair (k // n, k % n) and k = n^2 is stay-out (:func:`_profile_nodes`).
 
     Given ``start``, an earlier solution of a game over the same n^2 + 1
     profiles (the previous point of a bias-weight sweep, say), the row and
@@ -373,19 +373,18 @@ def two_camp_equilibrium(
         )
     if not (0 <= kg < np.inf and 0 <= kb < np.inf):  # also refuses nan
         raise ValueError("budgets must be finite and nonnegative")
-    if start is not None and {len(start.profiles), start.row_mix.size, start.col_mix.size} != {m}:
+    if start is not None and {start.row_mix.size, start.col_mix.size} != {m}:
         raise ValueError(
-            f"start is a game over {len(start.profiles)} profiles per camp, with mixes over "
+            f"start is a game over {start.row_mix.size} profiles per camp, with mixes over "
             f"{start.row_mix.size} and {start.col_mix.size}; this {n}-node network has "
             f"n^2 + 1 = {m}"
         )
     coef = DependencyCoefficients(net)
-    node1, node2 = np.divmod(np.arange(n * n), n)
     terms = (
         coef,
         coef.scale[:, None] * delta_matrix(net),
-        _camp_terms(coef, node1, node2, node2, kg, 1.0),
-        _camp_terms(coef, node1, node2, node2, kb, -1.0),
+        _camp_terms(coef, kg, 1.0),
+        _camp_terms(coef, kb, -1.0),
     )
     row_of, col_of = {}, {}
 
@@ -428,7 +427,6 @@ def two_camp_equilibrium(
         col_mix=col_mix,
         value=float(value),
         gap=gap,
-        profiles=game_profiles(n),
         row_set=np.array(rows),
         col_set=np.array(cols),
         restricted_kg1=np.array([row_of[i][1][cols] for i in rows]),

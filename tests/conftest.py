@@ -24,7 +24,12 @@ from opinion_game.centrality import delta_matrix
 from opinion_game.dynamics import DEFAULT_TOL, EPS, MAX_SWEEPS, STALL_ULPS, solve_linear
 from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot, solve_zero_sum
 from opinion_game.model import TOLERANCE
-from opinion_game.strategy_dependent import _box_saddle, _camp_terms, _coefficient_block
+from opinion_game.strategy_dependent import (
+    _box_saddle,
+    _camp_terms,
+    _coefficient_block,
+    _profile_nodes,
+)
 
 
 def random_network(
@@ -287,6 +292,13 @@ def quad_coefficients(net: Network, coef, good, bad, kg: float, kb: float):
     return u00, qa, qb, qaa, qbb, qab
 
 
+def oracle_profile(k: int, n: int):
+    """Profile k of an n-node game in the form the scalar oracles take: its
+    (phase-1 node, phase-2 node) pair, or None for stay-out."""
+    pair = _profile_nodes(k, n)
+    return None if pair[0] is None else pair
+
+
 def saddle_entry(net: Network, good, bad, kg: float, kb: float) -> tuple[float, float, float]:
     """(value, kg1, kb1) of one payoff entry: the box saddle of the scalar
     :func:`quad_coefficients` of the profiles ``good`` and ``bad``, each a
@@ -376,9 +388,8 @@ def full_game_solution(net: Network, kg: float, kb: float) -> FullGame:
     m = n * n + 1
     coef = DependencyCoefficients(net)
     b_mat = (coef.r * net.w0)[:, None] * delta_matrix(net)
-    node1, node2 = np.divmod(np.arange(n * n), n)
-    good = _camp_terms(coef, node1, node2, node2, kg, 1.0)
-    bad = _camp_terms(coef, node1, node2, node2, kb, -1.0)
+    good = _camp_terms(coef, kg, 1.0)
+    bad = _camp_terms(coef, kb, -1.0)
     payoff, kg1, kb1 = (np.empty((m, m)) for _ in range(3))
     for start in range(0, m, n):
         rows = slice(start, start + n)

@@ -40,6 +40,7 @@ from conftest import (
     dependency_two_phase_sum,
     interior_saddle,
     neumann_transpose_apply,
+    oracle_profile,
     plain_phase,
     quad_coefficients,
     random_network,
@@ -224,8 +225,10 @@ def test_criterion_7_dependency_two_camps():
         if row_gain > 1e-6 or col_gain > 1e-6:
             ok = False
             details.append(f"trial {trial}: pure deviation gains {row_gain:.2e}/{col_gain:.2e}")
-        for good in solution.profiles:
-            for bad in solution.profiles:
+        m = net.n ** 2 + 1
+        for i in range(m):
+            for j in range(m):
+                good, bad = oracle_profile(i, net.n), oracle_profile(j, net.n)
                 if good is None or bad is None:
                     continue
                 u00, qa, qb, qaa, qbb, qab = quad_coefficients(net, coef, good, bad, kg, kb)

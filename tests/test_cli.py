@@ -11,6 +11,7 @@ import pytest
 import opinion_game
 from opinion_game import (
     Network, ba_graph, compute_profile, generate_weights, load_edge_list, save_edge_list,
+    two_camp_equilibrium,
 )
 from opinion_game import cli, harness
 from opinion_game.cli import _network, build_parser, main
@@ -72,7 +73,7 @@ class TestPublicSurface:
         "SWEEP_COLUMNS", "SWEEP_MODES", "Topology", "Violation", "WeightScheme",
         "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix",
         "dependency_camp_weights", "evaluate_two_phase",
-        "game_profiles", "generate_weights", "iter_phases",
+        "generate_weights", "iter_phases",
         "load_edge_list", "multi_election_scores",
         "myopic_loss", "myopic_strategy", "run_phases",
         "save_edge_list", "single_camp_optimal", "solve_zero_sum", "steady_state",
@@ -80,7 +81,7 @@ class TestPublicSurface:
     ]
 
     def test_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 37
+        assert len(self.NAMES) == 36
         assert sorted(opinion_game.__all__) == self.NAMES
         assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
         for name in opinion_game.__all__:
@@ -91,13 +92,13 @@ class TestPublicSurface:
         # result types gave way to InvestmentPlan, farsighted_unbounded to
         # bounded_greedy with cap=inf, fixed_point_iterate to the plain loop
         # in the tests' conftest, profile_utility and delta_row to its
-        # saddle_entry and resolvent_row, and sweep_point to sweep_w0 with a
-        # one-value grid
+        # saddle_entry and resolvent_row, sweep_point to sweep_w0 with a
+        # one-value grid, and game_profiles to profile indices
         for name in ("apply_delta", "camp_weights", "MatrixGame",
                      "katz_r", "katz_s", "katz_multiphase", "OpinionState",
                      "PureInvestment", "PureProfile", "farsighted_unbounded",
                      "fixed_point_iterate", "profile_utility", "delta_row",
-                     "sweep_point"):
+                     "sweep_point", "game_profiles"):
             with pytest.raises(AttributeError):
                 getattr(opinion_game, name)
         for owner, name in ((opinion_game.InvestmentPlan, "total"),
@@ -340,13 +341,15 @@ class TestStrategyDepCommand:
         assert (code, read_csv(out)[1]) == (0, [["", "3", "0", "100", "133.384841721"]])
 
     def test_tied_profiles_on_both_sides_print_one_row(self, capsys, graph_file, monkeypatch):
-        # good profiles 1 and 2, and bad profiles 3 and 4, spend everything in
+        # on the triangle, good profiles 1 and 2, nodes (0, 1) and (0, 2), and
+        # bad profiles 3 and 5, nodes (1, 0) and (1, 2), spend everything in
         # phase 1: their four support pairs print one schedule, whose
-        # probabilities count each profile once; good profile 5 prints its own
-        profiles = [None, (0, 1), (0, 2), (1, 0), (1, 2), (2, 2)]
+        # probabilities count each profile once; good profile 8, nodes
+        # (2, 2), prints its own
         solution = SimpleNamespace(
-            value=0.5, profiles=profiles, row_set=[1, 2, 5], col_set=[3, 4],
-            row_mix=np.array([0, 0.25, 0.25, 0, 0, 0.5]), col_mix=np.array([0, 0, 0, 0.5, 0.5, 0]),
+            value=0.5, row_set=[1, 2, 8], col_set=[3, 5],
+            row_mix=np.array([0, 0.25, 0.25, 0, 0, 0, 0, 0, 0.5, 0]),
+            col_mix=np.array([0, 0, 0, 0.5, 0, 0.5, 0, 0, 0, 0]),
             restricted_kg1=np.array([[2.0, 2.0], [2.0, 2.0], [1.0, 1.0]]),
             restricted_kb1=np.full((3, 2), 2.0),
         )
@@ -357,14 +360,14 @@ class TestStrategyDepCommand:
         assert out.splitlines()[1:] == ["0.5,0,,0.5,1,,1,2,0,2,0", "0.5,2,2,0.5,1,,1,1,1,2,0"]
 
     def test_rows_down_to_the_sweep_support_cutoff_print(self, capsys, graph_file, monkeypatch):
-        # good profile 2 plays 5e-10 and prints its own row, once dropped by a
-        # cutoff of 1e-9; profile 4 plays exactly harness.SUPPORT_CUTOFF, 1e-12,
-        # and prints none, as it takes no part in a sweep row's expected splits
-        profiles = [None, (0, 1), (0, 2), (1, 0), (2, 2)]
+        # on the triangle, good profile 2, nodes (0, 2), plays 5e-10 and
+        # prints its own row, once dropped by a cutoff of 1e-9; profile 8 plays
+        # exactly harness.SUPPORT_CUTOFF, 1e-12, and prints none, as it takes
+        # no part in a sweep row's expected splits
         solution = SimpleNamespace(
-            value=0.5, profiles=profiles, row_set=[1, 2, 4], col_set=[3],
-            row_mix=np.array([0, 1 - 5e-10 - 1e-12, 5e-10, 0, 1e-12]),
-            col_mix=np.array([0, 0, 0, 1.0, 0]),
+            value=0.5, row_set=[1, 2, 8], col_set=[3],
+            row_mix=np.array([0, 1 - 5e-10 - 1e-12, 5e-10, 0, 0, 0, 0, 0, 1e-12, 0]),
+            col_mix=np.array([0, 0, 0, 1.0, 0, 0, 0, 0, 0, 0]),
             restricted_kg1=np.array([[1.0], [0.5], [0.25]]),
             restricted_kb1=np.full((3, 1), 2.0),
         )
@@ -374,6 +377,23 @@ class TestStrategyDepCommand:
         assert code == 0
         assert out.splitlines()[1:] == ["0.5,0,1,0.999999999499,1,,1,1,1,2,0",
                                         "0.5,0,2,5e-10,1,,1,0.5,1.5,2,0"]
+
+    def test_camp_that_stays_out_prints_no_nodes(self, capsys, tmp_path):
+        # a camp with no budget plays stay-out, the last profile, n^2 = 144
+        # here: both its nodes print blank and both its budgets 0
+        topology = ba_graph(12, 2, 0)
+        graph = str(tmp_path / "pa12.txt")
+        save_edge_list(topology, graph)
+        solution = two_camp_equilibrium(generate_weights(topology, 0.3), 100.0, 0.0)
+        assert solution.col_set.tolist() == [144]
+        argv = ("strategy-dep", "--graph", graph, "--w0-grid", "0.3")
+        code, out, _ = run_cli(capsys, *argv, "--kb", "0")
+        assert code == 0
+        assert out.splitlines()[1:] == ["76.1440080124,3,3,1,,,1,47.184043273,52.815956727,0,0"]
+        code, out, _ = run_cli(capsys, *argv, "--kg", "0", "--kb", "50")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "-28.6993953827,,,1,3,3,1,0,0,22.184043273,27.815956727"]
 
     def test_guard_refuses_synthetic_scale(self, capsys):
         code, _, err = run_cli(capsys, "strategy-dep", "--seed", "0")

@@ -20,20 +20,20 @@ from opinion_game import (
     ba_graph,
     compute_profile,
     dependency_camp_weights,
-    game_profiles,
     generate_weights,
     run_phases,
     save_edge_list,
     single_camp_optimal,
     two_camp_equilibrium,
 )
-from opinion_game.strategy_dependent import _box_saddle, _split_values
+from opinion_game.strategy_dependent import _box_saddle, _profile_nodes, _split_values
 
 from conftest import (
     dependency_two_phase_sum,
     full_game_solution,
     interior_saddle,
     mirrored_box_saddle,
+    oracle_profile,
     quad_coefficients,
     random_network,
     resolvent_row,
@@ -487,11 +487,13 @@ class TestObjectiveStructure:
 
 
 class TestTwoCampEquilibrium:
-    def test_profile_inventory(self):
-        profiles = game_profiles(3)
-        assert len(profiles) == 10
-        assert profiles[-1] is None
-        assert profiles[0] == (0, 0)
+    def test_profile_index_decodes_to_its_nodes(self):
+        # a 3-node game has 10 profiles: the node pairs in row-major order,
+        # then stay-out
+        assert _profile_nodes(0, 3) == (0, 0)
+        assert _profile_nodes(5, 3) == (1, 2)
+        assert _profile_nodes(8, 3) == (2, 2)
+        assert _profile_nodes(9, 3) == (None, None)
 
     def test_zero_theta_gives_constant_game(self):
         net = Network.build(2, [(0, 1, 0.5), (1, 0, 0.5)], w0=0.3, v0=[0.5, -0.5], theta=0.0)
@@ -532,7 +534,7 @@ class TestTwoCampEquilibrium:
             j = int(np.argmax(solution.col_mix))
             if solution.row_mix[i] < 1.0 - 1e-9 or solution.col_mix[j] < 1.0 - 1e-9:
                 continue
-            good, bad = solution.profiles[i], solution.profiles[j]
+            good, bad = oracle_profile(i, n), oracle_profile(j, n)
             value, kg1, kb1 = saddle_entry(net, good, bad, kg, kb)
             plans = profile_to_plans(
                 n, good, bad, kg1, (kg - kg1) if good else 0.0, kb1, (kb - kb1) if bad else 0.0
@@ -564,8 +566,11 @@ class TestTwoCampEquilibrium:
             coef = DependencyCoefficients(net)
             solution = two_camp_equilibrium(net, kg, kb)
             full = full_game_solution(net, kg, kb)
-            for i, good in enumerate(solution.profiles):
-                for j, bad in enumerate(solution.profiles):
+            m = n * n + 1
+            for i in range(m):
+                good = oracle_profile(i, n)
+                for j in range(m):
+                    bad = oracle_profile(j, n)
                     u00, qa, qb, qaa, qbb, qab = quad_coefficients(net, coef, good, bad, kg, kb)
                     if good is not None and bad is not None:
                         degenerate += qaa == 0.0 or qbb == 0.0
@@ -613,7 +618,7 @@ class TestDoubleOracle:
         rows, cols = np.ix_(solution.row_set, solution.col_set)
         assert np.array_equal(solution.restricted_kg1, full.kg1[rows, cols])
         assert np.array_equal(solution.restricted_kb1, full.kb1[rows, cols])
-        outside = np.ones(len(solution.profiles), dtype=bool)
+        outside = np.ones(net.n * net.n + 1, dtype=bool)
         outside[solution.row_set] = False
         assert not solution.row_mix[outside].any()
         outside[:] = True
