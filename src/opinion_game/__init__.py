@@ -4,8 +4,9 @@ Library layout:
 
 * :mod:`opinion_game.model` holds the network, per-node parameters and the
   weight-constraint checks;
-* :mod:`opinion_game.dynamics` computes per-phase steady-state opinions and
-  chains phases;
+* :mod:`opinion_game.dynamics` solves the linear systems, gives one phase's
+  steady-state opinions, and chains phases in :func:`run_phases`, the one
+  multi-phase loop in both weight settings;
 * :mod:`opinion_game.centrality` computes the one-phase and look-ahead Katz
   influence vectors (:func:`compute_profile`) and the resolvent;
 * :mod:`opinion_game.strategy_fixed` derives camp strategies when camp
@@ -34,8 +35,6 @@ from .model import (
 )
 from .dynamics import (
     ConvergenceError,
-    dependency_camp_weights,
-    iter_phases,
     run_phases,
     steady_state,
 )
@@ -91,10 +90,8 @@ __all__ = [
     "bounded_greedy",
     "compute_profile",
     "delta_matrix",
-    "dependency_camp_weights",
     "evaluate_two_phase",
     "generate_weights",
-    "iter_phases",
     "load_edge_list",
     "multi_election_scores",
     "myopic_loss",

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import harness
-from .dynamics import ConvergenceError, iter_phases
+from .dynamics import ConvergenceError, steady_state
 from .game import GameSolverError
 from .model import BAD, GOOD, Budgets, Network, _as_vector, load_edge_list, validate
 from .centrality import compute_profile
@@ -89,10 +89,11 @@ def _cmd_centrality(args) -> None:
 
 
 def _cmd_steady_state(args) -> None:
-    mode = args.mode or "fixed"
-    net = _network(args, mode)
-    zero = np.zeros(net.n)
-    v1, v2 = iter_phases(net, [(zero, zero), (zero, zero)], mode)
+    # with no investment the camp weights multiply zero, so both modes give
+    # the same phases and --mode picks only validate's checks
+    net = _network(args, args.mode)
+    v1 = steady_state(net, net.v0)
+    v2 = steady_state(net, v1)
     print(f"phase opinion sums: {float(v1.sum()):.12g}, {float(v2.sum()):.12g}", file=sys.stderr)
     rows = [[i, float(v1[i]), float(v2[i])] for i in range(net.n)]
     _emit(rows, ["node", "v1", "v2"], args.out)
@@ -122,13 +123,12 @@ def _cmd_strategy_fixed(args) -> None:
 
 
 def _cmd_strategy_dep(args) -> None:
-    mode = args.mode or "dependency2"
     net = _network(args, "dependency")
     def node(i, spent):  # a phase's node, blank when the camp spends nothing in it
         return None if spent == 0 else i
     # the cap bounds only the fixed-weight plans
-    cells, solution = harness._solve_point(net, mode, Budgets(args.kg, args.kb), None)
-    if mode == "dependency1":  # the solution is the good camp's plan
+    cells, solution = harness._solve_point(net, args.mode, Budgets(args.kg, args.kb), None)
+    if args.mode == "dependency1":  # the solution is the good camp's plan
         k1, k2 = cells["k1_good"], cells["k2_good"]
         rows = [[node(int(np.argmax(solution.x1)), k1), node(int(np.argmax(solution.x2)), k2),
                  k1, k2, cells["objective"]]]
@@ -162,14 +162,13 @@ def _cmd_strategy_dep(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
-    mode = args.mode or "bounded"
     if args.v0 != 0.0:
         print("note: sweep ignores --v0; every grid point starts from zero initial opinions",
               file=sys.stderr)
     scheme = _scheme(args)
     topology = _load_topology(args)
     rows = harness.sweep_w0(
-        topology, scheme, mode, Budgets(args.kg, args.kb),
+        topology, scheme, args.mode, Budgets(args.kg, args.kb),
         bounded_cap=1.0 if args.cap is None else args.cap,
     )
     table = [[row[col] for col in harness.SWEEP_COLUMNS] for row in rows]
@@ -213,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_centrality)
 
     p = sub.add_parser("steady-state", parents=[common], help="two investment-free phases")
-    p.add_argument("--mode", choices=["fixed", "dependency"], default="fixed")
+    p.add_argument("--mode", choices=["fixed", "dependency"], default="fixed",
+                   help="which validate checks run; with no investment both modes "
+                        "give the same phases")
     p.set_defaults(func=_cmd_steady_state)
 
     p = sub.add_parser("strategy-fixed", parents=[common], help="fixed-weight camp strategies")

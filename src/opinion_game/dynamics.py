@@ -18,15 +18,16 @@ recursion, weighted by the Chebyshev recurrence once plain sweeps prove slow.
 the iterative path with a uniform, nonzero w0, r and s of ``compute_profile``
 start their sweeps from one Chebyshev series for both, under the same
 certificate (:meth:`_Solver.katz_pair`).
-Phases chain by feeding each phase's converged opinions in as the next
-phase's bias.
+Phases chain in :func:`run_phases`, which feeds each phase's converged
+opinions in as the next phase's bias and, in the bias-dependent setting,
+re-splits each node's camp total theta from them at every boundary.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -307,67 +308,41 @@ def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:
     return net._solver.solve(rhs, transpose)
 
 
-def steady_state(net: Network, v_prev, x=None, y=None, wg_eff=None, wb_eff=None) -> np.ndarray:
-    """Converged opinions for one phase.
+def steady_state(net: Network, v_prev, x=None, y=None) -> np.ndarray:
+    """Converged opinions for one phase under the network's camp weights.
 
-    ``wg_eff`` / ``wb_eff`` default to the network's fixed camp weights; pass
-    the bias-dependent values when camp influence tracks the entering bias.
     Missing investment vectors mean no investment.
     """
     n = net.n
     v_prev, x, y = _vec(v_prev, n, "v_prev"), _vec(x, n, "x"), _vec(y, n, "y")
-    wg = net.wg if wg_eff is None else _vec(wg_eff, n, "wg_eff")
-    wb = net.wb if wb_eff is None else _vec(wb_eff, n, "wb_eff")
-    return solve_linear(net, net.w0 * v_prev + wg * x - wb * y)
-
-
-def dependency_camp_weights(theta, w0, v_prev) -> tuple[np.ndarray, np.ndarray]:
-    """Effective camp weights when influence tracks the bias-weighted entering opinion.
-
-    Each node splits its camp total theta between the camps in proportion to
-    (1 +- w0 * v_prev) / 2, so the two weights always sum to theta.
-    """
-    lean = np.asarray(w0, dtype=float) * np.asarray(v_prev, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return theta * (1.0 + lean) / 2.0, theta * (1.0 - lean) / 2.0
-
-
-def iter_phases(
-    net: Network,
-    plans: Sequence[tuple],
-    mode: str = "fixed",
-) -> Iterator[np.ndarray]:
-    """Yield the converged opinion vector of each phase of a multi-phase schedule.
-
-    ``plans`` is a sequence of (x, y) investment pairs, one per phase. In
-    "dependency" mode the camp weights are recomputed from theta and the
-    entering opinions at every phase boundary; in "fixed" mode the network's
-    wg / wb vectors apply throughout.
-    """
-    if mode not in ("fixed", "dependency"):
-        raise ValueError(f"mode must be 'fixed' or 'dependency', got {mode!r}")
-    v = net.v0
-    for x, y in plans:
-        if mode == "dependency":
-            wg_eff, wb_eff = dependency_camp_weights(net.theta, net.w0, v)
-        else:
-            wg_eff = wb_eff = None
-        v = steady_state(net, v, x, y, wg_eff, wb_eff)
-        yield v
+    return solve_linear(net, net.w0 * v_prev + net.wg * x - net.wb * y)
 
 
 def run_phases(
     net: Network, plans: Sequence[tuple], mode: str = "fixed"
 ) -> tuple[np.ndarray, list[float]]:
-    """Chain phases and return (final opinions, per-phase opinion sums).
+    """Chain phases from ``net.v0`` and return (final opinions, per-phase opinion sums).
 
-    ``plans`` holds one (x, y) investment pair per phase, as for
-    :func:`iter_phases`; a p-phase run without investment passes
-    ``[(zero, zero)] * p``.
+    ``plans`` holds one (x, y) investment pair per phase; a p-phase run
+    without investment passes ``[(zero, zero)] * p``. Each phase's converged
+    opinions are the next phase's bias. In "fixed" mode the network's wg / wb
+    apply throughout. In "dependency" mode camp influence tracks the entering
+    opinions v: at every phase boundary each node splits its camp total theta
+    between the camps in proportion to (1 +- w0 v) / 2, so the two weights
+    always sum to theta.
     """
     if len(plans) < 1:
         raise ValueError("need at least one phase")
+    if mode not in ("fixed", "dependency"):
+        raise ValueError(f"mode must be 'fixed' or 'dependency', got {mode!r}")
+    n = net.n
+    v, wg, wb = net.v0, net.wg, net.wb
     sums: list[float] = []
-    for v in iter_phases(net, plans, mode):
+    for x, y in plans:
+        x, y = _vec(x, n, "x"), _vec(y, n, "y")
+        if mode == "dependency":
+            lean = net.w0 * v
+            wg, wb = net.theta * (1.0 + lean) / 2.0, net.theta * (1.0 - lean) / 2.0
+        v = solve_linear(net, net.w0 * v + wg * x - wb * y)
         sums.append(float(v.sum()))
     return v, sums

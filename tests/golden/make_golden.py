@@ -29,6 +29,8 @@ NODES = (12, 40, 2000)
 SEEDS = (0, 1)
 #: the two-camp game is refused above 40 nodes
 TWO_CAMP_MAX_NODES = 40
+#: commands that print one row per node run up to this size only
+PER_NODE_MAX_NODES = 40
 
 FIXED_WEIGHT = (
     ("strategy-fixed", "--bounded", "--cap", "1", "--kb", "50", "--v0", "0.2", "--w0-grid", "0.3"),
@@ -42,6 +44,11 @@ SINGLE_CAMP = ("strategy-dep", "--mode", "dependency1")
 TWO_CAMP = (
     ("sweep", "--mode", "dependency2", "--kb", "50"),
     ("strategy-dep", "--kb", "50"),
+)
+PER_NODE = (
+    ("centrality", "--orders", "3", "--w0-grid", "0.3"),
+    ("steady-state", "--v0", "0.2", "--w0-grid", "0.3"),
+    ("steady-state", "--mode", "dependency", "--v0", "0.2", "--w0-grid", "0.3"),
 )
 
 
@@ -66,6 +73,8 @@ def commands():
             runs.append(SINGLE_CAMP)
             if n <= TWO_CAMP_MAX_NODES:
                 runs.extend(TWO_CAMP)
+            if n <= PER_NODE_MAX_NODES:
+                runs.extend(PER_NODE)
             for argv in runs:
                 yield graph_name(n, seed), list(argv)
 

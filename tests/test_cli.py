@@ -72,8 +72,7 @@ class TestPublicSurface:
         "InvestmentPlan", "Network",
         "SWEEP_COLUMNS", "SWEEP_MODES", "Topology", "Violation", "WeightScheme",
         "ba_graph", "bounded_greedy", "compute_profile", "delta_matrix",
-        "dependency_camp_weights", "evaluate_two_phase",
-        "generate_weights", "iter_phases",
+        "evaluate_two_phase", "generate_weights",
         "load_edge_list", "multi_election_scores",
         "myopic_loss", "myopic_strategy", "run_phases",
         "save_edge_list", "single_camp_optimal", "solve_zero_sum", "steady_state",
@@ -81,7 +80,7 @@ class TestPublicSurface:
     ]
 
     def test_exports_exactly_these_names(self):
-        assert len(self.NAMES) == 36
+        assert len(self.NAMES) == 34
         assert sorted(opinion_game.__all__) == self.NAMES
         assert len(set(opinion_game.__all__)) == len(opinion_game.__all__)
         for name in opinion_game.__all__:
@@ -93,12 +92,14 @@ class TestPublicSurface:
         # bounded_greedy with cap=inf, fixed_point_iterate to the plain loop
         # in the tests' conftest, profile_utility and delta_row to its
         # saddle_entry and resolvent_row, sweep_point to sweep_w0 with a
-        # one-value grid, and game_profiles to profile indices
+        # one-value grid, game_profiles to profile indices, and iter_phases
+        # and dependency_camp_weights to run_phases, the one phase loop
         for name in ("apply_delta", "camp_weights", "MatrixGame",
                      "katz_r", "katz_s", "katz_multiphase", "OpinionState",
                      "PureInvestment", "PureProfile", "farsighted_unbounded",
                      "fixed_point_iterate", "profile_utility", "delta_row",
-                     "sweep_point", "game_profiles"):
+                     "sweep_point", "game_profiles", "iter_phases",
+                     "dependency_camp_weights"):
             with pytest.raises(AttributeError):
                 getattr(opinion_game, name)
         for owner, name in ((opinion_game.InvestmentPlan, "total"),

@@ -21,9 +21,7 @@ from opinion_game import (
     ba_graph,
     compute_profile,
     delta_matrix,
-    dependency_camp_weights,
     generate_weights,
-    iter_phases,
     run_phases,
     steady_state,
     validate,
@@ -34,6 +32,7 @@ from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, solve_linear
 
 from conftest import (
     dense_steady_state,
+    dependency_two_phase_sum,
     directed_family,
     plain_iterate,
     plain_phase,
@@ -71,12 +70,6 @@ class TestSteadyState:
         assert_allclose(solved, dense_steady_state(net, net.v0, x, y), atol=1e-14)
         iterated, _ = plain_phase(net, net.v0, x, y, tol=1e-13)
         assert_allclose(iterated, solved, atol=1e-13)
-
-    def test_effective_weight_override(self):
-        net = two_node_net()
-        v = steady_state(net, [0.0, 0.0], x=[1.0, 0.0], wg_eff=[0.25, 0.25])
-        base = steady_state(net, [0.0, 0.0])
-        assert v[0] > base[0]
 
     def test_linearity_in_inputs(self):
         rng = np.random.default_rng(17)
@@ -778,30 +771,55 @@ class TestRunPhases:
                 expected += float(orders[3 - q + 1] @ (net.wg * x - net.wb * y))
             assert abs(sums[-1] - expected) < 1e-8
 
+    def test_bad_mode_rejected(self):
+        net = two_node_net()
+        zero = np.zeros(2)
+        with pytest.raises(ValueError, match=r"^mode must be 'fixed' or 'dependency', got 'both'$"):
+            run_phases(net, [(zero, zero)], mode="both")
+
     def test_dependency_mode_recomputes_camp_weights(self):
         rng = np.random.default_rng(41)
         net = random_network(rng, 6, dependency=True)
         x1, y1, x2, y2 = rng.uniform(0, 1, size=(4, 6))
-        states = list(iter_phases(net, [(x1, y1), (x2, y2)], mode="dependency"))
-        assert len(states) == 2 and all(isinstance(v, np.ndarray) for v in states)
-        wg1, wb1 = dependency_camp_weights(net.theta, net.w0, net.v0)
-        v1 = steady_state(net, net.v0, x1, y1, wg1, wb1)
-        assert_allclose(states[0], v1, atol=1e-12)
-        wg2, wb2 = dependency_camp_weights(net.theta, net.w0, v1)
-        v2 = steady_state(net, v1, x2, y2, wg2, wb2)
-        assert_allclose(states[1], v2, atol=1e-12)
+        # phase 1 splits theta by the initial opinions
+        delta = np.linalg.inv(np.eye(6) - net.weights.toarray())
+        lean = net.w0 * net.v0
+        v1 = delta @ (net.w0 * net.v0 + net.theta * (1.0 + lean) / 2.0 * x1
+                      - net.theta * (1.0 - lean) / 2.0 * y1)
+        final, sums = run_phases(net, [(x1, y1)], mode="dependency")
+        assert_allclose(final, v1, atol=1e-12)
+        assert sums == [float(final.sum())]
+        # phase 2 re-splits it by phase 1's opinions
+        _, sums = run_phases(net, [(x1, y1), (x2, y2)], mode="dependency")
+        assert sums[-1] == pytest.approx(dependency_two_phase_sum(net, x1, x2, y1, y2), abs=1e-12)
 
 
 class TestDependencyCampWeights:
-    def test_neutral_opinion_splits_evenly(self):
-        wg, wb = dependency_camp_weights([0.2, 0.4], [0.5, 0.5], [0.0, 0.0])
-        assert_allclose(wg, [0.1, 0.2])
-        assert_allclose(wb, [0.1, 0.2])
+    """The camp split as run_phases applies it, on one node with no arcs,
+    where a phase settles exactly at w0 v + wg x - wb y: x = 1 reads wg and
+    y = 1 reads wb."""
+
+    @staticmethod
+    def split(theta, w0, v):
+        net = Network.build(1, w0=w0, v0=v, theta=theta)
+        one, zero = np.ones(1), np.zeros(1)
+        good, _ = run_phases(net, [(one, zero)], mode="dependency")
+        bad, _ = run_phases(net, [(zero, one)], mode="dependency")
+        return good[0] - w0 * v, w0 * v - bad[0]
+
+    def test_neutral_entry_splits_evenly(self):
+        for theta in (0.2, 0.4):
+            wg, wb = self.split(theta, 0.5, 0.0)
+            assert wg == wb == pytest.approx(theta / 2, abs=1e-15)
 
     def test_positive_lean_favors_good_camp(self):
-        wg, wb = dependency_camp_weights([0.2], [0.5], [1.0])
-        assert_allclose(wg, [0.15])
-        assert_allclose(wb, [0.05])
+        wg, wb = self.split(0.2, 0.5, 1.0)  # lean w0 v = 0.5
+        assert wg == pytest.approx(0.15, abs=1e-15)
+        assert wb == pytest.approx(0.05, abs=1e-15)
+        # lean 0.15: the phase settles at 0.15 + 0.115 with x = 1
+        net = Network.build(1, w0=0.3, v0=0.5, theta=0.2)
+        final, _ = run_phases(net, [(np.ones(1), np.zeros(1))], mode="dependency")
+        assert final[0] == pytest.approx(0.265, abs=1e-15)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
@@ -810,6 +828,6 @@ class TestDependencyCampWeights:
         v=st.floats(-1.0, 1.0),
     )
     def test_weights_always_sum_to_theta(self, theta, w0, v):
-        wg, wb = dependency_camp_weights(np.array([theta]), np.array([w0]), np.array([v]))
-        assert wg[0] + wb[0] == pytest.approx(theta, abs=1e-12)
-        assert wg[0] >= -1e-12 and wb[0] >= -1e-12
+        wg, wb = self.split(theta, w0, v)
+        assert wg + wb == pytest.approx(theta, abs=1e-12)
+        assert wg >= -1e-12 and wb >= -1e-12

@@ -1,6 +1,6 @@
 """Same answers: replay the CLI reference runs in ``golden/cli_outputs.json``.
 
-The references hold the exit code and the stdout and stderr lines of 42
+The references hold the exit code and the stdout and stderr lines of 54
 commands on ``ba_graph(n, 2, seed)`` for n in {12, 40, 2000} and seed in
 {0, 1}; ``golden/make_golden.py`` regenerates them. Each line is split into
 numbers and the text between them. The text and every integer must match
@@ -67,7 +67,7 @@ def graphs(tmp_path_factory):
 
 
 def test_reference_covers_the_fast_commands():
-    assert len(RECORDS) == 42
+    assert len(RECORDS) == 54
     assert [(r["graph"], r["argv"]) for r in RECORDS] == list(make_golden.commands())
     assert all(record["code"] == 0 for record in RECORDS)
 

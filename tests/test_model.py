@@ -827,6 +827,8 @@ class TestValidate:
         net = Network.build(1)
         with pytest.raises(ValueError):
             validate(net, "other")
+        with pytest.raises(ValueError, match=r"^mode must be 'fixed' or 'dependency', got 'both'$"):
+            validate(net, "both")
 
     def test_valid_networks_have_decaying_powers(self):
         # admissible rows keep the spectral radius below 1, so repeatedly

@@ -19,7 +19,6 @@ from opinion_game import (
     WeightScheme,
     ba_graph,
     compute_profile,
-    dependency_camp_weights,
     generate_weights,
     run_phases,
     save_edge_list,
@@ -58,26 +57,6 @@ def profile_to_plans(n, good, bad, kg1, kg2, kb1, kb2):
         y1[bad[0]] = kb1
         y2[bad[1]] = kb2
     return x1, x2, y1, y2
-
-
-class TestCampWeights:
-    def test_neutral_entry_splits_evenly(self):
-        net = dep_pair()
-        wg, wb = dependency_camp_weights(net.theta, net.w0, [0.0, 0.0])
-        assert_allclose(wg, [0.1, 0.1])
-        assert_allclose(wb, [0.1, 0.1])
-
-    def test_leaning_entry(self):
-        net = dep_pair(w0=0.5)
-        wg, wb = dependency_camp_weights(net.theta, net.w0, [1.0, 0.0])
-        assert wg[0] == pytest.approx(0.15)
-        assert wb[0] == pytest.approx(0.05)
-
-    def test_sum_is_theta(self):
-        rng = np.random.default_rng(97)
-        net = random_network(rng, 8, dependency=True)
-        wg, wb = dependency_camp_weights(net.theta, net.w0, rng.uniform(-1, 1, 8))
-        assert_allclose(wg + wb, net.theta, atol=1e-14)
 
 
 class TestDependencyCoefficients:
