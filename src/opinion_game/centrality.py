@@ -1,14 +1,14 @@
-"""Influence measures: one-phase and look-ahead Katz vectors, resolvent columns.
+"""Influence measures: one-phase and look-ahead Katz vectors, the resolvent.
 
 ``r`` solves (I - w^T) r = 1; r[i] is the total opinion mass a unit of direct
 influence on node i produces within a single phase. ``s`` reweights that by
 how much of the produced opinion survives into a following phase through the
 bias weights, s = (I - w^T)^{-1} (r o w0), and higher orders extend the
 look-ahead one phase at a time. Every function here reads the network's one
-solver (``Network._solver``): columns of the resolvent (I - w)^{-1} are a
-view of its inverse where it forms one, and otherwise one block solve per
-set of columns. Like every solve, each reader refuses a network whose rows
-of |w| reach 1 with ConvergenceError.
+solver (``Network._solver``), which alone chooses between its dense inverse
+and iterative solves: r and s come from ``_Solver.katz_pair`` and the
+resolvent (I - w)^{-1} from ``_Solver.inverse``. Like every solve, each
+reader refuses a network whose rows of |w| reach 1 with ConvergenceError.
 """
 
 from __future__ import annotations
@@ -34,32 +34,19 @@ class CentralityProfile:
 def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:
     """r, s and any further look-ahead orders in one pass: r solves
     (I - w^T) r = 1, and each further order solves (I - w^T) r_q = r_{q-1} o w0.
-    On the iterative path with a uniform, nonzero w0, s = w0 (I - w^T)^{-2} 1,
-    and r and s start their certified sweeps from one Chebyshev series for
-    both (``dynamics._Solver.katz_pair``): 37 sparse products instead of 63 sweeps
-    on a 200k-node preferential-attachment graph with rows of 0.56."""
+    r and s come from the solver (``dynamics._Solver.katz_pair``), which may
+    start both from one Chebyshev series: 37 sparse products instead of 63
+    sweeps on a 200k-node preferential-attachment graph with rows of 0.56."""
     if orders < 2:
         raise ValueError("orders must be at least 2")
-    vecs = list(net._solver.katz_pair() or [solve_linear(net, np.ones(net.n), transpose=True)])
+    vecs = list(net._solver.katz_pair())
     while len(vecs) < orders:
         vecs.append(solve_linear(net, vecs[-1] * net.w0, transpose=True))
     return CentralityProfile(r=vecs[0], s=vecs[1], higher=tuple(vecs[2:]))
 
 
-def delta_columns(net: Network, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop-1 of (I - w)^{-1}: a view of the solver's inverse
-    where it forms one, otherwise one solve against the block of unit vectors."""
-    delta = net._solver.inverse
-    if delta is not None:
-        return delta[:, start:stop]
-    return solve_linear(net, np.eye(net.n, stop - start, -start))
-
-
 def delta_matrix(net: Network) -> np.ndarray:
-    """Dense (I - w)^{-1}, read-only, from the network's solver; refused where
-    the solver forms no inverse, so it is only ever formed for networks of at
-    most ``DENSE_LIMIT_N`` nodes."""
-    delta = net._solver.inverse
-    if delta is None:
-        raise ValueError(f"dense resolvent refused for n={net.n}: its solves are iterative")
-    return delta
+    """Dense (I - w)^{-1}, read-only, from the network's solver; refused with
+    ValueError where its solves are iterative, so it is only ever formed for
+    networks of at most ``DENSE_LIMIT_N`` nodes."""
+    return net._solver.inverse

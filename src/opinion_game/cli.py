@@ -69,8 +69,10 @@ def _network(args, mode: str) -> Network:
     if args.v0 != 0.0:
         net = dataclasses.replace(net, v0=_as_vector(args.v0, net.n, "v0"))
     problems = validate(net, mode)
-    for violation in problems:
+    for violation in problems[:10]:  # a uniform --v0 can break every node
         print(f"invalid network: {violation}", file=sys.stderr)
+    if len(problems) > 10:
+        print(f"invalid network: {len(problems) - 10} more violations not shown", file=sys.stderr)
     if problems:
         raise ValueError(f"{len(problems)} constraint violations")
     return net

@@ -14,10 +14,10 @@ Each network has one solver (:class:`_Solver`), made on its first solve:
 it refuses rho = max_i sum_j |w_ij| >= 1 and chooses once, from n, nnz and
 rho (:func:`_solves_dense`), between the dense inverse and sweeps of the
 recursion, weighted by the Chebyshev recurrence once plain sweeps prove slow.
-:func:`solve_linear`, which takes no options, and ``centrality`` read it. On
-the iterative path with a uniform, nonzero w0, r and s of ``compute_profile``
-start their sweeps from one Chebyshev series for both, under the same
-certificate (:meth:`_Solver.katz_pair`).
+No other module looks at the path: :func:`solve_linear`, which takes no
+options, ``centrality`` and the single-camp scan read its solves, r and s
+(:meth:`_Solver.katz_pair`, from one Chebyshev series where that applies),
+resolvent column blocks (:meth:`_Solver.columns`) and inverse.
 Phases chain in :func:`run_phases`, which feeds each phase's converged
 opinions in as the next phase's bias and, in the bias-dependent setting,
 re-splits each node's camp total theta from them at every boundary.
@@ -239,11 +239,11 @@ class _Solver:
         self.dense = _solves_dense(net)
 
     @cached_property
-    def inverse(self) -> np.ndarray | None:
+    def inverse(self) -> np.ndarray:
         """(I - w)^{-1}, read-only, formed on first read on the dense path;
-        None on the iterative path, where it is never formed."""
+        refused on the iterative path, where it is never formed."""
         if not self.dense:
-            return None
+            raise ValueError(f"dense resolvent refused for n={self.n}: its solves are iterative")
         try:
             inv = np.linalg.inv(np.eye(self.n) - self.w.toarray())
         except np.linalg.LinAlgError as exc:
@@ -264,21 +264,25 @@ class _Solver:
             raise ConvergenceError(f"direct solve residual {resid:.3e} above its rounding bound {bound:.3e}")
         return z
 
-    def katz_pair(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        """Columns start..stop-1 of (I - w)^{-1}: a view of the inverse, or one block solve."""
+        if self.dense:
+            return self.inverse[:, start:stop]
+        return self.solve(np.eye(self.n, stop - start, -start), False)
+
+    def katz_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """(r, s) of :func:`~opinion_game.centrality.compute_profile`, certified
-        as :func:`solve_linear` certifies them, where the iterative path starts
-        its sweeps from :func:`_katz_series`: there s = w0 (I - w^T)^{-2} 1
-        with w0 uniform and nonzero. None on every other network, and where
-        the series is abandoned."""
+        as :func:`solve_linear` certifies them. On the iterative path with w0
+        uniform and nonzero, s = w0 (I - w^T)^{-2} 1 and sweeps start from
+        :func:`_katz_series`; elsewhere, or where it is abandoned, two solves run."""
         rho, w0 = self.rho, self.w0[0]
-        if self.dense or rho == 0.0 or w0 == 0.0 or not (self.w0 == w0).all():
-            return None
-        guess = _katz_series(self.wt, rho, self.n)
+        series = not self.dense and rho > 0.0 and w0 != 0.0 and (self.w0 == w0).all()
+        guess = _katz_series(self.wt, rho, self.n) if series else None
         if guess is None:
-            return None
+            r = self.solve(np.ones(self.n), True)
+            return r, self.solve(r * self.w0, True)
         r = _iterate(self.wt, np.ones(self.n), guess[0], rho, True)[0]
-        s = _iterate(self.wt, self.w0 * r, w0 * guess[1], rho, True)[0]
-        return r, s
+        return r, _iterate(self.wt, self.w0 * r, w0 * guess[1], rho, True)[0]
 
 
 def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:

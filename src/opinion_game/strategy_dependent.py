@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .centrality import compute_profile, delta_columns, delta_matrix
+from .centrality import compute_profile, delta_matrix
 from .dynamics import _dot, solve_linear
 from .game import PIVOT_TOL, GameSolverError, solve_zero_sum
 from .model import GOOD, InvestmentPlan, Network
@@ -105,9 +105,9 @@ class DependencyCoefficients:
     cb = b c = scale o (I - w)^{-1} c holds the c-weighted sums of its rows.
     s_total = sum_ij c_i b_ji is the objective when nobody invests. r, s and
     cb are solved once, when the instance is made; b itself is not kept:
-    the single-camp scan forms its columns in blocks from
-    :func:`~opinion_game.centrality.delta_columns`, and the two-camp game
-    all of it from :func:`~opinion_game.centrality.delta_matrix`.
+    the single-camp scan forms its columns in blocks from the network's
+    solver (``_Solver.columns``), and the two-camp game all of it from
+    :func:`~opinion_game.centrality.delta_matrix`.
     """
 
     def __init__(self, net: Network):
@@ -301,7 +301,7 @@ def single_camp_optimal(net: Network, kg: float) -> tuple[InvestmentPlan, float]
     width = max(1, SCAN_BLOCK_ENTRIES // n)
     for start in range(0, n, width):
         stop = min(start + width, n)
-        b_cols = coef.scale[:, None] * delta_columns(net, start, stop)  # columns b[:, start:stop]
+        b_cols = coef.scale[:, None] * net._solver.columns(start, stop)  # columns b[:, start:stop]
         coupling = 0.25 * np.outer(first_weight[start:stop], coef.theta) * b_cols.T
         values, splits = _split_values(
             coef.s_total, kg, first_gain[start:stop, None], second_gain[None, :], coupling

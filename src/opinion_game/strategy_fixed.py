@@ -40,6 +40,12 @@ def _slot_worth(net: Network, camp: str, profile: CentralityProfile | None) -> n
     return np.concatenate([prof.r * w, prof.s * w])
 
 
+def _myopic_node(worth: np.ndarray, n: int) -> int | None:
+    """The first node of largest r_i * w_i, or None (stay out) where that is not positive."""
+    i = int(np.argmax(worth[:n]))
+    return i if worth[i] > 0 else None
+
+
 def myopic_strategy(
     net: Network, budget: float, camp: str, profile: CentralityProfile | None = None
 ) -> InvestmentPlan:
@@ -48,10 +54,9 @@ def myopic_strategy(
     that worth is not positive."""
     if not 0 <= budget < math.inf:  # also refuses nan
         raise ValueError("budget must be finite and nonnegative")
-    worth = _slot_worth(net, camp, profile)[:net.n]
-    i = int(np.argmax(worth))
+    i = _myopic_node(_slot_worth(net, camp, profile), net.n)
     x1 = np.zeros(net.n)
-    if worth[i] > 0:
+    if i is not None:
         x1[i] = budget
     return InvestmentPlan(camp, x1, np.zeros(net.n))
 
@@ -60,17 +65,17 @@ def myopic_loss(net: Network, kb: float, profile: CentralityProfile | None = Non
     """Objective loss the bad camp suffers by playing myopically instead of
     farsightedly, with budget kb.
 
-    The myopic camp dumps its budget in phase 1 on the node with the top
-    r_i * w_ib, realizing a final-phase worth of s_i * w_ib there, while the
-    farsighted play would realize the best slot worth overall; the loss is kb
-    times the worth gap (never negative).
+    The myopic camp plays :func:`myopic_strategy`, realizing a final-phase
+    worth of s_i * w_ib, of either sign, in phase 1 at its node, or 0 by
+    staying out; the farsighted play realizes the best slot worth overall, or
+    0. The loss is kb times the worth gap.
     """
     if not 0 <= kb < math.inf:  # also refuses nan
         raise ValueError("kb must be finite and nonnegative")
     worth = _slot_worth(net, BAD, profile)
     best = max(float(worth.max()), 0.0)
-    i_hat = int(np.argmax(worth[:net.n]))
-    achieved = max(float(worth[net.n + i_hat]), 0.0)
+    i = _myopic_node(worth, net.n)
+    achieved = 0.0 if i is None else float(worth[net.n + i])
     return kb * (best - achieved)
 
 

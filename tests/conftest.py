@@ -1,7 +1,8 @@
 """Shared test helpers: seeded random instances that satisfy the weight
 constraints, plus independent oracles (truncated series, dense-inverse
 dynamics, plain sweeps of the phase recursion, scalar loops over arcs and
-slots) that never route through the package's solvers or its array code."""
+slots) that never route through the package's solvers or its array code,
+and a recorder of the Chebyshev series' calls."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from opinion_game import (
     Topology,
     compute_profile,
 )
+import opinion_game.dynamics as dynamics
 from opinion_game.centrality import delta_matrix
 from opinion_game.dynamics import DEFAULT_TOL, EPS, MAX_SWEEPS, STALL_ULPS, solve_linear
 from opinion_game.game import PIVOT_TOL, GameSolverError, _pivot, solve_zero_sum
@@ -580,3 +582,25 @@ def bland_oracle(tableau: np.ndarray, basis, cap: int) -> int:
         f"(payoff range [{tableau.min():.3g}, {tableau.max():.3g}]); "
         "the matrix is likely too ill-conditioned for this solver"
     )
+
+
+def series_terms(monkeypatch):
+    """Record (products, taken) for every ``_katz_series`` call: the sparse
+    products the series made, and whether it returned a start."""
+    calls = []
+    series = dynamics._katz_series
+
+    def counted(mat, rho, n):
+        products = []
+
+        class Counting:
+            def __matmul__(self, v):
+                products.append(1)
+                return mat @ v
+
+        out = series(Counting(), rho, n)
+        calls.append((len(products), out is not None))
+        return out
+
+    monkeypatch.setattr(dynamics, "_katz_series", counted)
+    return calls

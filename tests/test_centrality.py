@@ -8,7 +8,6 @@ from opinion_game import (
     delta_matrix,
 )
 
-from opinion_game.centrality import delta_columns
 from opinion_game.dynamics import solve_linear
 
 from conftest import neumann_transpose_apply, random_network, resolvent_row, two_node_net
@@ -117,7 +116,7 @@ class TestResolventRows:
         full = delta_matrix(net)
         assert delta_matrix(net) is full
         assert not full.flags.writeable and not full[1].flags.writeable
-        block = delta_columns(net, 1, 2)
+        block = net._solver.columns(1, 2)
         assert np.shares_memory(block, full) and not block.flags.writeable
 
     def test_matrix_agrees_with_rows(self):

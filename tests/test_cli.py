@@ -190,6 +190,18 @@ class TestSteadyStateCommand:
         assert all(float(row[1]) > 0 for row in rows)
         assert "phase opinion sums" in err
 
+    def test_violations_beyond_ten_are_counted(self, capsys):
+        # --v0 2 breaks every node of the 300-node synthetic graph: one line
+        # per violation once wrote 302 lines to stderr
+        code, out, err = run_cli(capsys, "steady-state", "--mode", "dependency", "--v0", "2")
+        lines = err.splitlines()
+        assert code == 1 and out == ""
+        assert lines[0].startswith("no --graph given")
+        assert len(lines) == 13
+        assert all("outside [-1, 1]" in line for line in lines[1:11])
+        assert lines[11:] == ["invalid network: 290 more violations not shown",
+                              "error: 300 constraint violations"]
+
     def test_zero_bias_gives_zero_opinions(self, capsys, graph_file):
         code, out, _ = run_cli(
             capsys, "steady-state", "--graph", graph_file, "--symmetrize", "--v0", "1.0",

@@ -27,7 +27,6 @@ from opinion_game import (
     validate,
 )
 import opinion_game.dynamics as dynamics
-from opinion_game.centrality import delta_columns
 from opinion_game.dynamics import DEFAULT_TOL, EPS, STALL_ULPS, solve_linear
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     random_network,
     refined_solve,
     resolvent_row,
+    series_terms,
     two_node_net,
     within_certificate,
 )
@@ -218,7 +218,7 @@ class TestSolveLinear:
         # has no public reader but delta_matrix
         assert validate(net) != []
         assert not hasattr(net, "resolvent")
-        for read in (lambda: delta_columns(net, 0, 1),
+        for read in (lambda: net._solver.columns(0, 1),
                      lambda: delta_matrix(net), lambda: compute_profile(net),
                      lambda: steady_state(net, np.zeros(net.n))):
             with pytest.raises(ConvergenceError, match="not a contraction"):
@@ -257,12 +257,18 @@ class TestSolveLinear:
 
     def test_resolvent_rows_on_the_iterative_path(self):
         net = hub_network()
-        with pytest.raises(ValueError):
+        message = f"^dense resolvent refused for n={net.n}: its solves are iterative$"
+        with pytest.raises(ValueError, match=message):
             delta_matrix(net)
+        assert "inverse" not in vars(net._solver)  # refused, so never formed
         exact = np.linalg.inv(np.eye(net.n) - net.weights.toarray())
         for j in (0, 1, 417):
             row = resolvent_row(net, j)
             assert np.abs(row - exact[j]).sum() <= DEFAULT_TOL
+        # a block of columns is one plain solve, certified in the max-norm
+        block = net._solver.columns(416, 419)
+        assert block.shape == (net.n, 3)
+        assert np.max(np.abs(block - exact[:, 416:419])) <= DEFAULT_TOL
 
     def test_plain_iterative_solve_is_certified(self):
         net = hub_network()
@@ -311,7 +317,7 @@ class TestSolveLinear:
         finally:
             tracemalloc.stop()
         assert peak < net.n ** 2
-        assert "_solver" not in vars(net) or net._solver.inverse is None  # no inverse formed
+        assert "_solver" not in vars(net) or "inverse" not in vars(net._solver)  # no inverse formed
 
     @pytest.mark.parametrize("transpose", [False, True])
     def test_near_unit_iterative_solve_within_rounding_bound(self, monkeypatch, transpose):
@@ -518,31 +524,9 @@ class TestChebyshevSweeps:
         assert prof.s.sum() == pytest.approx((net.w0 * prof.r).sum() / (1.0 - rho), rel=1e-9)
 
 
-def series_terms(monkeypatch):
-    """Record (products, taken) for every ``_katz_series`` call: the sparse
-    products the series made, and whether it returned a start."""
-    calls = []
-    series = dynamics._katz_series
-
-    def counted(mat, rho, n):
-        products = []
-
-        class Counting:
-            def __matmul__(self, v):
-                products.append(1)
-                return mat @ v
-
-        out = series(Counting(), rho, n)
-        calls.append((len(products), out is not None))
-        return out
-
-    monkeypatch.setattr(dynamics, "_katz_series", counted)
-    return calls
-
-
 def two_solves(net):
-    """r and s from two transposed solves, as compute_profile runs them
-    where the series does not apply."""
+    """r and s from two transposed solves, as the solver's ``katz_pair``
+    runs them where the series does not apply."""
     r = solve_linear(net, np.ones(net.n), transpose=True)
     return r, solve_linear(net, net.w0 * r, transpose=True)
 
@@ -607,6 +591,8 @@ class TestKatzSeries:
         ((terms, taken),) = calls
         assert not taken and terms + sum(counts) <= solves + 5
         assert np.array_equal(prof.r, r) and np.array_equal(prof.s, s)
+        pair = net._solver.katz_pair()
+        assert np.array_equal(pair[0], r) and np.array_equal(pair[1], s)
 
     @pytest.mark.parametrize("case", ["w0 = 0", "per-node w0", "dense"])
     def test_other_networks_take_two_solves(self, monkeypatch, case):
@@ -617,8 +603,10 @@ class TestKatzSeries:
         net = pa_network(dynamics.DENSE_MAX_N if case == "dense" else 600, 0.56, w0=w0)
         r, s = two_solves(net)
         prof = compute_profile(net)
+        pair = net._solver.katz_pair()
         assert calls == []
         assert np.array_equal(prof.r, r) and np.array_equal(prof.s, s)
+        assert np.array_equal(pair[0], r) and np.array_equal(pair[1], s)
 
     def test_no_arcs(self, monkeypatch):
         # rho = 0: r = 1 and s = w0 exactly, and nothing divides by rho
@@ -678,7 +666,7 @@ class TestOneSolverPerNetwork:
         compute_profile(dense)
         DependencyCoefficients(dense)
         delta_matrix(dense)
-        delta_columns(dense, 2, 5)
+        dense._solver.columns(2, 5)
         steady_state(dense, dense.v0)
         iterative = pa_network(600, 0.56, w0=0.3)
         compute_profile(iterative)

@@ -48,6 +48,7 @@ from conftest import (
     greedy_oracle,
     plan_total,
     refined_solve,
+    series_terms,
     validated_networks,
     within_certificate,
 )
@@ -100,13 +101,14 @@ def test_iterative_profile_matches_refined_solves(seed, rho, w0):
     assert_iterative_profile_certified(directed_family(seed, n=600, rho=rho, w0=min(w0, 1.0 - rho)))
 
 
-def test_profile_from_the_series_matches_refined_solves():
+def test_profile_from_the_series_matches_refined_solves(monkeypatch):
     # rows of 0.56 and w0 = 0.3, as on the benchmark's 200k-node graph, but
     # on 600 nodes, where the solves still iterate
+    calls = series_terms(monkeypatch)
     top = ba_graph(600)
     net = Network.build(600, replace(top, weight=0.56 / top.out_degrees()[top.src]), w0=0.3)
-    assert net._solver.katz_pair() is not None
     assert_iterative_profile_certified(net)
+    assert [taken for _, taken in calls] == [True]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

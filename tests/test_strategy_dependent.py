@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import opinion_game.centrality as centrality
 import opinion_game.cli as cli
 import opinion_game.dynamics as dynamics
 import opinion_game.harness as harness
@@ -176,14 +175,13 @@ class TestSingleCampOptimal:
         net = random_network(np.random.default_rng(181), 9, dependency=True)
         monkeypatch.setattr(dynamics, "_solves_dense", lambda net: False)
         transposed = []
-        for module in (centrality, dep):
-            solve = module.solve_linear
+        solve = dynamics._Solver.solve
 
-            def spy(*args, _solve=solve, **kwargs):
-                transposed.append(kwargs.get("transpose", False))
-                return _solve(*args, **kwargs)
+        def spy(self, rhs, transpose):
+            transposed.append(transpose)
+            return solve(self, rhs, transpose)
 
-            monkeypatch.setattr(module, "solve_linear", spy)
+        monkeypatch.setattr(dynamics._Solver, "solve", spy)
 
         def refused(*args, **kwargs):
             raise AssertionError("the single-camp scan left its closed form")

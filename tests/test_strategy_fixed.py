@@ -20,6 +20,7 @@ from opinion_game import (
     CentralityProfile,
     Network,
     run_phases,
+    validate,
 )
 
 from opinion_game.strategy_fixed import _by_worth
@@ -136,14 +137,35 @@ class TestMyopic:
     def test_loss_zero_without_weights(self):
         assert myopic_loss(pair_net(wb=(0.0, 0.0)), 3.0) == 0.0
 
+    @pytest.mark.parametrize("wb, loss", [(-0.2, 0.9375), (0.2, 3.4375)])
+    def test_loss_on_signed_self_loop(self, wb, loss):
+        # r = 1.25 and s = -0.46875: at wb = -0.2 the myopic camp's score
+        # r wb = -0.25 keeps it out, while the farsighted one realizes
+        # s wb = 0.09375 in phase 1; at wb = 0.2 it invests in phase 1 and
+        # realizes -0.09375 against 0.25. The loss clipped the realized worth
+        # at 0 and ignored the stay-out case, reading 0.0 and 2.5.
+        net = Network.build(1, [(0, 0, 0.2)], w0=-0.3, wg=0.1, wb=wb)
+        assert validate(net) == []
+        far = bounded_greedy(net, 10.0, BAD, cap=math.inf)
+        myo = myopic_strategy(net, 10.0, BAD)
+        assert myo.x1.any() == (wb > 0)
+        gap = evaluate_two_phase(net, None, None, myo.x1, myo.x2) - evaluate_two_phase(
+            net, None, None, far.x1, far.x2)
+        assert gap == pytest.approx(loss, abs=1e-12)
+        assert myopic_loss(net, 10.0) == pytest.approx(loss, abs=1e-12)
+
     def test_loss_matches_direct_utility_differencing(self):
-        # the clipped term in the loss formula coincides with the myopic
-        # camp's realized worth whenever parameters are nonnegative, which
-        # is the regime of every worked setting
+        # the loss is that of the plan myopic_strategy returns, on
+        # nonnegative dependency networks and on signed fixed-mode ones
+        # (edges, w0 and wb of either sign), where realized worths can be
+        # negative and the myopic camp can stay out
         rng = np.random.default_rng(61)
-        for _ in range(20):
+        for signed in [False] * 20 + [True] * 40:
             n = int(rng.integers(2, 8))
-            net = random_network(rng, n, dependency=True)
+            net = random_network(rng, n, nonneg=not signed, dependency=not signed)
+            if signed:
+                net = replace(net, wb=net.wb * rng.choice([-1.0, 1.0], size=n))
+                assert validate(net) == []
             kb = float(rng.uniform(0.5, 5.0))
             prof = compute_profile(net)
             far = bounded_greedy(net, kb, BAD, cap=math.inf, profile=prof)
