@@ -6,8 +6,8 @@ how much of the produced opinion survives into a following phase through the
 bias weights, s = (I - w^T)^{-1} (r o w0), and higher orders extend the
 look-ahead one phase at a time. Every function here reads the network's one
 solver (``Network._solver``), which alone chooses between its dense inverse
-and iterative solves: r and s come from ``_Solver.katz_pair`` and the
-resolvent (I - w)^{-1} from ``_Solver.inverse``. Like every solve, each
+and iterative solves: the chain r, s, ... comes from ``_Solver.katz`` and
+the resolvent (I - w)^{-1} from ``_Solver.inverse``. Like every solve, each
 reader refuses a network whose rows of |w| reach 1 with ConvergenceError.
 """
 
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import solve_linear
 from .model import Network
 
 
@@ -34,15 +33,13 @@ class CentralityProfile:
 def compute_profile(net: Network, orders: int = 2) -> CentralityProfile:
     """r, s and any further look-ahead orders in one pass: r solves
     (I - w^T) r = 1, and each further order solves (I - w^T) r_q = r_{q-1} o w0.
-    r and s come from the solver (``dynamics._Solver.katz_pair``), which may
-    start both from one Chebyshev series: 37 sparse products instead of 63
-    sweeps on a 200k-node preferential-attachment graph with rows of 0.56."""
+    The solver forms the chain (``dynamics._Solver.katz``) and may start r and
+    s from one Chebyshev series: 37 sparse products instead of 63 sweeps on a
+    200k-node preferential-attachment graph with rows of 0.56."""
     if orders < 2:
         raise ValueError("orders must be at least 2")
-    vecs = list(net._solver.katz_pair())
-    while len(vecs) < orders:
-        vecs.append(solve_linear(net, vecs[-1] * net.w0, transpose=True))
-    return CentralityProfile(r=vecs[0], s=vecs[1], higher=tuple(vecs[2:]))
+    r, s, *higher = net._solver.katz(orders)
+    return CentralityProfile(r=r, s=s, higher=tuple(higher))
 
 
 def delta_matrix(net: Network) -> np.ndarray:

@@ -81,12 +81,9 @@ def _network(args, mode: str) -> Network:
 def _cmd_centrality(args) -> None:
     net = _network(args, "fixed")
     prof = compute_profile(net, orders=args.orders)
+    chain = (prof.r, prof.s, *prof.higher)
     header = ["node", "r", "s"] + [f"r{q}" for q in range(3, args.orders + 1)]
-    rows = []
-    for i in range(net.n):
-        row = [i, float(prof.r[i]), float(prof.s[i])]
-        row += [float(vec[i]) for vec in prof.higher]
-        rows.append(row)
+    rows = [[i] + [float(vec[i]) for vec in chain] for i in range(net.n)]
     _emit(rows, header, args.out)
 
 

@@ -15,9 +15,9 @@ it refuses rho = max_i sum_j |w_ij| >= 1 and chooses once, from n, nnz and
 rho (:func:`_solves_dense`), between the dense inverse and sweeps of the
 recursion, weighted by the Chebyshev recurrence once plain sweeps prove slow.
 No other module looks at the path: :func:`solve_linear`, which takes no
-options, ``centrality`` and the single-camp scan read its solves, r and s
-(:meth:`_Solver.katz_pair`, from one Chebyshev series where that applies),
-resolvent column blocks (:meth:`_Solver.columns`) and inverse.
+options, ``centrality`` and the single-camp scan read its solves, the Katz
+chain (:meth:`_Solver.katz`, r and s from one Chebyshev series where that
+applies), resolvent column blocks (:meth:`_Solver.columns`) and inverse.
 Phases chain in :func:`run_phases`, which feeds each phase's converged
 opinions in as the next phase's bias and, in the bias-dependent setting,
 re-splits each node's camp total theta from them at every boundary.
@@ -270,19 +270,22 @@ class _Solver:
             return self.inverse[:, start:stop]
         return self.solve(np.eye(self.n, stop - start, -start), False)
 
-    def katz_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """(r, s) of :func:`~opinion_game.centrality.compute_profile`, certified
-        as :func:`solve_linear` certifies them. On the iterative path with w0
-        uniform and nonzero, s = w0 (I - w^T)^{-2} 1 and sweeps start from
-        :func:`_katz_series`; elsewhere, or where it is abandoned, two solves run."""
+    def katz(self, orders: int) -> list[np.ndarray]:
+        """[r, s, r_3, ...] up to ``orders`` >= 2, each certified as :func:`solve_linear`
+        certifies it: r_q = (I - w^T)^{-1} (r_{q-1} o w0). On the iterative path with
+        w0 uniform and nonzero, r and s start from :func:`_katz_series`; otherwise r
+        takes one solve, and so does every later order, in the one loop below."""
         rho, w0 = self.rho, self.w0[0]
         series = not self.dense and rho > 0.0 and w0 != 0.0 and (self.w0 == w0).all()
         guess = _katz_series(self.wt, rho, self.n) if series else None
         if guess is None:
-            r = self.solve(np.ones(self.n), True)
-            return r, self.solve(r * self.w0, True)
-        r = _iterate(self.wt, np.ones(self.n), guess[0], rho, True)[0]
-        return r, _iterate(self.wt, self.w0 * r, w0 * guess[1], rho, True)[0]
+            chain = [self.solve(np.ones(self.n), True)]
+        else:
+            r = _iterate(self.wt, np.ones(self.n), guess[0], rho, True)[0]
+            chain = [r, _iterate(self.wt, self.w0 * r, w0 * guess[1], rho, True)[0]]
+        while len(chain) < orders:
+            chain.append(self.solve(chain[-1] * self.w0, True))
+        return chain
 
 
 def solve_linear(net: Network, rhs, *, transpose: bool = False) -> np.ndarray:

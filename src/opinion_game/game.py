@@ -103,14 +103,14 @@ def _solve_lp(payoff: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 def solve_zero_sum(game) -> tuple[np.ndarray, np.ndarray, float]:
     """Optimal mixed strategies and value of a zero-sum matrix game.
 
-    ``game`` is the nonempty, finite 2-D payoff matrix. Returns (row_mix,
-    col_mix, value): row_mix maximizes the minimum column expectation,
-    col_mix minimizes the maximum row expectation, and both guarantee
-    ``value``. The column ceiling ``max(payoff @ col_mix)`` exceeds the row
-    floor ``min(row_mix @ payoff)`` by at most ``1e-9 * (1 + max - min
-    payoff)``; if the simplex fails or misses that, it solves -payoffᵀ, and
-    GameSolverError names both sides' bounds if that misses too. Ties among
-    optimal bases are resolved by pivot order, so only the value is
+    ``game`` is the nonempty 2-D payoff matrix, whose entries and range must
+    be finite. Returns (row_mix, col_mix, value): row_mix maximizes the
+    minimum column expectation, col_mix minimizes the maximum row expectation,
+    and both guarantee ``value``. The column ceiling ``max(payoff @ col_mix)``
+    exceeds the row floor ``min(row_mix @ payoff)`` by at most ``1e-9 * (1 +
+    max - min payoff)``; if the simplex fails or misses that, it solves
+    -payoffᵀ, and GameSolverError names both sides' bounds if that misses too.
+    Ties among optimal bases go by pivot order, so only the value is
     contract-stable. The solver takes no options: it pivots with tolerance
     ``PIVOT_TOL`` and gives up after 1000 + 50 (rows + cols) pivots.
     """
@@ -119,7 +119,9 @@ def solve_zero_sum(game) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError(f"payoff must be a nonempty 2-D matrix, got shape {payoff.shape}")
     if not np.all(np.isfinite(payoff)):
         raise ValueError("payoff matrix has non-finite entries")
-    tol = 1e-9 * (1.0 + float(payoff.max() - payoff.min()))
+    tol = 1e-9 * (1.0 + (float(payoff.max()) - float(payoff.min())))  # float(): numpy warns on overflow
+    if tol == np.inf:
+        raise ValueError(f"payoff range [{payoff.min():.3g}, {payoff.max():.3g}] overflows float64")
     misses = []
     for side in (payoff, -payoff.T):
         try:

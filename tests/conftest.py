@@ -222,18 +222,25 @@ def dependency_two_phase_sum(net: Network, x1, x2, y1, y2) -> float:
     return float(v2.sum())
 
 
-def within_certificate(net, z, exact, rhs, transpose):
-    """The iterative path's bound: the stop rule (tolerance or stall) plus
-    the rounding of sweeps over rows of d terms, in the system's norm."""
+def certificate_bound(net, exact_norm, rhs_norm, transpose):
+    """The iterative path's bound on a solve whose solution and right-hand
+    side have these norms: the stop rule (tolerance or stall) plus the
+    rounding of sweeps over rows of d terms, in the system's norm (the
+    max-norm, or each column's 1-norm for transposed systems)."""
     rho = float(net.row_abs_sums.max())
     gain = rho / (1.0 - rho)
-    norm = (lambda v: np.abs(v).sum(axis=0).max()) if transpose else (lambda v: np.abs(v).max())
     w = net.weights
     degree = np.bincount(w.indices, minlength=net.n) if transpose else np.diff(w.indptr)
     d = int(degree.max()) + 1
-    stop = max(DEFAULT_TOL, gain * STALL_ULPS * EPS * norm(exact))
-    rounding = d * EPS * (rho * norm(exact) + norm(rhs)) / (1.0 - rho)
-    return norm(z - exact) <= stop + rounding
+    stop = max(DEFAULT_TOL, gain * STALL_ULPS * EPS * exact_norm)
+    rounding = d * EPS * (rho * exact_norm + rhs_norm) / (1.0 - rho)
+    return stop + rounding
+
+
+def within_certificate(net, z, exact, rhs, transpose):
+    """Whether z lies within :func:`certificate_bound` of the exact solution."""
+    norm = (lambda v: np.abs(v).sum(axis=0).max()) if transpose else (lambda v: np.abs(v).max())
+    return norm(z - exact) <= certificate_bound(net, norm(exact), norm(rhs), transpose)
 
 
 def resolvent_row(net: Network, j: int) -> np.ndarray:

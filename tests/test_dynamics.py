@@ -525,8 +525,8 @@ class TestChebyshevSweeps:
 
 
 def two_solves(net):
-    """r and s from two transposed solves, as the solver's ``katz_pair``
-    runs them where the series does not apply."""
+    """r and s from two transposed solves, as the solver's ``katz`` runs
+    them where the series does not apply."""
     r = solve_linear(net, np.ones(net.n), transpose=True)
     return r, solve_linear(net, net.w0 * r, transpose=True)
 
@@ -591,8 +591,8 @@ class TestKatzSeries:
         ((terms, taken),) = calls
         assert not taken and terms + sum(counts) <= solves + 5
         assert np.array_equal(prof.r, r) and np.array_equal(prof.s, s)
-        pair = net._solver.katz_pair()
-        assert np.array_equal(pair[0], r) and np.array_equal(pair[1], s)
+        pair = net._solver.katz(2)
+        assert len(pair) == 2 and np.array_equal(pair[0], r) and np.array_equal(pair[1], s)
 
     @pytest.mark.parametrize("case", ["w0 = 0", "per-node w0", "dense"])
     def test_other_networks_take_two_solves(self, monkeypatch, case):
@@ -603,10 +603,37 @@ class TestKatzSeries:
         net = pa_network(dynamics.DENSE_MAX_N if case == "dense" else 600, 0.56, w0=w0)
         r, s = two_solves(net)
         prof = compute_profile(net)
-        pair = net._solver.katz_pair()
+        pair = net._solver.katz(2)
         assert calls == []
         assert np.array_equal(prof.r, r) and np.array_equal(prof.s, s)
-        assert np.array_equal(pair[0], r) and np.array_equal(pair[1], s)
+        assert len(pair) == 2 and np.array_equal(pair[0], r) and np.array_equal(pair[1], s)
+
+    @pytest.mark.parametrize("make, dense, series", [
+        (lambda: pa_network(300, 0.56, w0=0.3), True, []),
+        (lambda: directed_family(0), False, [False]),
+        (lambda: pa_network(5000, 0.56, w0=0.3), False, [True]),
+        (lambda: directed_family(3, n=5000), False, [False]),
+        (lambda: pa_network(5000, 0.56, w0=0.0), False, []),
+        (lambda: pa_network(5000, 0.56, w0=np.linspace(0.0, 0.4, 5000)), False, []),
+    ], ids=["dense", "iterative in the band", "series taken", "series abandoned",
+            "w0 = 0", "per-node w0"])
+    def test_one_chain_for_every_order(self, monkeypatch, make, dense, series):
+        # katz(orders) extends katz(2) by one loop of transposed solves of
+        # r_{q-1} o w0, bitwise what solve_linear gives for each of them;
+        # ``series`` is what one call records of the Chebyshev series: [] where
+        # it does not apply, else whether it was taken
+        calls = series_terms(monkeypatch)
+        net = make()
+        assert net._solver.dense == dense
+        assert dense or net.n > dynamics.DENSE_MAX_N  # in the band at 2,000 nodes, above at 5,000
+        pair = net._solver.katz(2)
+        chain = net._solver.katz(5)
+        assert [taken for _, taken in calls] == series * 2
+        assert len(pair) == 2 and len(chain) == 5
+        for got, ref in zip(chain, pair):
+            assert np.array_equal(got, ref)
+        for prev, got in zip(chain[1:], chain[2:]):
+            assert np.array_equal(got, solve_linear(net, prev * net.w0, transpose=True))
 
     def test_no_arcs(self, monkeypatch):
         # rho = 0: r = 1 and s = w0 exactly, and nothing divides by rho
@@ -635,6 +662,32 @@ class TestSweepBudget:
         rhs = net.w0 * net.v0 + net.wg * x
         v = steady_state(net, net.v0, x=x)
         assert within_certificate(net, v, sparse_exact(net, rhs), rhs, False)
+
+
+class TestSolverLadderDefects:
+    """Defects that ROADMAP item 5's solver ladder mends, pinned as strict
+    xfails: once it lands they pass, and the strict mark fails the run
+    until it is removed."""
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+        "ROADMAP item 5: sweeps cannot certify a validated 5,000-node cycle at "
+        "rho = 0.99999 within MAX_SWEEPS, and no direct or Krylov rung exists yet"))
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_near_unit_cycle_above_the_dense_limit_solves(self, transpose):
+        net = cycle_network(5000, 0.99999)
+        assert validate(net) == [] and not net._solver.dense
+        rhs = np.random.default_rng(11).uniform(-1, 1, net.n)
+        z = solve_linear(net, rhs, transpose=transpose)
+        assert within_certificate(net, z, sparse_exact(net, rhs, transpose), rhs, transpose)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 5: the cost model prices plain sweeps, so a 2,000-node PA "
+        "graph at rho = 0.999 takes the dense inverse where weighted sweeps are "
+        "an order of magnitude faster"))
+    def test_near_unit_real_spectrum_in_the_band_iterates(self):
+        net = pa_network(2000, 0.999, w0=0.0005)
+        assert validate(net) == []
+        assert not net._solver.dense
 
 
 def path_decisions(monkeypatch):

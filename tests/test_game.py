@@ -68,6 +68,18 @@ class TestInputChecks:
         with pytest.raises(ValueError, match="non-finite"):
             solve_zero_sum(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("payoff", [
+        # row 1 dominates and column 2 answers it with 0, so the value is 0,
+        # but the range overflowed: the certificate's tolerance was inf, the
+        # shifted payoff overflowed, and the solver returned 1.99584030953472e+292
+        [[1.5e308, 0.0], [0.0, -1.5e308]],
+        # this one raised a GameSolverError about the final basis instead
+        [[1e308, -1e308], [-1e308, 1e308]],
+    ])
+    def test_overflowing_range_rejected(self, payoff):
+        with pytest.raises(ValueError, match=r"^payoff range \[.*\] overflows float64$"):
+            solve_zero_sum(np.array(payoff))
+
     def test_shape_rejected(self):
         with pytest.raises(ValueError, match="nonempty 2-D"):
             solve_zero_sum(np.zeros((0, 3)))

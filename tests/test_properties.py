@@ -9,8 +9,10 @@ capped greedy plan and the double oracle must match their whole-problem
 oracles. On the iterative path, above ``DENSE_MAX_N`` nodes, r and s of
 ``compute_profile`` are compared with refined solves on seeded directed
 graphs and on one preferential-attachment graph, where both start from the
-Chebyshev series. The tests are derandomized: every run draws the same
-networks and stores none.
+Chebyshev series; on 20 seeded directed graphs there, resolvent column
+blocks are compared with refined solves, and the single-camp value with the
+dense path's. The tests are derandomized: every run draws the same networks
+and stores none.
 
 A value near rho = 1 carries a rounding error of order eps / (1 - rho)
 relative, which float64 cannot improve, so deviations of dense solves are
@@ -24,16 +26,19 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opinion_game import (
     BAD,
     GOOD,
+    DependencyCoefficients,
     Network,
     ba_graph,
     bounded_greedy,
     compute_profile,
+    delta_matrix,
     evaluate_two_phase,
     run_phases,
     single_camp_optimal,
@@ -41,8 +46,11 @@ from opinion_game import (
     two_camp_equilibrium,
     validate,
 )
+import opinion_game.dynamics as dynamics
+from opinion_game.dynamics import DENSE_LIMIT_N, DENSE_MAX_N, EPS, solve_linear
 
 from conftest import (
+    certificate_bound,
     directed_family,
     full_game_solution,
     greedy_oracle,
@@ -109,6 +117,71 @@ def test_profile_from_the_series_matches_refined_solves(monkeypatch):
     net = Network.build(600, replace(top, weight=0.56 / top.out_degrees()[top.src]), w0=0.3)
     assert_iterative_profile_certified(net)
     assert [taken for _, taken in calls] == [True]
+
+
+def dense_bound(net, rhs_norm):
+    """Error bound of a dense solve in its system's norm: the residual check's
+    rounding bound 8 n eps |rhs| / (1 - rho), times |(I - w)^{-1}| <= 1 / (1 - rho)."""
+    rho = float(net.row_abs_sums.max())
+    return 8 * net.n * EPS * rhs_norm / (1.0 - rho) ** 2
+
+
+def single_camp_gap_bound(net, kg):
+    """Bound on the gap between the values ``single_camp_optimal(net, kg)``
+    reads on the iterative and on the dense path, for a network on the dense
+    path. Each input of the scan lies within the sum of both paths'
+    certificates of the other path's: r and s (1-norm, s carrying r's error
+    through w0), y = (I - w)^{-1} c behind cb = r o w0 o y (max-norm), and
+    the resolvent entries behind b = r o w0 o delta. Every pair's objective
+
+        s_total + first_gain t + second_gain (kg - t) + coupling t (kg - t),
+
+    t in [0, kg], then moves by at most the sum of the terms' moves, and so
+    does the best of them, plus the rounding of the sums that form s_total
+    and the objective on either path."""
+    n, rho = net.n, float(net.row_abs_sums.max())
+    coef = DependencyCoefficients(net)
+    y, delta = solve_linear(net, coef.c), delta_matrix(net)
+    l1 = lambda v: float(np.abs(v).sum())
+    sup = lambda v: float(np.abs(v).max())
+    w0, theta, weight = sup(net.w0), sup(net.theta), sup(net.theta * (1.0 + coef.c))
+    e_r = certificate_bound(net, l1(coef.r), n, True) + dense_bound(net, n)
+    rhs_s = l1(net.w0 * coef.r)
+    e_s = (certificate_bound(net, l1(coef.s), rhs_s, True) + dense_bound(net, rhs_s)
+           + w0 * e_r / (1.0 - rho))
+    e_y = certificate_bound(net, sup(y), sup(coef.c), False) + dense_bound(net, sup(coef.c))
+    e_delta = certificate_bound(net, sup(delta), 1.0, False) + dense_bound(net, 1.0)
+    e_cb = w0 * (e_r * (sup(y) + e_y) + sup(coef.r) * e_y)
+    e_b = w0 * (e_r * (sup(delta) + e_delta) + sup(coef.r) * e_delta)
+    moves = (sup(coef.c) * e_s + kg * 0.5 * weight * e_s + kg * 0.5 * theta * (e_cb + e_r)
+             + kg * kg / 4.0 * 0.25 * weight * theta * e_b)
+    size = (abs(coef.s_total) + kg * 0.5 * weight * sup(coef.s)
+            + kg * 0.5 * theta * (sup(coef.cb) + sup(coef.r))
+            + kg * kg / 4.0 * 0.25 * weight * theta * sup(coef.scale) * sup(delta))
+    rounding = 2 * (n * EPS * l1(coef.c * coef.s) + 16 * EPS * size)
+    return moves + rounding
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_iterative_column_blocks_and_single_camp_scan(monkeypatch, seed):
+    # ROADMAP item 9: the iterative block solves behind _Solver.columns and
+    # the single-camp scan, in the band, on directed networks
+    n, kg = 600, 10.0
+    net = replace(directed_family(seed, n=n), theta=np.full(n, 0.2), v0=np.full(n, 0.2))
+    assert validate(net, "dependency") == []
+    assert float(net.row_abs_sums.max()) == pytest.approx(0.56, rel=1e-12)
+    assert DENSE_MAX_N < n <= DENSE_LIMIT_N and not net._solver.dense  # iterative, in the band
+    a = np.eye(n) - net.weights.toarray()
+    for start, stop in ((0, 3), (seed * 29, seed * 29 + 2), (597, 600)):
+        rhs = np.eye(n, stop - start, -start)
+        block = net._solver.columns(start, stop)
+        assert within_certificate(net, block, refined_solve(a, rhs), rhs, False)
+    _, value = single_camp_optimal(net, kg)
+    monkeypatch.setattr(dynamics, "_solves_dense", lambda net: True)
+    forced = replace(net)
+    _, dense_value = single_camp_optimal(forced, kg)
+    assert forced._solver.dense
+    assert abs(value - dense_value) <= single_camp_gap_bound(forced, kg)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
